@@ -36,6 +36,7 @@ void MatchingChecker::check(const DynamicMatcher& m) {
   PDMM_ASSERT(m.vhot_.level_lane_size() == m.verts_.size());
   PDMM_ASSERT(m.vhot_.matched_lane_size() == m.verts_.size());
   PDMM_ASSERT(m.vhot_.s_mask_lane_size() == m.verts_.size());
+  PDMM_ASSERT(m.vhot_.changed_lane_size() == m.verts_.size());
 
   // --- per-vertex invariants ---
   for (Vertex v = 0; v < m.verts_.size(); ++v) {

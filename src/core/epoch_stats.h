@@ -57,6 +57,7 @@ struct MatcherStats {
   uint64_t edges_kicked = 0;      // induced unmatchings
   uint64_t temp_deleted = 0;      // edges moved into some D(e)
   uint64_t reinserted = 0;        // temp-deleted/kicked edges reinserted
+  uint64_t view_delta_captures = 0;  // make_view_into patched from a base
 };
 
 }  // namespace pdmm

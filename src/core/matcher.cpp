@@ -748,6 +748,7 @@ void DynamicMatcher::drain_eager() {
 // ---------------------------------------------------------------------------
 
 void DynamicMatcher::reset_state() {
+  forget_view_base();
   // Journal the wholesale unmatching so callers' diffs stay correct, and
   // close the epochs of all matched edges.
   for (EdgeId e = 0; e < eflags_.size(); ++e) {
@@ -951,6 +952,7 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
   res.rebuilt = stats_.rebuilds > rebuilds_before;
   res.work = cost_.work - cost_before.work;
   res.rounds = cost_.rounds - cost_before.rounds;
+  log_view_changes();
 
   if (cfg_.check_invariants) MatchingChecker::check(*this);
   if (post_batch_hook_) post_batch_hook_(res);
@@ -963,11 +965,112 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
 
 MatchView DynamicMatcher::make_view() const {
   MatchView view;
-  make_view_into(view);
+  build_view_full(view);
   return view;
 }
 
-void DynamicMatcher::make_view_into(MatchView& view) const {
+void DynamicMatcher::make_view_into(MatchView& out, const MatchView* base) {
+  if (base != nullptr && base != &out && base == view_base_.view &&
+      base->epoch == view_base_.epoch) {
+    build_view_delta(out, *base);
+    ++stats_.view_delta_captures;
+    if (cfg_.check_invariants) {
+      PDMM_ASSERT_MSG(out == make_view(),
+                      "delta view capture differs from the full build");
+    }
+  } else {
+    build_view_full(out);
+  }
+  // `out` is the next capture's base: log changes relative to it.
+  view_base_.view = &out;
+  view_base_.epoch = out.epoch;
+  view_base_.changed_edges.clear();
+  vhot_.restart_change_log();
+}
+
+void DynamicMatcher::log_view_changes() {
+  if (view_base_.view == nullptr) return;
+  auto& log = view_base_.changed_edges;
+  for (const auto& [e, ev] : batch_journal_) log.push_back(e);
+  // Nobody may capture again (a service that went away): keep the log
+  // bounded. Past about one entry per edge id the full build is no dearer
+  // than sorting the log, so nothing is lost by dropping the base.
+  if (log.size() > std::max<size_t>(eflags_.size(), 1024)) forget_view_base();
+}
+
+void DynamicMatcher::forget_view_base() {
+  view_base_.view = nullptr;
+  view_base_.changed_edges.clear();
+  vhot_.stop_change_log();
+}
+
+void DynamicMatcher::build_view_delta(MatchView& out, const MatchView& base) {
+  out.epoch = batch_counter_;
+  out.max_rank = reg_.max_rank();
+
+  // Per-vertex lanes: base's lanes grown to today's vertex bound (new
+  // vertices start unmatched at level -1, as in vhot_), then every vertex
+  // written since the base capture re-read from vhot_.
+  const size_t nv = vhot_.size();
+  PDMM_DASSERT(base.vmatch.size() <= nv);
+  out.vmatch.assign(base.vmatch.begin(), base.vmatch.end());
+  out.vmatch.resize(nv, kNoEdge);
+  out.vlevel.assign(base.vlevel.begin(), base.vlevel.end());
+  out.vlevel.resize(nv, kUnmatchedLevel);
+  for (Vertex v : vhot_.changed()) {
+    out.vmatch[v] = vhot_.matched(v);
+    out.vlevel[v] = vhot_.level(v);
+  }
+
+  // Matched edges: an id absent from the edge log kept its matched status
+  // and its identity (so its endpoints) since the base capture, and keeps
+  // base's CSR row. A logged id is re-decided from the live flags, its
+  // endpoints taken from the registry — right even for an id retired and
+  // reused since. Runs of kept rows copy in bulk between logged ids.
+  auto& changed = view_base_.changed_edges;
+  std::sort(changed.begin(), changed.end());
+  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+  out.medges.clear();
+  out.moffset.clear();
+  out.mendpoints.clear();
+  out.medges.reserve(base.medges.size() + changed.size());
+  out.moffset.reserve(base.medges.size() + changed.size() + 1);
+  out.mendpoints.reserve(base.mendpoints.size() +
+                         changed.size() * reg_.max_rank());
+  const auto copy_rows = [&](size_t from, size_t to) {
+    if (from == to) return;
+    out.medges.insert(out.medges.end(), base.medges.begin() + from,
+                      base.medges.begin() + to);
+    // Row starts shift by a constant (uint32 wrap-around is exact here).
+    const uint32_t shift =
+        static_cast<uint32_t>(out.mendpoints.size()) - base.moffset[from];
+    for (size_t i = from; i < to; ++i) {
+      out.moffset.push_back(base.moffset[i] + shift);
+    }
+    out.mendpoints.insert(out.mendpoints.end(),
+                          base.mendpoints.begin() + base.moffset[from],
+                          base.mendpoints.begin() + base.moffset[to]);
+  };
+  size_t next = 0;  // first base row not yet copied or dropped
+  for (const EdgeId e : changed) {
+    const size_t at = static_cast<size_t>(
+        std::lower_bound(base.medges.begin() + next, base.medges.end(), e) -
+        base.medges.begin());
+    copy_rows(next, at);
+    next = at + (at < base.medges.size() && base.medges[at] == e);
+    if (is_matched(e)) {
+      const auto eps = reg_.endpoints(e);
+      out.medges.push_back(e);
+      out.moffset.push_back(static_cast<uint32_t>(out.mendpoints.size()));
+      out.mendpoints.insert(out.mendpoints.end(), eps.begin(), eps.end());
+    }
+  }
+  copy_rows(next, base.medges.size());
+  out.moffset.push_back(static_cast<uint32_t>(out.mendpoints.size()));
+  PDMM_DASSERT(out.medges.size() == matching_size_);
+}
+
+void DynamicMatcher::build_view_full(MatchView& view) const {
   view.epoch = batch_counter_;
   view.max_rank = reg_.max_rank();
 

@@ -171,16 +171,28 @@ class DynamicMatcher {
   uint64_t batch_epoch() const { return batch_counter_; }
   // Builds an immutable snapshot of the current matching (per-vertex
   // matched edge + level, sorted matched-edge list with endpoints), stamped
-  // with batch_epoch(). O(V + E) with the per-vertex fill parallelized on
-  // the pool. Must be called between updates (same rule as the other
-  // inspection accessors); serve::MatchViewService calls it from the
-  // post-batch hook, which satisfies that by construction.
+  // with batch_epoch(), from scratch: O(V + E) — two lane copies, a scan
+  // of every edge id's flags, and the endpoint copy of every matched edge
+  // (parallelized on the pool). Must be called between updates (same rule
+  // as the other inspection accessors). It is the reference the delta
+  // capture below is checked against, and leaves the capture state alone.
   MatchView make_view() const;
-  // Buffer-reusing variant: captures the same snapshot into `out`,
-  // recycling its vector capacity — the pipelined engine's Scratch
-  // handoff rebuilds views into retired buffers so the steady-state
-  // publish path stops allocating. Same between-updates calling rule.
-  void make_view_into(MatchView& out) const;
+  // The capture path (serve::MatchViewService::publish_now and the
+  // engine's settle stage): writes the same snapshot make_view() builds
+  // into `out`, reusing its vector capacity, and makes `out` the base of
+  // the next capture. When `base` is the view the previous capture wrote
+  // (same object, same epoch) and nothing invalidated it since, the
+  // capture is a delta: base's lanes are copied, the vertices whose level
+  // or matched edge changed since are patched in, and base's sorted
+  // matched-edge CSR is merged with the edge ids whose matched status
+  // changed or that were retired since — a memcpy plus O(Δ log Δ) work
+  // instead of the O(V + E) build. Every other case takes the full build:
+  // no base, a base that is not the last capture, `base == &out`, or a
+  // base invalidated by load() / rebuild() / reset_to_empty(). `base` must
+  // stay unmodified from its capture until this call returns. With
+  // Config::check_invariants every delta is asserted equal to make_view().
+  // Same between-updates calling rule.
+  void make_view_into(MatchView& out, const MatchView* base = nullptr);
   // Installs `hook`, invoked at the very end of every update() — after all
   // invariants are restored (and after the optional invariant check), with
   // the batch's result — on the updater thread. One hook at a time; pass
@@ -455,6 +467,14 @@ class DynamicMatcher {
   void grow_edges(size_t bound);
   void maybe_rebuild(size_t incoming_updates);
   void reset_state();
+
+  // ---- view capture (matcher.cpp) ----
+  void build_view_full(MatchView& out) const;
+  void build_view_delta(MatchView& out, const MatchView& base);
+  // Appends this batch's journal to the capture base's edge log.
+  void log_view_changes();
+  // No usable capture base any more: the next capture is a full build.
+  void forget_view_base();
   // Snapshot-loader internals (core/snapshot.cpp).
   SnapshotError load_validated(std::istream& in);
   SnapshotError verify_loaded_state(size_t declared_alive);
@@ -486,6 +506,19 @@ class DynamicMatcher {
   // produce the newly_matched / newly_unmatched diff with correct handling
   // of ids recycled within the batch.
   std::vector<std::pair<EdgeId, int8_t>> batch_journal_;
+
+  // The base of the next delta capture: the view the last make_view_into()
+  // wrote (null: none usable) and its epoch, plus every edge id the batch
+  // journals named since — ids whose matched status changed or that were
+  // retired, with repeats. The vertex half of the change set is vhot_'s
+  // change log, which runs exactly while `view` is set.
+  struct ViewBase {
+    const MatchView* view = nullptr;
+    uint64_t epoch = 0;
+    std::vector<EdgeId> changed_edges;
+  };
+  ViewBase view_base_;
+
   uint64_t batch_counter_ = 0;
   uint64_t settle_counter_ = 0;
 

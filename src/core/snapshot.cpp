@@ -244,6 +244,7 @@ enum : uint8_t { kIdUnseen = 0, kIdAlive = 1, kIdFree = 2 };
 }  // namespace
 
 void DynamicMatcher::reset_to_empty() {
+  forget_view_base();
   scheme_ = LevelScheme(cfg_.max_rank,
                         std::max<uint64_t>(cfg_.initial_capacity, 2));
   reg_.restore_begin(0);

@@ -120,9 +120,13 @@ bool UpdateEngine::do_settle(const Item& it, PublishWork& w) {
                     it.epoch % opt_.checkpoint_every == 0 &&
                     !opt_.checkpoint_prefix.empty();
   if (service_ != nullptr) {
-    auto v = std::make_unique<MatchView>();
-    m_.make_view_into(*v);
-    w.view = std::move(v);
+    // Built into the spare the recycled shell carried back from P, as a
+    // delta against the previous epoch's view. That view is alive: the
+    // channel retires it only once a newer view — this one at the
+    // earliest — is published.
+    if (!w.view) w.view = std::make_unique<MatchView>();
+    m_.make_view_into(*w.view, last_view_);
+    last_view_ = w.view.get();
   }
   if (w.do_checkpoint) {
     if (!fire_point(kEnginePreCheckpoint, it.epoch)) return false;
@@ -145,6 +149,8 @@ bool UpdateEngine::do_publish(PublishWork& w) {
     ViewChannel& ch = service_->channel();
     ch.writer_role().assert_held();
     ch.publish(std::move(w.view));
+    // The shell carries a reclaimed view back to S for a later epoch.
+    w.view = ch.take_spare();
   }
   w.t_published = Clock::now();
   if (!fire_point(kEnginePostPublish, w.epoch)) return false;
@@ -228,10 +234,9 @@ void UpdateEngine::retire_locked(PublishWork&& w) {
       samples_[i].retired_us = us_between(t_submit_[i], Clock::now());
     }
   }
-  // Free the retired buffers HERE, on the publish stage, so the settle
-  // barrier never pays deallocation; keep a few empty shells to bound
-  // per-epoch container churn.
-  w.view.reset();
+  // Free the checkpoint buffer HERE, on the publish stage, so the settle
+  // barrier never pays deallocation; keep a few shells — each with the
+  // spare view do_publish put in it — to bound per-epoch container churn.
   w.ck_bytes = std::string();
   w.do_checkpoint = false;
   if (recycle_.size() < 4) recycle_.push_back(std::move(w));
@@ -427,10 +432,12 @@ void UpdateEngine::journal_loop() {
         }
         if (!ingest_q_.empty()) {
           if (settle_q_.size() >= opt_.queue_capacity) {
-            // Backpressure from the settle stage; S notifies cv_journal_
-            // on every pop. Only J pushes to settle_q_, so the space we
-            // see after waking cannot be stolen.
+            // Backpressure from the settle stage; S's next pop sees the
+            // flag and notifies cv_journal_. Only J pushes to settle_q_,
+            // so the space we see after waking cannot be stolen.
+            journal_wants_space_ = true;
             cv_journal_.wait(mu_);
+            journal_wants_space_ = false;
             continue;
           }
           it = std::move(ingest_q_.front());
@@ -502,10 +509,12 @@ void UpdateEngine::settle_loop() {
         }
         if (!settle_q_.empty()) {
           if (publish_q_.size() >= opt_.queue_capacity) {
-            // Backpressure from the publish stage; P notifies cv_settle_
-            // on every pop. Only S pushes to publish_q_, so the reserved
-            // space holds across the unlock below.
+            // Backpressure from the publish stage; P's next pop sees the
+            // flag and notifies cv_settle_. Only S pushes to publish_q_,
+            // so the reserved space holds across the unlock below.
+            settle_wants_space_ = true;
             cv_settle_.wait(mu_);
+            settle_wants_space_ = false;
             continue;
           }
           break;
@@ -519,7 +528,7 @@ void UpdateEngine::settle_loop() {
       }
       it = std::move(settle_q_.front());
       settle_q_.pop_front();
-      cv_journal_.notify_one();
+      if (journal_wants_space_) cv_journal_.notify_one();
       w = take_shell_locked();
     }
     if (!do_settle(it, w)) return;
@@ -548,9 +557,16 @@ void UpdateEngine::publish_loop() {
       }
       w = std::move(publish_q_.front());
       publish_q_.pop_front();
-      cv_settle_.notify_one();
+      if (settle_wants_space_) cv_settle_.notify_one();
     }
-    if (!do_publish(w)) return;
+    if (!do_publish(w)) {
+      // Unpublished, w's view may be the base S is capturing the next
+      // epoch against right now: hand it back to the queue, which the
+      // engine frees only after the stage threads have joined.
+      MutexLock lk(mu_);
+      publish_q_.push_front(std::move(w));
+      return;
+    }
     MutexLock lk(mu_);
     retire_locked(std::move(w));
     cv_drain_.notify_all();

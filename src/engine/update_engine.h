@@ -15,22 +15,33 @@
 //                       capture: make_view_into() + encode_checkpoint()
 //     ▼
 //   [P] publish stage   ViewChannel::publish() (+ epoch reclamation of
-//       (writer role)   retired views), checkpoint file write/fsync/
-//                       rename/prune, buffer recycling, latency stamps
+//       (writer role)   retired views into spares), checkpoint file
+//                       write/fsync/rename/prune, buffer recycling,
+//                       latency stamps
 //
 // What genuinely overlaps: while S settles batch i+1, J is fsyncing batch
-// i's group and P is publishing batch i's view, freeing the views batch
-// i's publication retired, and writing batch i's checkpoint file. What
-// deliberately does NOT overlap: make_view_into() and encode_checkpoint()
-// read live matcher state, so they run AT the epoch barrier on the settle
-// stage — which is exactly why determinism survives the pipelining: every
-// view and checkpoint is captured at the same epoch boundary the
-// synchronous path uses, so for every epoch the matcher state, the
-// journal bytes, and the published view are byte-identical to the
-// synchronous engine's. The Scratch handoff is the PublishWork pool:
-// retired work items (checkpoint byte buffers) recycle S→P→S, and all
-// freeing of superseded views and checkpoint buffers happens on P, off
-// the settle barrier path.
+// i's group and P is publishing batch i's view, reclaiming the views
+// batch i's publication retired, and writing batch i's checkpoint file.
+// What deliberately does NOT overlap: make_view_into() and
+// encode_checkpoint() read live matcher state, so they run AT the epoch
+// barrier on the settle stage — which is exactly why determinism survives
+// the pipelining: every view and checkpoint is captured at the same epoch
+// boundary the synchronous path uses, so for every epoch the matcher
+// state, the journal bytes, and the published view are byte-identical to
+// the synchronous engine's.
+//
+// The view capture is a delta (DynamicMatcher::make_view_into): S builds
+// epoch e's view from the view it built for e-1 plus what changed in
+// between, so it costs a lane copy plus the change set, not a scan of
+// every edge. Reading the e-1 view on S while P owns it is safe because
+// the channel retires a view only when a newer one is published, and e's
+// view is published only after S has built it; a failed publish hands
+// its unpublished item back to the queue instead of freeing it, for the
+// same reason. The buffers flow the other way through the Scratch
+// handoff, the PublishWork pool: shells recycle S→P→S carrying the
+// checkpoint byte buffer and, once P has published, a spare view the
+// channel reclaimed, which S builds a later epoch's view into. All
+// freeing of checkpoint buffers happens on P, off the settle barrier path.
 //
 // Two modes, one stage code path:
 //   pipelined=false  every stage runs inline on the calling thread, in
@@ -172,11 +183,13 @@ class UpdateEngine {
     std::chrono::steady_clock::time_point t_submit;
   };
   // The Scratch handoff unit: everything S captures at the epoch barrier
-  // for P to push to disk/readers. Retired shells (with their checkpoint
-  // byte buffers) recycle back to S.
+  // for P to push to disk/readers. Retired shells recycle back to S.
   struct PublishWork {
     uint64_t epoch = 0;
-    std::unique_ptr<const MatchView> view;  // null: no service configured
+    // S → P: the epoch's view (null: no service configured). P → S, once
+    // published: a spare the channel reclaimed (or null), which S builds
+    // a later epoch's view into.
+    std::unique_ptr<MatchView> view;
     std::string ck_bytes;                   // encoded checkpoint container
     bool do_checkpoint = false;
     std::chrono::steady_clock::time_point t_submit;
@@ -219,7 +232,10 @@ class UpdateEngine {
   //   submit() on cv_producer_ (ingest space), J on cv_journal_ (ingest
   //   items / settle space / commit timer), S on cv_settle_ (settle
   //   items / publish space), P on cv_publish_ (publish items), drain()
-  //   on cv_drain_. Downstream pops notify upstream; fail() notifies all.
+  //   on cv_drain_. A downstream pop notifies its upstream stage only
+  //   when that stage waits for space (the *_wants_space_ flags) — J and
+  //   S mostly wait for items, and a wake-up per pop would be spurious.
+  //   fail() notifies all.
   CondVar cv_producer_, cv_journal_, cv_settle_, cv_publish_, cv_drain_;
   std::deque<Item> ingest_q_ PDMM_GUARDED_BY(mu_);
   std::deque<Item> settle_q_ PDMM_GUARDED_BY(mu_);
@@ -230,6 +246,8 @@ class UpdateEngine {
   bool journal_done_ PDMM_GUARDED_BY(mu_) = false;
   bool settle_done_ PDMM_GUARDED_BY(mu_) = false;
   bool publish_done_ PDMM_GUARDED_BY(mu_) = false;
+  bool journal_wants_space_ PDMM_GUARDED_BY(mu_) = false;  // settle_q_ full
+  bool settle_wants_space_ PDMM_GUARDED_BY(mu_) = false;   // publish_q_ full
   std::string error_ PDMM_GUARDED_BY(mu_);
   uint64_t next_epoch_ PDMM_GUARDED_BY(mu_);
   uint64_t durable_epoch_ PDMM_GUARDED_BY(mu_);
@@ -245,6 +263,13 @@ class UpdateEngine {
   std::vector<LatencySample> samples_ PDMM_GUARDED_BY(mu_);
   std::vector<std::chrono::steady_clock::time_point> t_submit_
       PDMM_GUARDED_BY(mu_);
+
+  // Settle stage only (the caller's thread in inline mode): the view S
+  // captured last, the delta base of its next capture. Null until the
+  // first capture. No capture starts once the engine has halted; one
+  // already running when P fails is why a failed publish keeps its view
+  // alive (publish_loop).
+  const MatchView* last_view_ = nullptr;
 
   std::thread tj_, ts_, tp_;
   bool threads_joined_ = false;  // stop()/dtor only (caller thread)

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "persist/io_util.h"
 #include "persist/journal_format.h"
@@ -34,18 +33,14 @@ constexpr const char* kMagic = kJournalMagic;
 // after them), so the durability granularity at the tail is one record
 // either way — exactly the bound the flush-per-record model documents.
 void encode_record_into(uint64_t epoch, const Batch& b, std::string& out) {
-  std::ostringstream payload;
-  write_batch(payload, b);
-  std::string body = std::move(payload).str();
+  // The payload goes in first (its size and CRC head the record), then
+  // the header is slid in front of it.
   out.clear();
-  out += "rec ";
-  out += std::to_string(epoch);
-  out += ' ';
-  out += std::to_string(body.size());
-  out += ' ';
-  out += std::to_string(crc32(body));
-  out += '\n';
-  out += body;
+  append_batch(out, b);
+  const std::string header = "rec " + std::to_string(epoch) + ' ' +
+                             std::to_string(out.size()) + ' ' +
+                             std::to_string(crc32(out)) + '\n';
+  out.insert(0, header);
 }
 
 // Shared scan core. Exactly one consumer shape per call: either records

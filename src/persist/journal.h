@@ -7,7 +7,7 @@
 //   pdmm-journal v1
 //   stream <fingerprint>            (optional, written at creation)
 //   rec <epoch> <nbytes> <crc32>
-//   <payload: the batch in trace op encoding (write_batch), nbytes bytes>
+//   <payload: the batch in trace op encoding (append_batch), nbytes bytes>
 //   rec ...
 //
 // The optional `stream` line names the update stream this log was recorded

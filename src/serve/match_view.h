@@ -79,6 +79,10 @@ struct MatchView {
   // view alone — it needs the live edge set of the same epoch, which the
   // serve tests capture separately.
   bool validate(std::string* error = nullptr) const;
+
+  // Field-for-field equality (the delta capture's check against the full
+  // build).
+  friend bool operator==(const MatchView&, const MatchView&) = default;
 };
 
 }  // namespace pdmm

@@ -1,5 +1,7 @@
 #include "serve/view_channel.h"
 
+#include <cstddef>
+
 namespace pdmm {
 
 void ViewHandle::release() {
@@ -19,16 +21,15 @@ ViewChannel::~ViewChannel() {
   PDMM_ASSERT_MSG(slots_.active() == 0,
                   "ViewChannel destroyed with outstanding ViewHandles");
   // mo: relaxed — quiescent by contract here; nothing concurrent to order
-  // against.
+  // against. (Retired views and spares free with their lists.)
   delete current_.load(std::memory_order_relaxed);
-  for (const auto& [view, seq] : retired_) delete view;
 }
 
-void ViewChannel::publish(std::unique_ptr<const MatchView> view) {
+void ViewChannel::publish(std::unique_ptr<MatchView> view) {
   PDMM_ASSERT(view != nullptr);
   // mo: relaxed — current_ is only stored by this (the single writer)
   // thread, so its own last store is visible without ordering.
-  const MatchView* old = current_.load(std::memory_order_relaxed);
+  MatchView* old = current_.load(std::memory_order_relaxed);
   // Equal epochs are allowed (publish_now after rebuild()/load()
   // re-publishes the same batch epoch); a decrease is a protocol bug.
   PDMM_ASSERT_MSG(!old || view->epoch >= old->epoch,
@@ -50,7 +51,7 @@ void ViewChannel::publish(std::unique_ptr<const MatchView> view) {
   seq_.store(next, std::memory_order_seq_cst);
   // mo: relaxed — diagnostic counter; readers only need eventual totals.
   published_.fetch_add(1, std::memory_order_relaxed);
-  if (old) retired_.emplace_back(old, next);
+  if (old) retired_.emplace_back(std::unique_ptr<MatchView>(old), next);
   reclaim();
 }
 
@@ -79,17 +80,26 @@ ViewHandle ViewChannel::acquire() {
 void ViewChannel::reclaim() {
   if (retired_.empty()) return;
   const uint64_t min_pinned = slots_.min_pinned();  // kIdle == no reader
-  size_t kept = 0;
-  for (auto& entry : retired_) {
-    if (entry.second <= min_pinned) {
-      delete entry.first;
-      // mo: relaxed — diagnostic counter; no ordering consumers.
-      freed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      retired_[kept++] = entry;
+  size_t n = 0;
+  for (; n < retired_.size() && retired_[n].second <= min_pinned; ++n) {
+    // Unreachable by any reader: the writer may overwrite it exactly as
+    // safely as it may free it.
+    if (spares_.size() < kMaxSpares) {
+      spares_.push_back(std::move(retired_[n].first));
     }
+    // mo: relaxed — diagnostic counter; no ordering consumers.
+    freed_.fetch_add(1, std::memory_order_relaxed);
   }
-  retired_.resize(kept);
+  // Frees the reclaimed views that did not become spares.
+  retired_.erase(retired_.begin(),
+                 retired_.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+std::unique_ptr<MatchView> ViewChannel::take_spare() {
+  if (spares_.empty()) return nullptr;
+  std::unique_ptr<MatchView> v = std::move(spares_.back());
+  spares_.pop_back();
+  return v;
 }
 
 }  // namespace pdmm

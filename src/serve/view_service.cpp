@@ -29,7 +29,13 @@ void MatchViewService::publish_now() {
   // post-batch hook runs on it), so this thread is the channel's single
   // writer.
   channel_.writer_role().assert_held();
-  channel_.publish(std::make_unique<MatchView>(matcher_.make_view()));
+  std::unique_ptr<MatchView> view = channel_.take_spare();
+  if (!view) view = std::make_unique<MatchView>();
+  // The current view is this service's previous capture unless another
+  // capture of the matcher came between; make_view_into tells the two
+  // apart and falls back to the full build.
+  matcher_.make_view_into(*view, channel_.current());
+  channel_.publish(std::move(view));
 }
 
 }  // namespace pdmm

@@ -57,8 +57,11 @@ class MatchViewService {
   ViewHandle acquire() { return channel_.acquire(); }
   uint64_t published_epoch() const { return channel_.published_epoch(); }
 
-  // Updater-thread-only: rebuild and publish a view outside the hook
-  // (e.g. after load() or rebuild(), which bypass update()).
+  // Updater-thread-only: capture and publish a view (the hook calls it
+  // after every batch; call it directly after load() or rebuild(), which
+  // bypass update()). The view is built into a spare the channel
+  // reclaimed, as a delta against the current view when that is the
+  // matcher's last capture (DynamicMatcher::make_view_into).
   void publish_now();
 
   ViewChannel& channel() { return channel_; }

@@ -1,7 +1,10 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
+#include <iterator>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -10,18 +13,34 @@
 
 namespace pdmm {
 
+namespace {
+
+void append_ops(std::string& out, char op,
+                const std::vector<std::vector<Vertex>>& edges) {
+  char buf[std::numeric_limits<Vertex>::digits10 + 2];
+  for (const auto& eps : edges) {
+    out += op;
+    for (Vertex v : eps) {
+      out += ' ';
+      const auto r = std::to_chars(std::begin(buf), std::end(buf), v);
+      out.append(buf, r.ptr);
+    }
+    out += '\n';
+  }
+}
+
+}  // namespace
+
+void append_batch(std::string& out, const Batch& b) {
+  append_ops(out, 'd', b.deletions);
+  append_ops(out, 'i', b.insertions);
+  out += "b\n";
+}
+
 void write_batch(std::ostream& out, const Batch& b) {
-  for (const auto& eps : b.deletions) {
-    out << 'd';
-    for (Vertex v : eps) out << ' ' << v;
-    out << '\n';
-  }
-  for (const auto& eps : b.insertions) {
-    out << 'i';
-    for (Vertex v : eps) out << ' ' << v;
-    out << '\n';
-  }
-  out << "b\n";
+  std::string s;
+  append_batch(s, b);
+  out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
 void write_trace(std::ostream& out, const std::vector<Batch>& batches) {

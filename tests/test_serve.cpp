@@ -156,7 +156,7 @@ TEST(EpochSlots, PinUnpinMinAndCapacity) {
 // ViewChannel (single-threaded protocol behaviour)
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<const MatchView> tiny_view(uint64_t epoch) {
+std::unique_ptr<MatchView> tiny_view(uint64_t epoch) {
   auto v = std::make_unique<MatchView>();
   v->epoch = epoch;
   v->max_rank = 2;

@@ -38,11 +38,13 @@ Rules (each can be waived per-site, see WAIVERS below):
                      waived per-site with a reason.
 
   hot-field-access   Direct indexing of the SoA hot-scalar lanes (vlevel_,
-                     vmatched_, vsmask_) outside src/core/vertex_soa.h.
-                     Every read/write of a vertex's level, matched edge or
-                     S_l bitmask goes through the VertexHotSoA accessors so
-                     the lanes stay in lockstep and the layout can evolve
-                     behind one header.
+                     vmatched_, vsmask_, and the change-log flags
+                     vchanged_) outside src/core/vertex_soa.h. Every
+                     read/write of a vertex's level, matched edge or S_l
+                     bitmask goes through the VertexHotSoA accessors so
+                     the lanes stay in lockstep, every level / matched
+                     write reaches the change log the delta view capture
+                     reads, and the layout can evolve behind one header.
 
 WAIVERS
   A site is waived with `// lint:allow(<rule>) <reason>` on the flagged
@@ -116,7 +118,7 @@ TSA_MACRO_RE = re.compile(r"\bPDMM_NO_THREAD_SAFETY_ANALYSIS\b")
 # member functions like Backoff::sleep()); the POSIX/std spellings below
 # cover every blind-wait primitive the tree could reach for.
 RAW_SLEEP_RE = re.compile(r"\b(sleep_for|sleep_until|usleep|nanosleep)\s*\(")
-HOT_FIELD_RE = re.compile(r"\b(vlevel_|vmatched_|vsmask_)\s*[\[.]")
+HOT_FIELD_RE = re.compile(r"\b(vlevel_|vmatched_|vsmask_|vchanged_)\s*[\[.]")
 TSA_COMMENT_RE = re.compile(r"//.*\btsa:")
 WAIVER_RE = re.compile(r"//\s*lint:allow\(([^)]*)\)\s*(.*)")
 EXPECT_RE = re.compile(r"expect-lint:\s*([\w,\- ]+)")

@@ -1,14 +1,15 @@
 #include "persist/journal.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string_view>
 
 #include "persist/io_util.h"
-#include "persist/journal_format.h"
 #include "util/crc32.h"
+#include "util/parse_num.h"
 #include "util/sync_point.h"
 #include "workload/trace.h"
 
@@ -23,15 +24,18 @@ namespace {
 
 using detail::read_exact;
 
-constexpr const char* kMagic = kJournalMagic;
+constexpr const char* kMagic = "pdmm-journal v1";
+constexpr std::string_view kStreamPrefix = "stream ";
+constexpr uint64_t kMaxRecordBytes = uint64_t{1} << 32;
 
-// One journal record's bytes: header line + trace-encoded batch payload
-// (grammar and validation rules live in journal_format.h, shared with the
-// read-only live tailer). Note an inherent tail ambiguity no header
-// checksum could remove: for the FINAL record, a rotted byte and a
-// torn write are indistinguishable (both fail validation with nothing
-// after them), so the durability granularity at the tail is one record
-// either way — exactly the bound the flush-per-record model documents.
+// One journal record's bytes: header line + trace-encoded batch payload.
+// The header fields are strict decimal (no sign, no leading zeros beyond
+// the number itself, no trailing junk) and the CRC covers the payload
+// only. Note an inherent tail ambiguity no header checksum could remove:
+// for the FINAL record, a rotted byte and a torn write are
+// indistinguishable (both fail validation with nothing after them), so
+// the durability granularity at the tail is one record either way —
+// exactly the bound the flush-per-record model documents.
 void encode_record_into(uint64_t epoch, const Batch& b, std::string& out) {
   // The payload goes in first (its size and CRC head the record), then
   // the header is slid in front of it.
@@ -43,190 +47,295 @@ void encode_record_into(uint64_t epoch, const Batch& b, std::string& out) {
   out.insert(0, header);
 }
 
-// Shared scan core. Exactly one consumer shape per call: either records
-// are retained into out.records (keep_records/keep_after) or every record
-// streams through `sink` with nothing retained.
-JournalScan scan_journal_impl(const std::string& path, bool keep_records,
-                              uint64_t keep_after,
-                              const JournalRecordSink* sink,
-                              const JournalHeaderHook* on_header) {
-  JournalScan out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) {
-      out.ok = true;  // nothing journaled yet
-      return out;
-    }
-    out.error = "cannot open " + path;
-    return out;
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    // Zero-length file: treat like a missing one (open() writes the
-    // header on its first append position).
-    out.ok = true;
-    return out;
-  }
-  const bool header_unterminated = in.eof();  // getline stopped at EOF
+// getline that also says whether the line got its newline, with any
+// trailing '\r' stripped. False when nothing at all was left to read.
+bool read_line(std::istream& in, std::string& line, bool& complete) {
+  if (!std::getline(in, line)) return false;
+  complete = !in.eof();
   if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (line != kMagic) {
-    out.error = path + ": unrecognized journal header";
-    return out;
-  }
-  if (header_unterminated) {
-    // The header bytes are right but the newline never hit the disk: a
-    // torn header write. tellg() on an eof stream would return -1, so do
-    // not trust it — treat the whole file as torn tail (valid_bytes 0),
-    // which reopen-for-append truncates and rewrites from scratch.
-    out.ok = true;
-    out.truncated_tail = true;
-    out.tail_error = path + ": journal header missing its newline";
-    return out;
-  }
-  out.ok = true;
-  out.valid_bytes = static_cast<uint64_t>(in.tellg());
+  return true;
+}
 
-  // Optional `stream <fingerprint>` line, written at creation right after
-  // the magic. A torn stream line is handled like a torn header: nothing
-  // durable can follow it (it precedes every record), so the whole file
-  // rewrites from scratch.
-  {
-    const std::streampos after_header = in.tellg();
-    if (std::getline(in, line)) {
-      const bool stream_unterminated = in.eof();
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.rfind("stream ", 0) == 0) {
-        if (stream_unterminated) {
-          out.truncated_tail = true;
-          out.valid_bytes = 0;
-          out.tail_error = path + ": journal stream line missing its newline";
-          return out;
-        }
-        out.stream = line.substr(7);
-        out.valid_bytes = static_cast<uint64_t>(in.tellg());
-      } else {
-        in.clear();
-        in.seekg(after_header);
-      }
-    } else {
-      in.clear();
-      in.seekg(after_header);
-    }
-  }
-  if (on_header && *on_header && !(*on_header)(out.stream)) {
-    out.ok = false;
-    out.error = path + ": journal header rejected by the caller";
-    return out;
-  }
+struct RecordHeader {
+  uint64_t epoch = 0;
+  uint64_t nbytes = 0;
+  uint32_t crc = 0;
+};
 
-  // Distinguishes a crash tail from mid-file rot: after the first invalid
-  // record, an intact record further on means durable data lies BEYOND
-  // the damage — truncating there would destroy it, so the file must be
-  // refused instead. A genuine crash tear is a prefix of one in-flight
-  // record (appends are sequential, flushed per record) and can never be
-  // followed by valid bytes; record payloads are trace op lines, so a
-  // torn payload cannot itself spell a CRC-valid "rec" line.
-  const auto intact_record_follows = [&]() {
-    std::string rline, rpayload;
-    while (std::getline(in, rline)) {
-      if (!rline.empty() && rline.back() == '\r') rline.pop_back();
-      RecordHeader rh;
-      if (!parse_record_header(rline, rh)) continue;
-      const auto pos = in.tellg();
-      if (read_exact(in, rh.nbytes, rpayload) && crc32(rpayload) == rh.crc) {
-        return true;
-      }
-      in.clear();
-      in.seekg(pos);
-    }
+// Parses one "rec <epoch> <nbytes> <crc32>" header line. False on any
+// grammar violation: wrong tag, wrong field count, non-strict numbers,
+// crc out of 32-bit range, or nbytes past the record size bound.
+bool parse_record_header(const std::string& line, RecordHeader& out) {
+  std::istringstream hs(line);
+  std::string tag, epoch_tok, len_tok, crc_tok;
+  if (!(hs >> tag >> epoch_tok >> len_tok >> crc_tok) || tag != "rec" ||
+      (hs >> std::ws, !hs.eof())) {
     return false;
-  };
-  // `probe_from` is the offset just past the suspect record's header
-  // line: the resync probe must start there, not wherever the failed
-  // read left the stream — a rotted length field can consume every byte
-  // to EOF (or overshoot into later records) before failing, which would
-  // otherwise blind the probe to the intact records after the damage.
-  const auto tail_fail = [&](std::string why, std::streampos probe_from) {
-    bool midfile = false;
-    if (probe_from != std::streampos(-1)) {
-      in.clear();  // the failed read may have set eof/failbit
-      in.seekg(probe_from);
-      midfile = in.good() && intact_record_follows();
-    }
-    if (midfile) {
-      out.ok = false;
-      out.error = path + ": corrupt record mid-file with intact records "
-                  "after it (" + why + "); refusing to truncate past "
-                  "durable data";
-      return;
-    }
-    out.truncated_tail = true;
-    out.tail_error = std::move(why);
+  }
+  uint64_t crc = 0;
+  if (parse_u64_strict(epoch_tok, out.epoch) != ParseNum::kOk ||
+      parse_u64_strict(len_tok, out.nbytes) != ParseNum::kOk ||
+      parse_u64_strict(crc_tok, crc) != ParseNum::kOk || crc > UINT32_MAX ||
+      out.nbytes > kMaxRecordBytes) {
+    return false;
+  }
+  out.crc = static_cast<uint32_t>(crc);
+  return true;
+}
+
+enum class ReadOutcome : uint8_t {
+  kValid,        // `out` holds the record; the stream is just past it
+  kEnd,          // nothing at all at the position
+  kPartialLine,  // the header line has no newline yet
+  kInvalid,      // complete header line, but the record fails validation
+};
+
+// Reads one record at `in`'s position: header line, payload, CRC, then
+// "parses as exactly one batch" (CRC first: it catches rot and tears
+// before the parser sees a byte). On kInvalid, `why` names the first
+// check that failed and the stream is left just past the header line —
+// where a resync probe must start, since a rotted length field can make
+// the payload read consume every byte to EOF (or overshoot into later
+// records) before failing.
+ReadOutcome read_record(std::istream& in, JournalRecord& out,
+                        std::string& why) {
+  std::string line;
+  bool complete = false;
+  if (!read_line(in, line, complete)) return ReadOutcome::kEnd;
+  if (!complete) return ReadOutcome::kPartialLine;
+  RecordHeader rh;
+  if (!parse_record_header(line, rh)) {
+    why = "malformed record header '" + line + "'";
+    return ReadOutcome::kInvalid;
+  }
+  const std::streampos after_header = in.tellg();
+  const auto invalid = [&](const std::string& what) {
+    why = what + " (epoch " + std::to_string(rh.epoch) + ")";
+    in.clear();  // a short payload read set eof/failbit
+    in.seekg(after_header);
+    return ReadOutcome::kInvalid;
   };
   std::string payload;
-  while (std::getline(in, line)) {
-    // Offset just past this header line (-1 when the line ended at EOF
-    // without a newline — nothing can follow it).
-    const std::streampos probe_from =
-        in.good() ? in.tellg() : std::streampos(-1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    RecordHeader rh;
-    if (!parse_record_header(line, rh)) {
-      tail_fail("malformed record header '" + line + "'", probe_from);
-      return out;
-    }
-    const std::string epoch_tok = std::to_string(rh.epoch);
-    if (!read_exact(in, rh.nbytes, payload)) {
-      tail_fail("record payload truncated (epoch " + epoch_tok + ")",
-                probe_from);
-      return out;
-    }
-    Batch batch;
-    std::string why;
-    if (!validate_record_payload(payload, rh, batch, &why)) {
-      tail_fail(why + " (epoch " + epoch_tok + ")", probe_from);
-      return out;
-    }
-    if (rh.epoch == 0 ||
-        (out.record_count != 0 && rh.epoch != out.last_epoch + 1)) {
-      // A gap or regression is not a torn tail — it means records are
-      // missing from the durable prefix itself. Refuse the whole file.
-      out.ok = false;
-      out.error = path + ": record epochs not contiguous (saw " +
-                  epoch_tok + " after " + std::to_string(out.last_epoch) +
-                  ")";
-      return out;
-    }
-    if (sink) {
-      if (!(*sink)(JournalRecord{rh.epoch, std::move(batch)})) {
-        out.ok = false;
-        out.error = path + ": record sink aborted the scan at epoch " +
-                    epoch_tok;
-        return out;
-      }
-    } else if (keep_records && rh.epoch > keep_after) {
-      out.records.push_back({rh.epoch, std::move(batch)});
-    }
-    ++out.record_count;
-    out.last_epoch = rh.epoch;
-    out.valid_bytes = static_cast<uint64_t>(in.tellg());
+  if (!read_exact(in, rh.nbytes, payload)) {
+    return invalid("record payload truncated");
   }
-  return out;
+  if (crc32(payload) != rh.crc) return invalid("record checksum mismatch");
+  std::istringstream ps(payload);
+  std::vector<Batch> batches;
+  std::string perr;
+  if (!read_trace(ps, batches, &perr) || batches.size() != 1) {
+    return invalid("record payload does not parse as one batch: " + perr);
+  }
+  out.epoch = rh.epoch;
+  out.batch = std::move(batches.front());
+  return ReadOutcome::kValid;
+}
+
+// The resync probe: does a record that reads valid start anywhere at or
+// after `in`'s position? Record payloads are trace op lines, so a torn
+// payload cannot itself spell a valid "rec" record.
+bool intact_record_follows(std::istream& in) {
+  JournalRecord rec;
+  std::string why;
+  for (;;) {
+    switch (read_record(in, rec, why)) {
+      case ReadOutcome::kValid:
+        return true;
+      case ReadOutcome::kEnd:
+      case ReadOutcome::kPartialLine:
+        return false;
+      case ReadOutcome::kInvalid:
+        break;  // resume just past that header line
+    }
+  }
 }
 
 }  // namespace
 
-JournalScan scan_journal(const std::string& path, bool keep_records,
-                         uint64_t keep_after) {
-  return scan_journal_impl(path, keep_records, keep_after, nullptr, nullptr);
+const char* to_string(TailStatus s) {
+  switch (s) {
+    case TailStatus::kRecord:
+      return "record";
+    case TailStatus::kIdle:
+      return "idle";
+    case TailStatus::kPending:
+      return "pending";
+    case TailStatus::kFailed:
+      return "failed";
+  }
+  return "?";
+}
+
+JournalTailer::JournalTailer(std::string path, Options opt)
+    : path_(std::move(path)), opt_(std::move(opt)) {}
+
+TailStatus JournalTailer::fail(std::string why) {
+  error_ = std::move(why);
+  return TailStatus::kFailed;
+}
+
+uint64_t JournalTailer::line_number_at(uint64_t byte_offset) const {
+  std::ifstream in(path_, std::ios::binary);
+  uint64_t line = 1;
+  char c;
+  for (uint64_t i = 0; i < byte_offset && in.get(c); ++i) {
+    if (c == '\n') ++line;
+  }
+  return line;
+}
+
+TailStatus JournalTailer::poll_header(std::istream& in) {
+  std::string line;
+  bool complete = false;
+  in.seekg(0);
+  if (!read_line(in, line, complete)) return TailStatus::kIdle;  // empty
+  if (!complete) {
+    // A prefix of the magic is the creator's header write in flight (on a
+    // dead file: a torn header); anything else will never become a valid
+    // journal however long we wait.
+    if (std::string_view(kMagic).starts_with(line)) {
+      return TailStatus::kPending;
+    }
+    return fail(path_ + ": unrecognized journal header");
+  }
+  if (line != kMagic) return fail(path_ + ": unrecognized journal header");
+  const auto magic_end = static_cast<uint64_t>(in.tellg());
+  // The optional `stream` line is unresolvable until the NEXT complete
+  // line exists: "nothing after the magic yet" may still grow either a
+  // stream line or a first record, so the cursor waits here.
+  if (!read_line(in, line, complete)) {
+    offset_ = magic_end;
+    return TailStatus::kIdle;
+  }
+  // A second line still missing its newline leaves the header unresolved
+  // and the cursor where it was (0 for a fresh reader: a scan reports the
+  // whole file as torn, so reopening rewrites the header, stream included).
+  if (!complete) return TailStatus::kPending;
+  offset_ = magic_end;
+  if (line.starts_with(kStreamPrefix)) {
+    stream_ = line.substr(kStreamPrefix.size());
+    offset_ = static_cast<uint64_t>(in.tellg());
+  }
+  if (!opt_.expected_stream.empty() && !stream_.empty() &&
+      stream_ != opt_.expected_stream) {
+    return fail(path_ + ": the journal and its lineage record different "
+                "update streams (journal: \"" + stream_ + "\", expected: \"" +
+                opt_.expected_stream + "\"); refusing to replay it");
+  }
+  header_done_ = true;
+  return TailStatus::kRecord;
+}
+
+TailStatus JournalTailer::poll(const JournalRecordSink& sink) {
+  ++poll_count_;
+  if (!error_.empty()) return TailStatus::kFailed;
+
+  std::ifstream in(path_, std::ios::binary);
+  if (!in) {
+    std::error_code ec;
+    if (std::filesystem::exists(path_, ec)) {
+      in.open(path_, std::ios::binary);  // it may have just been created
+      if (!in) return fail(path_ + ": cannot open journal for reading");
+    } else if (file_size_ == 0) {
+      return TailStatus::kIdle;  // the primary has not created it yet
+    } else {
+      return fail(path_ + ": journal vanished mid-tail (" +
+                  std::to_string(offset_) + " bytes were validated)");
+    }
+  }
+  in.seekg(0, std::ios::end);
+  file_size_ = static_cast<uint64_t>(in.tellg());
+  if (file_size_ < offset_) {
+    return fail(path_ + ": journal shrank underneath the tail (cursor at "
+                "byte " + std::to_string(offset_) + ", file now " +
+                std::to_string(file_size_) + " bytes) — the file was "
+                "truncated or replaced; this reader's state no longer "
+                "matches it");
+  }
+  if (!header_done_) {
+    const TailStatus hs = poll_header(in);
+    if (hs != TailStatus::kRecord) return hs;
+  }
+
+  bool delivered = false;
+  const auto settle = [&](TailStatus quiet) {
+    return delivered ? TailStatus::kRecord : quiet;
+  };
+  bool reread = false;  // the suspect record was re-read fresh already
+  in.clear();
+  in.seekg(static_cast<std::streamoff>(offset_));
+  for (;;) {
+    JournalRecord rec;
+    std::string why;
+    const ReadOutcome r = read_record(in, rec, why);
+    if (r == ReadOutcome::kEnd) return settle(TailStatus::kIdle);
+    if (r != ReadOutcome::kValid) {
+      // Transient until proven rot (see the class comment).
+      if (r == ReadOutcome::kPartialLine || !intact_record_follows(in)) {
+        return settle(TailStatus::kPending);
+      }
+      if (reread) {
+        return fail(path_ + ":" + std::to_string(line_number_at(offset_)) +
+                    ": corrupt record at byte " + std::to_string(offset_) +
+                    " after epoch " + std::to_string(last_epoch_) + " (" +
+                    why + ") with an intact record beyond it — mid-file "
+                    "rot, not a torn tail or an in-flight append; "
+                    "truncating here would destroy durable records. "
+                    "Restore the journal from a good copy, or re-seed a "
+                    "follower from a fresh checkpoint");
+      }
+      // It may simply have completed between our read and the probe.
+      reread = true;
+      in = std::ifstream(path_, std::ios::binary);
+      in.seekg(static_cast<std::streamoff>(offset_));
+      continue;
+    }
+    if (rec.epoch == 0 || (records_ != 0 && rec.epoch != last_epoch_ + 1)) {
+      return fail(path_ + ": record epochs not contiguous (saw " +
+                  std::to_string(rec.epoch) + " after " +
+                  std::to_string(last_epoch_) + ") — records are missing "
+                  "from the stream; refusing to bridge the gap");
+    }
+    const uint64_t epoch = rec.epoch;
+    if (!sink(std::move(rec))) {
+      return fail(path_ + ": record sink aborted the read at epoch " +
+                  std::to_string(epoch));
+    }
+    offset_ = static_cast<uint64_t>(in.tellg());
+    last_epoch_ = epoch;
+    ++records_;
+    delivered = true;
+    reread = false;
+  }
 }
 
 JournalScan scan_journal_streamed(const std::string& path,
                                   const JournalRecordSink& sink,
-                                  const JournalHeaderHook& on_header) {
-  return scan_journal_impl(path, /*keep_records=*/false, /*keep_after=*/0,
-                           &sink, &on_header);
+                                  const std::string& expected_stream) {
+  // Nobody appends to a scanned file, so a pending frontier is final: the
+  // torn tail.
+  JournalTailer reader(path, {expected_stream});
+  const bool failed = reader.poll(sink) == TailStatus::kFailed;
+  JournalScan out;
+  out.ok = !failed;
+  out.error = reader.error();
+  out.stream = reader.stream();
+  out.record_count = reader.records_delivered();
+  out.last_epoch = reader.durable_epoch();
+  out.valid_bytes = reader.offset();
+  out.truncated_tail = !failed && reader.bytes_behind() != 0;
+  return out;
+}
+
+JournalScan scan_journal(const std::string& path, bool keep_records,
+                         uint64_t keep_after) {
+  std::vector<JournalRecord> kept;
+  JournalScan out = scan_journal_streamed(path, [&](JournalRecord&& rec) {
+    if (keep_records && rec.epoch > keep_after) kept.push_back(std::move(rec));
+    return true;
+  });
+  out.records = std::move(kept);
+  return out;
 }
 
 std::unique_ptr<Journal> Journal::open(const std::string& path, Options opt,
@@ -260,8 +369,8 @@ std::unique_ptr<Journal> Journal::open_scanned(const std::string& path,
   if (scan.truncated_tail && !opt.repair) {
     if (error) {
       *error = path + ": torn tail past byte " +
-               std::to_string(scan.valid_bytes) + " (" + scan.tail_error +
-               "); appending requires truncating it — re-open with "
+               std::to_string(scan.valid_bytes) +
+               "; appending requires truncating it — re-open with "
                "Options::repair if this process owns the journal (a LIVE "
                "journal's torn tail is the primary's in-flight record; "
                "repairing it would destroy data)";

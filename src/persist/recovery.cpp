@@ -8,6 +8,111 @@
 
 namespace pdmm::persist {
 
+namespace {
+
+// The Config fields replay determinism depends on: a checkpoint recorded
+// under any other value continues a different lineage.
+bool same_lineage(const Config& a, const Config& b) {
+  return a.max_rank == b.max_rank && a.seed == b.seed &&
+         a.settle_after_insertions == b.settle_after_insertions &&
+         a.subsettle_iter_factor == b.subsettle_iter_factor &&
+         a.max_settle_repeats == b.max_settle_repeats &&
+         a.max_eager_sweeps == b.max_eager_sweeps &&
+         a.auto_rebuild == b.auto_rebuild;
+}
+
+}  // namespace
+
+CheckpointSelection select_checkpoint(DynamicMatcher& m,
+                                      const std::string& prefix,
+                                      const std::string& expected_stream) {
+  CheckpointSelection sel;
+  const auto skip = [&](std::string why) {
+    ++sel.skipped;
+    sel.last_skip = std::move(why);
+  };
+  for (const auto& [epoch, path] : list_checkpoints(prefix)) {
+    CheckpointData ck;
+    std::string err;
+    if (!read_checkpoint_file(path, ck, &err)) {
+      skip(err);
+      continue;
+    }
+    if (!expected_stream.empty() && !ck.stream().empty() &&
+        ck.stream() != expected_stream) {
+      sel.error = path + ": checkpoint was recorded from a different "
+                  "update stream (checkpoint: \"" + ck.stream() +
+                  "\", expected: \"" + expected_stream + "\")";
+      return sel;
+    }
+    Config ck_cfg;
+    if (ck.config(ck_cfg) && !same_lineage(ck_cfg, m.config())) {
+      sel.error = path + ": checkpoint was written under a different "
+                  "Config (rank/seed/settle parameters); run with the "
+                  "original flags or the replay diverges";
+      return sel;
+    }
+    if (ck.epoch() != epoch) {  // renamed/copied under the wrong epoch
+      skip(path + ": checkpoint epoch disagrees with its filename");
+      continue;
+    }
+    std::istringstream snap(ck.snapshot);
+    if (SnapshotError serr = m.load(snap); !serr.ok()) {
+      skip(path + ": " + serr.to_string());
+      continue;
+    }
+    if (m.batch_epoch() != ck.epoch()) {
+      // Meta and snapshot disagree: reject the checkpoint — and discard
+      // the state it already loaded into m, or a fallback replay would
+      // build on top of it.
+      m.reset_to_empty();
+      skip(path + ": checkpoint epoch disagrees with its snapshot");
+      continue;
+    }
+    sel.path = path;
+    sel.epoch = epoch;
+    sel.stream = ck.stream();
+    break;
+  }
+  sel.ok = true;
+  return sel;
+}
+
+bool apply_journal_record(DynamicMatcher& m, const JournalRecord& rec,
+                          std::string* error) {
+  const auto refuse = [&](const std::string& why) {
+    if (error) *error = "journal record " + std::to_string(rec.epoch) + why;
+    return false;
+  };
+  if (rec.epoch != m.batch_epoch() + 1) {
+    return refuse(" does not follow the state's epoch " +
+                  std::to_string(m.batch_epoch()) +
+                  " (the records between are lost, or in an earlier "
+                  "journal segment)");
+  }
+  const size_t rank = m.config().max_rank;
+  for (const auto& eps : rec.batch.deletions) {
+    // Bound the rank before find_edge — the registry lookup itself
+    // asserts on an over-rank endpoint list.
+    if (eps.empty() || eps.size() > rank || m.find_edge(eps) == kNoEdge) {
+      return refuse(" deletes an edge this state does not contain (the "
+                    "journal does not match the checkpoint it replays "
+                    "onto)");
+    }
+  }
+  for (const auto& eps : rec.batch.insertions) {
+    if (eps.empty() || eps.size() > rank) {
+      return refuse(" inserts an edge outside this matcher's rank");
+    }
+  }
+  m.update_by_endpoints(rec.batch.deletions, rec.batch.insertions);
+  if (m.batch_epoch() != rec.epoch) {
+    return refuse(" diverged the replay: the matcher reached epoch " +
+                  std::to_string(m.batch_epoch()));
+  }
+  return true;
+}
+
 RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
   RecoveryReport rep;
   if (opt.checkpoint_prefix.empty() && opt.journal_path.empty()) {
@@ -15,171 +120,50 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
     return rep;
   }
 
-  // 1. Newest checkpoint that validates end-to-end (container checksums
-  // AND the snapshot loader's own verification).
-  std::string last_error;
-  std::string ck_stream;  // fingerprint the accepted checkpoint recorded
+  // 1. Newest checkpoint that validates end-to-end.
+  CheckpointSelection ck;
   if (!opt.checkpoint_prefix.empty()) {
-    for (const auto& [epoch, path] : list_checkpoints(opt.checkpoint_prefix)) {
-      CheckpointData ck;
-      std::string err;
-      if (!read_checkpoint_file(path, ck, &err)) {
-        ++rep.skipped_checkpoints;
-        last_error = err;
-        continue;
-      }
-      // Like a Config mismatch, a stream-fingerprint mismatch on a
-      // CRC-valid checkpoint is operator error (restarted against a
-      // different trace/generator), not damage — skipping to an older
-      // checkpoint of the same wrong lineage cannot help. Hard stop.
-      if (!opt.expected_stream.empty() && !ck.stream().empty() &&
-          ck.stream() != opt.expected_stream) {
-        rep.error = path + ": checkpoint was recorded from a different "
-                    "update stream (checkpoint: \"" + ck.stream() +
-                    "\", this run: \"" + opt.expected_stream + "\")";
-        return rep;
-      }
-      // A CRC-valid checkpoint whose recorded Config disagrees with the
-      // matcher's is operator error (restarted with different flags), not
-      // damage: falling back to a journal-only replay under the wrong
-      // Config would "succeed" into a diverged lineage. Hard stop.
-      Config ck_cfg;
-      if (ck.config(ck_cfg)) {
-        const Config& mc = m.config();
-        if (ck_cfg.max_rank != mc.max_rank || ck_cfg.seed != mc.seed ||
-            ck_cfg.settle_after_insertions != mc.settle_after_insertions ||
-            ck_cfg.subsettle_iter_factor != mc.subsettle_iter_factor ||
-            ck_cfg.max_settle_repeats != mc.max_settle_repeats ||
-            ck_cfg.max_eager_sweeps != mc.max_eager_sweeps ||
-            ck_cfg.auto_rebuild != mc.auto_rebuild) {
-          rep.error = path +
-                      ": checkpoint was written under a different Config "
-                      "(rank/seed/settle parameters); construct the "
-                      "matcher with the original flags";
-          return rep;
-        }
-      }
-      if (ck.epoch() != epoch) {  // renamed/copied under the wrong epoch
-        ++rep.skipped_checkpoints;
-        last_error = path + ": checkpoint epoch disagrees with its filename";
-        continue;
-      }
-      std::istringstream snap(ck.snapshot);
-      if (SnapshotError serr = m.load(snap); !serr.ok()) {
-        ++rep.skipped_checkpoints;
-        last_error = path + ": " + serr.to_string();
-        continue;
-      }
-      if (m.batch_epoch() != ck.epoch()) {
-        // Meta and snapshot disagree: reject the checkpoint — and discard
-        // the state it already loaded into m, or the fallback path below
-        // would replay the journal on top of it.
-        m.reset_to_empty();
-        ++rep.skipped_checkpoints;
-        last_error = path + ": checkpoint epoch disagrees with its snapshot";
-        continue;
-      }
-      rep.checkpoint_path = path;
-      rep.checkpoint_epoch = epoch;
-      ck_stream = ck.stream();
-      break;
+    ck = select_checkpoint(m, opt.checkpoint_prefix, opt.expected_stream);
+    if (!ck.ok) {
+      rep.error = ck.error;
+      return rep;
     }
-    if (rep.checkpoint_path.empty() && opt.journal_path.empty()) {
-      rep.error = rep.skipped_checkpoints
-                      ? "no valid checkpoint (" + last_error + ")"
-                      : "no checkpoint files found under prefix " +
-                            opt.checkpoint_prefix;
+    rep.checkpoint_path = ck.path;
+    rep.checkpoint_epoch = ck.epoch;
+    rep.skipped_checkpoints = ck.skipped;
+    if (ck.path.empty() && opt.journal_path.empty()) {
+      rep.error = ck.skipped ? "no valid checkpoint (" + ck.last_skip + ")"
+                             : "no checkpoint files found under prefix " +
+                                   opt.checkpoint_prefix;
       return rep;
     }
   }
 
-  // 2. + 3. Journal tail replay, streamed: every durable record is
-  // validated and applied DURING the scan (scan_journal_streamed), so
-  // recovery memory is O(1 record) regardless of log length — including
-  // journal-only recovery, which replays the whole history. The price is
-  // that a journal invalid beyond the tail (mid-file rot, epoch gap)
-  // fails recovery with the matcher already mid-replay; the contract
-  // already leaves the matcher unspecified on failure, and a caller that
-  // retries must construct a fresh one.
+  // 2. Journal tail replay, streamed: every durable record is validated
+  // and applied DURING the read, so recovery memory is O(1 record)
+  // regardless of log length — including journal-only recovery, which
+  // replays the whole history. The price is that a journal invalid beyond
+  // the tail (mid-file rot, epoch gap) fails recovery with the matcher
+  // already mid-replay; the contract already leaves the matcher
+  // unspecified on failure, and a caller that retries must construct a
+  // fresh one.
   if (!opt.journal_path.empty()) {
     const uint64_t base = rep.checkpoint_epoch;
-    bool seen_first = false;
     std::string sink_error;
     const JournalRecordSink sink = [&](JournalRecord&& rec) {
-      if (!seen_first) {
-        seen_first = true;
-        // Contiguity with the checkpoint: the journal's first record must
-        // not start past base + 1, or batches between checkpoint and
-        // journal have been lost.
-        if (rec.epoch > base + 1) {
-          sink_error = "journal starts at epoch " +
-                       std::to_string(rec.epoch) +
-                       " but the checkpoint only reaches " +
-                       std::to_string(base) + " (records lost)";
-          return false;
-        }
-      }
-      if (rec.epoch <= base) return true;  // already inside the checkpoint
-      // A record that does not apply to this state (deleting an edge the
-      // matcher does not have, inserting past its rank) means the journal
-      // belongs to a different run than the checkpoint; update() would
-      // assert on it, so reject it here instead. The guards stop at what
-      // would abort: an insertion duplicating a present edge is NOT
-      // treated as mismatch evidence, because it is well-defined batch
-      // semantics (update() skips it deterministically) that a legitimate
-      // run's journal may contain — rejecting it would refuse valid logs.
-      for (const auto& eps : rec.batch.deletions) {
-        // Bound the rank before find_edge — the registry lookup itself
-        // asserts on an over-rank endpoint list.
-        if (eps.empty() || eps.size() > m.config().max_rank ||
-            m.find_edge(eps) == kNoEdge) {
-          sink_error = "journal record " + std::to_string(rec.epoch) +
-                       " deletes an edge this state does not contain "
-                       "(journal does not match the checkpoint)";
-          return false;
-        }
-      }
-      for (const auto& eps : rec.batch.insertions) {
-        if (eps.empty() || eps.size() > m.config().max_rank) {
-          sink_error = "journal record " + std::to_string(rec.epoch) +
-                       " inserts an edge outside this matcher's rank";
-          return false;
-        }
-      }
-      m.update_by_endpoints(rec.batch.deletions, rec.batch.insertions);
-      if (m.batch_epoch() != rec.epoch) {
-        sink_error = "replay diverged: matcher reached epoch " +
-                     std::to_string(m.batch_epoch()) +
-                     " applying journal record " + std::to_string(rec.epoch);
-        return false;
-      }
+      if (rec.epoch <= m.batch_epoch()) return true;  // in the checkpoint
+      if (!apply_journal_record(m, rec, &sink_error)) return false;
       ++rep.replayed_batches;
       return true;
     };
-    // Fingerprint checks run in the header hook, BEFORE a single record
-    // is replayed: a wrong-stream journal must be refused with the
-    // recovered checkpoint state untouched. Disagreement with the
-    // caller's stream or with the checkpoint's recorded one is operator
-    // error, not damage.
-    const JournalHeaderHook on_header = [&](const std::string& js) {
-      if (js.empty()) return true;  // nothing recorded: nothing to check
-      if (!opt.expected_stream.empty() && js != opt.expected_stream) {
-        sink_error = opt.journal_path + ": journal was recorded from a "
-                     "different update stream (journal: \"" + js +
-                     "\", this run: \"" + opt.expected_stream + "\")";
-        return false;
-      }
-      if (!ck_stream.empty() && js != ck_stream) {
-        sink_error = "checkpoint and journal record different update "
-                     "streams (checkpoint: \"" + ck_stream +
-                     "\", journal: \"" + js +
-                     "\"); not the same run's lineage";
-        return false;
-      }
-      return true;
-    };
-    const JournalScan scan =
-        scan_journal_streamed(opt.journal_path, sink, on_header);
+    // The reader refuses a journal of another stream before a single
+    // record is replayed. The expectation is the caller's stream, else
+    // the restored checkpoint's: select_checkpoint() already refused a
+    // checkpoint disagreeing with the caller, so one comparison covers
+    // both (a journal with no recorded fingerprint is accepted).
+    const JournalScan scan = scan_journal_streamed(
+        opt.journal_path, sink,
+        opt.expected_stream.empty() ? ck.stream : opt.expected_stream);
     if (!scan.ok) {
       rep.error = sink_error.empty() ? scan.error : sink_error;
       return rep;
@@ -193,33 +177,28 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
         scan.record_count == 0) {
       // Every checkpoint is damaged and the journal holds nothing: an
       // empty matcher is NOT the durable state, it is data loss.
-      rep.error = "all checkpoints damaged (" + last_error +
+      rep.error = "all checkpoints damaged (" + ck.last_skip +
                   ") and the journal holds no records to rebuild from";
       return rep;
     }
-    if (scan.record_count != 0) {
-      if (scan.last_epoch < base) {
-        // A checkpoint is written only after its covering journal record
-        // flushed, so within the process-kill durability model the
-        // journal always reaches at least the checkpoint epoch. A
-        // checkpoint AHEAD of a non-empty journal therefore means either
-        // an OS crash beyond the flush-only tier or, worse, a stale
-        // checkpoint series next to a newer run's journal — silently
-        // preferring the checkpoint would discard the journal's durable
-        // batches. Refuse and let the operator pick a side.
-        rep.error = "journal ends at epoch " +
-                    std::to_string(scan.last_epoch) +
-                    " but the checkpoint claims epoch " +
-                    std::to_string(base) +
-                    "; not the same run's lineage (a process kill cannot "
-                    "produce this). Delete the stale checkpoints to keep "
-                    "the journal's state, or delete the journal to accept "
-                    "the checkpoint's";
-        return rep;
-      }
-      // When last_epoch < base no record had epoch > base (contiguity),
-      // so the streamed sink applied nothing and the checkpoint state is
-      // still intact when the error above fires.
+    if (scan.record_count != 0 && scan.last_epoch < base) {
+      // A checkpoint is written only after its covering journal record
+      // flushed, so within the process-kill durability model the journal
+      // always reaches at least the checkpoint epoch. A checkpoint AHEAD
+      // of a non-empty journal therefore means either an OS crash beyond
+      // the flush-only tier or, worse, a stale checkpoint series next to
+      // a newer run's journal — silently preferring the checkpoint would
+      // discard the journal's durable batches. Refuse and let the
+      // operator pick a side. (No record had epoch > base, so the sink
+      // applied nothing and the checkpoint state is still intact.)
+      rep.error = "journal ends at epoch " + std::to_string(scan.last_epoch) +
+                  " but the checkpoint claims epoch " +
+                  std::to_string(base) +
+                  "; not the same run's lineage (a process kill cannot "
+                  "produce this). Delete the stale checkpoints to keep "
+                  "the journal's state, or delete the journal to accept "
+                  "the checkpoint's";
+      return rep;
     }
     // Journal-only recovery of an empty/fresh journal is fine: an empty
     // matcher at epoch 0 is the correct durable state.

@@ -2,23 +2,25 @@
 // newest valid checkpoint plus the journal tail.
 //
 // The procedure (see docs/ARCHITECTURE.md "Durability & recovery"):
-//   1. Walk "<prefix>.<epoch>" checkpoints newest-first; load the first
-//      one whose sections checksum AND whose snapshot passes the
-//      validating loader. Damaged checkpoints are skipped, not fatal —
-//      an older checkpoint plus a longer journal replay reaches the same
-//      state because replay is deterministic.
-//   2. Scan the journal; drop the torn tail; verify the durable records
-//      connect contiguously to the checkpoint epoch.
-//   3. Replay every record with epoch > checkpoint epoch through
-//      update_by_endpoints(), verifying the matcher's batch counter
-//      tracks the record epochs. Replay streams through the scan itself
-//      (scan_journal_streamed), so recovery memory stays O(1 record)
-//      even for a journal-only restart over a multi-GB log.
+//   1. select_checkpoint(): walk "<prefix>.<epoch>" checkpoints
+//      newest-first and load the first one whose sections checksum AND
+//      whose snapshot passes the validating loader. Damaged checkpoints
+//      are skipped, not fatal — an older checkpoint plus a longer journal
+//      replay reaches the same state because replay is deterministic.
+//   2. Read the journal with one poll of the journal reader (the torn tail
+//      is dropped) and replay every record past the checkpoint epoch
+//      through apply_journal_record(), streamed, so recovery memory stays
+//      O(1 record) even for a journal-only restart over a multi-GB log.
+//
+// The follower (replicate/replica_engine) runs the same walk and the same
+// apply step over the same reader, so a follower and a recovering process
+// given the same files reach the same state or refuse them alike.
 //
 // The caller constructs the matcher with the Config the crashed process
 // used (pdmm_recover reads it from the checkpoint meta; pdmm_serve
-// rebuilds it from its own flags) — load() re-verifies rank and seed, so
-// a mismatched matcher is an error, never silent divergence.
+// rebuilds it from its own flags) — the walk compares it against every
+// checkpoint's recorded Config, so a mismatched matcher is an error, never
+// silent divergence.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +65,43 @@ struct RecoveryReport {
   uint64_t journal_last_epoch = 0;
   std::string journal_stream;  // fingerprint from the journal header
 };
+
+// What select_checkpoint() restored, or why it stopped.
+struct CheckpointSelection {
+  bool ok = false;     // false: a hard stop, error says why
+  std::string error;
+  std::string path;    // empty: no checkpoint restored (the matcher is empty)
+  uint64_t epoch = 0;
+  std::string stream;  // the restored checkpoint's recorded fingerprint
+  size_t skipped = 0;  // damaged or misnamed files passed over
+  std::string last_skip;  // why the last of them was skipped
+};
+
+// The checkpoint walk: restores `m` (freshly constructed) from the newest
+// "<prefix>.<epoch>" that validates end to end. Damaged files, files
+// renamed to another epoch and files whose meta epoch disagrees with
+// their snapshot are skipped with the matcher left empty. A CRC-valid
+// checkpoint recorded from another stream (when `expected_stream` is
+// non-empty) or under another Config is operator error, not damage —
+// skipping to an older file of the same wrong lineage cannot help, and a
+// fallback replay under the wrong Config would "succeed" into a diverged
+// lineage — so it is a hard stop. No checkpoint at all is ok (path empty).
+CheckpointSelection select_checkpoint(DynamicMatcher& m,
+                                      const std::string& prefix,
+                                      const std::string& expected_stream);
+
+// The record-apply step: applies journal record `rec` to `m`, whose batch
+// epoch must be rec.epoch - 1 (callers skip records a checkpoint already
+// covers). A record that cannot apply to this state — an endpoint list
+// past the matcher's rank, or a deletion of an edge the matcher does not
+// have — proves the journal and the state are not one lineage, and
+// update() would abort on it, so it is refused first. An insertion
+// duplicating a present edge is NOT refused: update() skips it
+// deterministically, and a legitimate run's journal may contain one.
+// False (with *error) on refusal, or when the batch counter did not reach
+// rec.epoch.
+bool apply_journal_record(DynamicMatcher& m, const JournalRecord& rec,
+                          std::string* error);
 
 // Restores `m` (which must be freshly constructed with the original
 // Config) to the last durable epoch. On failure the report's error says

@@ -1,19 +1,22 @@
-// ReplicaEngine: a read-only follower of a live primary, built from three
-// existing guarantees and one new reader:
+// ReplicaEngine: a read-only follower of a live primary, built from the
+// lineage path recovery already uses — one checkpoint walk, one journal
+// reader, one record-apply step (all in persist/) — run against files the
+// primary is still writing:
 //
 //   bootstrap   The primary's checkpoint series is atomically placed
 //               (tmp+rename) and written only AFTER its covering journal
 //               group committed, so any checkpoint a follower can see
 //               names an epoch the journal already holds. Restoring the
-//               newest valid one (same validation walk as recovery) gives
-//               a correct state at epoch E with the journal guaranteed to
+//               newest valid one (persist::select_checkpoint) gives a
+//               correct state at epoch E with the journal guaranteed to
 //               continue from <= E+1.
 //
 //   tail-replay The JournalTailer delivers every record the primary made
 //   + follow    durable, exactly once, in epoch order, distinguishing an
 //               in-flight append (retry) from rot (halt). Applying each
-//               record through the same deterministic matcher the primary
-//               runs reproduces the primary's state BYTE-IDENTICALLY —
+//               record (persist::apply_journal_record) through the same
+//               deterministic matcher the primary runs reproduces the
+//               primary's state BYTE-IDENTICALLY —
 //               that is the repo's replay-determinism contract, and the
 //               follower leans on it completely: no state is shipped,
 //               only the log.
@@ -49,11 +52,15 @@
 
 #include "core/matcher.h"
 #include "persist/journal.h"
-#include "replicate/journal_tailer.h"
 #include "serve/view_service.h"
 #include "util/backoff.h"
 
 namespace pdmm::replicate {
+
+// The journal reader lives in persist/, shared with recovery; the
+// follower knows it by these names.
+using JournalTailer = persist::JournalTailer;
+using TailStatus = persist::TailStatus;
 
 struct ReplicaOptions {
   // The primary's live journal (required).

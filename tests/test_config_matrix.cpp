@@ -4,6 +4,8 @@
 // settling x fallback x hypergraphs x threads x rebuilds) honest.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/checker.h"
 #include "param_name.h"
 #include "core/matcher.h"
@@ -12,16 +14,21 @@
 namespace pdmm {
 namespace {
 
+// gtest has no printer for this struct, so each discovered test name ends in
+// a dump of its raw bytes. Every field is four or eight bytes wide: with no
+// padding, no leftover stack bytes leak into (and vary) the names.
 struct MatrixParams {
-  bool eager;
+  uint32_t eager;         // bool
   uint32_t iter_factor;
   uint32_t max_repeats;   // 0 = always fallback
   uint32_t max_eager;     // 0 = always cap
-  bool auto_rebuild;
+  uint32_t auto_rebuild;  // bool
   uint32_t rank;
-  unsigned threads;
+  uint64_t threads;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<MatrixParams>,
+              "padding bytes would make the test names nondeterministic");
 
 std::string matrix_name(const testing::TestParamInfo<MatrixParams>& info) {
   const auto& p = info.param;
@@ -35,17 +42,18 @@ class ConfigMatrix : public testing::TestWithParam<MatrixParams> {};
 
 TEST_P(ConfigMatrix, ChurnStaysSound) {
   const auto p = GetParam();
-  ThreadPool pool(p.threads, /*allow_oversubscribe=*/true);
+  ThreadPool pool(static_cast<unsigned>(p.threads),
+                  /*allow_oversubscribe=*/true);
   Config cfg;
   cfg.max_rank = p.rank;
   cfg.seed = p.seed;
   cfg.check_invariants = true;
-  cfg.settle_after_insertions = p.eager;
+  cfg.settle_after_insertions = p.eager != 0;
   cfg.subsettle_iter_factor = p.iter_factor;
   cfg.max_settle_repeats = p.max_repeats;
   cfg.max_eager_sweeps = p.max_eager;
-  cfg.auto_rebuild = p.auto_rebuild;
-  cfg.initial_capacity = p.auto_rebuild ? 200 : (1 << 15);
+  cfg.auto_rebuild = p.auto_rebuild != 0;
+  cfg.initial_capacity = p.auto_rebuild != 0 ? 200 : (1 << 15);
   DynamicMatcher m(cfg, pool);
 
   ChurnStream::Options so;

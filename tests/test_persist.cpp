@@ -434,6 +434,64 @@ TEST_F(PersistTest, JournalRefusesForeignFilesAndGaps) {
   EXPECT_FALSE(scan.ok);
 }
 
+// A file holding only a prefix of the magic, with no newline, is the
+// creator's header write torn by a crash: every reader gives it one
+// verdict. The scan reports a torn tail at byte 0 and the live reader
+// waits on it; append-open refuses it without repair and rewrites it
+// fresh with repair. A first line that is not a prefix of the magic is
+// still a foreign file.
+TEST_F(PersistTest, TornMagicIsATornHeader) {
+  ThreadPool pool(1);
+  const RefRun run = drive_reference(persist_config(), pool, 1);
+  const std::string magic = "pdmm-journal v1";
+  const auto poll_once = [](const std::string& p) {
+    persist::JournalTailer reader(p, {});
+    return reader.poll([](persist::JournalRecord&&) { return true; });
+  };
+  std::string err;
+  for (const size_t cut : {size_t{1}, size_t{8}, magic.size()}) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    const std::string jpath = path("torn");
+    write_file(jpath, magic.substr(0, cut));
+    const JournalScan scan = persist::scan_journal(jpath);
+    ASSERT_TRUE(scan.ok) << scan.error;
+    EXPECT_TRUE(scan.truncated_tail);
+    EXPECT_EQ(scan.valid_bytes, 0u);
+    EXPECT_EQ(scan.record_count, 0u);
+    EXPECT_EQ(poll_once(jpath), persist::TailStatus::kPending);
+
+    EXPECT_EQ(Journal::open(jpath, {}, &err), nullptr);
+    EXPECT_NE(err.find("torn tail"), std::string::npos) << err;
+    EXPECT_EQ(file_str(jpath), magic.substr(0, cut));
+    Journal::Options repair;
+    repair.repair = true;
+    repair.stream = "torn-magic-test";
+    {
+      auto j = Journal::open(jpath, repair, &err);
+      ASSERT_NE(j, nullptr) << err;
+      j->appender_role().assert_held();  // single-threaded test driver
+      ASSERT_TRUE(j->append(1, run.batches[0], &err)) << err;
+    }
+    const JournalScan rescan = persist::scan_journal(jpath);
+    ASSERT_TRUE(rescan.ok) << rescan.error;
+    EXPECT_FALSE(rescan.truncated_tail);
+    EXPECT_EQ(rescan.record_count, 1u);
+    EXPECT_EQ(rescan.stream, repair.stream);
+  }
+
+  write_file(path("foreign"), "pdmm-jour X");
+  const JournalScan foreign = persist::scan_journal(path("foreign"));
+  EXPECT_FALSE(foreign.ok);
+  EXPECT_NE(foreign.error.find("unrecognized"), std::string::npos)
+      << foreign.error;
+  EXPECT_EQ(poll_once(path("foreign")), persist::TailStatus::kFailed);
+  Journal::Options repair;
+  repair.repair = true;
+  EXPECT_EQ(Journal::open(path("foreign"), {}, &err), nullptr);
+  EXPECT_EQ(Journal::open(path("foreign"), repair, &err), nullptr);
+  EXPECT_EQ(file_str(path("foreign")), "pdmm-jour X");
+}
+
 TEST_F(PersistTest, JournalRefusesMidFileRot) {
   // A damaged record with intact records AFTER it is bit rot, not a
   // crash tail: truncating there would destroy durable batches, so the
@@ -918,7 +976,6 @@ TEST_F(PersistTest, StreamedScanDeliversEachRecordOnce) {
 
   // The sink sees every durable record in order; nothing is materialized.
   std::vector<uint64_t> epochs;
-  std::string header_fp = "unset";
   const JournalScan scan = persist::scan_journal_streamed(
       jpath,
       [&](persist::JournalRecord&& rec) {
@@ -927,12 +984,9 @@ TEST_F(PersistTest, StreamedScanDeliversEachRecordOnce) {
                   run.batches[rec.epoch - 1].insertions);
         return true;
       },
-      [&](const std::string& s) {
-        header_fp = s;
-        return true;
-      });
+      fp.stream);
   ASSERT_TRUE(scan.ok) << scan.error;
-  EXPECT_EQ(header_fp, fp.stream);
+  EXPECT_EQ(scan.stream, fp.stream);
   EXPECT_EQ(epochs, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
   EXPECT_TRUE(scan.records.empty());
   EXPECT_EQ(scan.record_count, 5u);
@@ -948,7 +1002,8 @@ TEST_F(PersistTest, StreamedScanDeliversEachRecordOnce) {
   EXPECT_FALSE(aborted.ok);
   EXPECT_EQ(epochs, (std::vector<uint64_t>{1, 2, 3}));
 
-  // A header-hook rejection aborts before the sink sees a single record.
+  // A journal of another stream is refused before the sink sees a single
+  // record.
   bool sink_called = false;
   const JournalScan refused = persist::scan_journal_streamed(
       jpath,
@@ -956,8 +1011,10 @@ TEST_F(PersistTest, StreamedScanDeliversEachRecordOnce) {
         sink_called = true;
         return true;
       },
-      [](const std::string&) { return false; });
+      "another stream");
   EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("different update stream"), std::string::npos)
+      << refused.error;
   EXPECT_FALSE(sink_called);
 }
 

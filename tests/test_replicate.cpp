@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <sstream>
 #include <thread>
 
@@ -22,7 +25,6 @@
 #include "persist/checkpoint.h"
 #include "persist/journal.h"
 #include "persist/recovery.h"
-#include "replicate/journal_tailer.h"
 #include "replicate/replica_engine.h"
 #include "serve/view_service.h"
 #include "util/backoff.h"
@@ -345,44 +347,76 @@ TEST_F(ReplicateTest, TornTailBecomesValidAtEveryCutOffset) {
 }
 
 // Mid-file rot — an invalid record with an intact record BEYOND it — is
-// terminal: the tailer halts with a line-numbered error and stays halted.
+// terminal: the tailer halts with a line-numbered error and stays halted,
+// promotion refuses to crown a state missing the durable records past the
+// damage, and the scan gives the same verdict on the same bytes. Damage
+// inside the payload and damage to the header line are the same case: a
+// complete header line that no longer parses is as final as any other
+// complete bytes, so the reader must not wait on it.
 TEST_F(ReplicateTest, MidFileRotHaltsWithLineNumberedError) {
   ThreadPool pool(1);
   const Config cfg = replicate_config();
   const RefRun ref = drive_reference(cfg, pool, 4);
   const std::string bytes = write_journal(path("wal.log"), ref.batches);
   const SplitJournal split = split_journal(bytes);
-
-  // Flip one payload byte of record 2 (header line left intact, so the
-  // framing still walks to records 3 and 4 — the rot proof).
-  std::string rotted = bytes;
-  const size_t hdr_end = rotted.find('\n', split.boundaries[1]) + 1;
-  rotted[hdr_end + 2] ^= 0x20;
-  const std::string cpath = path("rot.log");
-  write_file(cpath, rotted);
-
-  JournalTailer tailer(cpath, {});
-  Collect got;
-  EXPECT_EQ(tailer.poll(got.sink()), TailStatus::kFailed);
-  EXPECT_EQ(got.recs.size(), 1u);  // record 1 was delivered before the rot
-  EXPECT_EQ(tailer.durable_epoch(), 1u);
-  // The error names file:line of the rotted record and the rot verdict.
+  const size_t rec2 = split.boundaries[1];
+  // The error names file:line of the rotted record.
   const uint64_t line =
-      1 + static_cast<uint64_t>(
-              std::count(rotted.begin(),
-                         rotted.begin() +
-                             static_cast<std::ptrdiff_t>(split.boundaries[1]),
-                         '\n'));
-  EXPECT_NE(tailer.error().find(cpath + ":" + std::to_string(line)),
-            std::string::npos)
-      << tailer.error();
-  EXPECT_NE(tailer.error().find("rot"), std::string::npos) << tailer.error();
+      1 + static_cast<uint64_t>(std::count(
+              bytes.begin(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(rec2), '\n'));
 
-  // Sticky: later polls keep failing with the same error, deliver nothing.
-  const std::string err = tailer.error();
-  EXPECT_EQ(tailer.poll(got.sink()), TailStatus::kFailed);
-  EXPECT_EQ(tailer.error(), err);
-  EXPECT_EQ(got.recs.size(), 1u);
+  // Flip one byte of record 2 — a payload byte (the framing still walks to
+  // records 3 and 4), or its "rec" tag — leaving records 3 and 4 intact.
+  const size_t payload_byte = bytes.find('\n', rec2) + 1 + 2;
+  for (const size_t flip : {payload_byte, rec2}) {
+    SCOPED_TRACE(flip == rec2 ? "header rot" : "payload rot");
+    std::string rotted = bytes;
+    rotted[flip] ^= 0x20;
+    const std::string cpath = path("rot" + std::to_string(flip) + ".log");
+    write_file(cpath, rotted);
+
+    JournalTailer tailer(cpath, {});
+    Collect got;
+    EXPECT_EQ(tailer.poll(got.sink()), TailStatus::kFailed);
+    EXPECT_EQ(got.recs.size(), 1u);  // record 1 was delivered before the rot
+    EXPECT_EQ(tailer.durable_epoch(), 1u);
+    EXPECT_NE(tailer.error().find(cpath + ":" + std::to_string(line)),
+              std::string::npos)
+        << tailer.error();
+    EXPECT_NE(tailer.error().find("rot"), std::string::npos)
+        << tailer.error();
+
+    // Sticky: later polls keep failing with the same error, deliver
+    // nothing.
+    const std::string err = tailer.error();
+    EXPECT_EQ(tailer.poll(got.sink()), TailStatus::kFailed);
+    EXPECT_EQ(tailer.error(), err);
+    EXPECT_EQ(got.recs.size(), 1u);
+
+    DynamicMatcher fm(cfg, pool);
+    ReplicaOptions ropt;
+    ropt.journal_path = cpath;
+    ropt.checkpoint_prefix = cpath + ".ck";
+    ropt.backoff.initial_us = 50;
+    ropt.backoff.max_us = 500;
+    ropt.promote_stable_polls = 2;
+    ReplicaEngine rep(fm, nullptr, ropt);
+    std::string perr;
+    ASSERT_TRUE(rep.bootstrap(&perr)) << perr;
+    std::unique_ptr<Journal> j2;
+    ReplicaEngine::PromoteOptions popt;
+    popt.journal_path = cpath + ".promoted";
+    EXPECT_FALSE(rep.promote(popt, j2, &perr));
+    EXPECT_EQ(j2, nullptr);
+    EXPECT_NE(perr.find("rot"), std::string::npos) << perr;
+    EXPECT_TRUE(persist::list_checkpoints(ropt.checkpoint_prefix).empty());
+    EXPECT_FALSE(fs::exists(popt.journal_path));
+
+    const persist::JournalScan scan = persist::scan_journal(cpath);
+    EXPECT_FALSE(scan.ok);
+    EXPECT_NE(scan.error.find("mid-file"), std::string::npos) << scan.error;
+  }
 }
 
 // A torn record follow by an intact one is rot too (the tear can never
@@ -499,6 +533,7 @@ TEST_F(ReplicateTest, LiveFollowEquivalenceAcrossGroupCommitAndThreads) {
       // and tailing until it has applied every epoch.
       std::string follower_state, follower_err;
       replicate::ReplicaHealth follower_health;
+      std::promise<void> follower_booted;
       std::thread follower([&] {
         ThreadPool fpool(threads);
         DynamicMatcher fm(cfg, fpool);
@@ -507,7 +542,9 @@ TEST_F(ReplicateTest, LiveFollowEquivalenceAcrossGroupCommitAndThreads) {
         ropt.checkpoint_prefix = ck;
         ropt.expected_stream = kStreamFp;
         ReplicaEngine rep(fm, nullptr, ropt);
-        if (!rep.bootstrap(&follower_err)) return;
+        const bool booted = rep.bootstrap(&follower_err);
+        follower_booted.set_value();
+        if (!booted) return;
         util::Backoff poll(util::Backoff::Options{50, 2000, 2.0, 0.2, 1});
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -531,7 +568,11 @@ TEST_F(ReplicateTest, LiveFollowEquivalenceAcrossGroupCommitAndThreads) {
         follower_state = save_str(fm);
       });
 
-      // Primary: pipelined engine appending the journal live.
+      // Primary: pipelined engine appending the journal live. It starts
+      // once the follower has bootstrapped, so the follower always sees
+      // the empty series and applies every epoch itself (a later
+      // bootstrap would legitimately restore a checkpoint and apply fewer).
+      follower_booted.get_future().wait();
       {
         ThreadPool ppool(threads);
         DynamicMatcher pm(cfg, ppool);
@@ -743,6 +784,132 @@ TEST_F(ReplicateTest, CrashedFollowerRestartsAndConverges) {
     ASSERT_EQ(rep.step(), TailStatus::kRecord) << rep.error();
     EXPECT_EQ(rep.applied_epoch(), 10u) << point;
     EXPECT_EQ(save_str(fm), ref.reference[10]) << point;
+  }
+}
+
+// Every lineage refusal goes through one checkpoint walk and one apply
+// step, so recovery and a bootstrapping follower must agree case by case:
+// same verdict, same error, same restored checkpoint, same final bytes.
+TEST_F(ReplicateTest, LineageRefusalsAgreeBetweenRecoveryAndFollower) {
+  ThreadPool pool(1);
+  const Config cfg = replicate_config();
+  Config other_cfg = cfg;
+  other_cfg.seed = cfg.seed + 1;
+  const RefRun ref = drive_reference(cfg, pool, 8);
+  std::vector<Batch> bogus_tail = ref.batches;
+  bogus_tail[7] = Batch{};
+  bogus_tail[7].deletions.push_back({4000, 4001});  // an absent edge
+
+  // The reference run's state at `epoch`, checkpointed under `prefix`.
+  const auto checkpoint = [&](const std::string& prefix, uint64_t epoch,
+                              const Config& ccfg, const std::string& fp) {
+    DynamicMatcher m(ccfg, pool);
+    for (uint64_t e = 0; e < epoch; ++e) {
+      m.update_by_endpoints(ref.batches[e].deletions,
+                            ref.batches[e].insertions);
+    }
+    std::string err;
+    ASSERT_TRUE(
+        persist::write_checkpoint_series(prefix, m, 8, &err, false, fp))
+        << err;
+  };
+  struct Case {
+    const char* name;
+    std::function<void(const std::string& wal, const std::string& ck)>
+        setup;
+    const char* refusal;  // nullptr: the lineage is accepted
+    uint64_t ck_epoch;    // checkpoint restored when accepted
+  };
+  const std::vector<Case> cases = {
+      // Hard stops: a valid older checkpoint is there, and must NOT be
+      // fallen back to.
+      {"other_config",
+       [&](const std::string& wal, const std::string& ck) {
+         write_journal(wal, ref.batches);
+         checkpoint(ck, 4, cfg, kStreamFp);
+         checkpoint(ck, 8, other_cfg, kStreamFp);
+       },
+       "different Config", 0},
+      {"other_stream",
+       [&](const std::string& wal, const std::string& ck) {
+         write_journal(wal, ref.batches);
+         checkpoint(ck, 4, cfg, kStreamFp);
+         checkpoint(ck, 8, cfg, "another stream");
+       },
+       "different update stream", 0},
+      {"damaged_newest",
+       [&](const std::string& wal, const std::string& ck) {
+         write_journal(wal, ref.batches);
+         checkpoint(ck, 4, cfg, kStreamFp);
+         checkpoint(ck, 8, cfg, kStreamFp);
+         std::string bytes = file_str(ck + ".8");
+         bytes[bytes.size() / 2] ^= 0x01;
+         write_file(ck + ".8", bytes);
+       },
+       nullptr, 4},
+      {"renamed",
+       [&](const std::string& wal, const std::string& ck) {
+         write_journal(wal, ref.batches);
+         checkpoint(ck, 8, cfg, kStreamFp);
+         fs::rename(ck + ".8", ck + ".6");
+       },
+       nullptr, 0},
+      {"absent_edge",
+       [&](const std::string& wal, const std::string& ck) {
+         write_journal(wal, bogus_tail);
+         checkpoint(ck, 4, cfg, kStreamFp);
+       },
+       "does not match", 0},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    fs::create_directories(path(c.name));
+    const std::string wal = path(std::string(c.name) + "/wal.log");
+    const std::string ck = path(std::string(c.name) + "/ck");
+    c.setup(wal, ck);
+
+    DynamicMatcher rm(cfg, pool);
+    persist::RecoveryOptions ro;
+    ro.checkpoint_prefix = ck;
+    ro.journal_path = wal;
+    ro.expected_stream = kStreamFp;
+    const persist::RecoveryReport rr = persist::recover(rm, ro);
+
+    DynamicMatcher fm(cfg, pool);
+    ReplicaOptions fo;
+    fo.journal_path = wal;
+    fo.checkpoint_prefix = ck;
+    fo.expected_stream = kStreamFp;
+    ReplicaEngine rep(fm, nullptr, fo);
+    std::string ferr;
+    bool fok = rep.bootstrap(&ferr);
+    const uint64_t boot_epoch = fm.batch_epoch();
+    const size_t boot_edges = fm.graph().num_edges();
+    if (fok) {
+      fok = rep.step() != TailStatus::kFailed;
+      ferr = rep.error();
+    }
+
+    if (c.refusal != nullptr) {
+      EXPECT_FALSE(rr.ok);
+      EXPECT_FALSE(fok);
+      EXPECT_NE(rr.error.find(c.refusal), std::string::npos) << rr.error;
+      EXPECT_NE(ferr.find(c.refusal), std::string::npos) << ferr;
+      continue;
+    }
+    ASSERT_TRUE(rr.ok) << rr.error;
+    ASSERT_TRUE(fok) << ferr;
+    EXPECT_EQ(rr.checkpoint_epoch, c.ck_epoch);
+    EXPECT_EQ(rr.skipped_checkpoints, 1u);
+    EXPECT_EQ(boot_epoch, c.ck_epoch);
+    if (c.ck_epoch == 0) {
+      EXPECT_EQ(boot_edges, 0u) << "a skipped checkpoint leaked state";
+    }
+    EXPECT_EQ(rr.final_epoch, 8u);
+    EXPECT_EQ(rep.applied_epoch(), 8u);
+    EXPECT_EQ(save_str(rm), ref.reference[8]);
+    EXPECT_EQ(save_str(fm), ref.reference[8]);
   }
 }
 

@@ -95,7 +95,6 @@ void run(Ctx& ctx) {
             DynamicMatcher fm(cfg, fpool);
             replicate::ReplicaOptions ropt;
             ropt.journal_path = wal;
-            ropt.verify_checkpoints = false;
             replicate::ReplicaEngine rep(fm, nullptr, ropt);
             if (!rep.bootstrap(&ferr)) return;
             util::Backoff::Options bo;
@@ -201,7 +200,6 @@ void run(Ctx& ctx) {
             DynamicMatcher cm(cfg, cpool);
             replicate::ReplicaOptions ropt;
             ropt.journal_path = wal;
-            ropt.verify_checkpoints = false;
             replicate::ReplicaEngine rep(cm, nullptr, ropt);
             std::string cerr_;
             if (!rep.bootstrap(&cerr_)) std::abort();

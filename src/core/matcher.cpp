@@ -191,18 +191,14 @@ void DynamicMatcher::refresh_s_membership_all(
   }
   if (muts.empty()) return;
 
-  // ...and apply them bucketed by level: levels are dense (< s_.size()),
-  // so a prefix-sum counting scatter replaces the comparison sort. The
-  // records above are generated vertex-ascending per level (touched is
-  // sorted, one record per (level, vertex)), and the scatter is stable, so
-  // each level applies in exactly the ascending-vertex order the old
-  // (level << 32 | vertex) sort produced. Concurrent buckets touch
-  // distinct S_l sets.
-  apply_bucketed_dense(
-      pool_, muts, s_.size(),
-      [](const SMut& m) { return static_cast<size_t>(m.lvl); },
-      [&](size_t lvl, const SMut* b, const SMut* e) {
-        IndexedSet& s = s_[lvl];
+  // ...and apply them grouped by level. The keys (lvl << 32) | v are
+  // unique (one record per (level, vertex)), so each level applies in
+  // ascending vertex order; concurrent groups touch distinct S_l sets.
+  apply_grouped_unique(
+      pool_, muts, [](const SMut& m) { return m.key(); },
+      [](uint64_t k) { return k >> 32; },
+      [&](uint64_t lvl, const SMut* b, const SMut* e) {
+        IndexedSet& s = s_[static_cast<size_t>(lvl)];
         for (const SMut* m = b; m != e; ++m) {
           if (m->add) {
             s.insert(m->v);
@@ -211,7 +207,7 @@ void DynamicMatcher::refresh_s_membership_all(
           }
         }
       },
-      scratch_.s_buckets, &cost_);
+      scratch_.s_groups, &cost_);
 }
 
 // ---------------------------------------------------------------------------

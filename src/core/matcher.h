@@ -370,7 +370,7 @@ class DynamicMatcher {
     // refresh_s_membership_all
     std::vector<uint64_t> s_deltas;
     std::vector<SMut> s_muts;
-    DenseBucketScratch<SMut> s_buckets;
+    GroupScratch<SMut> s_groups;
     // process_level_step1 / phase_insert
     std::vector<EdgeId> candidates, free_edges;
     std::vector<LevelMove> moves;

@@ -37,17 +37,6 @@ void parallel_for(ThreadPool& pool, size_t n, F&& f,
   pool.run_blocked(n, resolve_grain(n, grain, kDefaultGrain), body);
 }
 
-// Applies f(begin, end) over chunks of [0, n); useful when the body wants to
-// hoist per-chunk state (e.g. a local buffer) out of the element loop.
-template <typename F>
-void parallel_for_blocked(ThreadPool& pool, size_t n, F&& f,
-                          size_t grain = kAutoGrain) {
-  if (n == 0) return;
-  const std::function<void(size_t, size_t)> body =
-      [&f](size_t b, size_t e) { f(b, e); };
-  pool.run_blocked(n, resolve_grain(n, grain, kDefaultGrain), body);
-}
-
 // Applies f(block, begin, end) over the aligned blocks [k*grain,
 // (k+1)*grain) covering [0, n), passing the block index k through. Callers
 // that keep per-block side arrays (scan's block sums, the dictionary's

@@ -77,9 +77,10 @@ void parallel_sort(ThreadPool& pool, std::vector<T>& v, Cmp cmp = Cmp{},
   parallel_sort_with(pool, v, buf, cmp, grain);
 }
 
-// Stable group-by: sorts (key, payload) pairs by key and returns the start
-// offset of each distinct-key group. Used to realize the EREW discipline:
-// mutations are grouped by target vertex, then applied one group per task.
+// Group boundaries of an already-sorted range: fills `starts` with the
+// offset of each run of equal keys, then sorted.size(). Used to realize the
+// EREW discipline: mutations are grouped by target vertex, then applied one
+// group per task.
 template <typename T, typename KeyFn>
 void group_boundaries_into(const std::vector<T>& sorted, KeyFn&& key,
                            std::vector<size_t>& starts) {
@@ -88,14 +89,6 @@ void group_boundaries_into(const std::vector<T>& sorted, KeyFn&& key,
     if (i == 0 || key(sorted[i]) != key(sorted[i - 1])) starts.push_back(i);
   }
   starts.push_back(sorted.size());
-}
-
-template <typename T, typename KeyFn>
-std::vector<size_t> group_boundaries(const std::vector<T>& sorted,
-                                     KeyFn&& key) {
-  std::vector<size_t> starts;
-  group_boundaries_into(sorted, key, starts);
-  return starts;
 }
 
 }  // namespace pdmm

@@ -37,11 +37,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-ThreadPool& ThreadPool::default_pool() {
-  static ThreadPool pool;
-  return pool;
-}
-
 void ThreadPool::run_blocked(size_t n, size_t grain,
                              const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;

@@ -70,11 +70,6 @@ class ThreadPool {
                    const std::function<void(size_t, size_t)>& body)
       PDMM_EXCLUDES(mu_);
 
-  // A process-wide default pool (lazily constructed with hardware
-  // concurrency). Library entry points take an explicit pool; this default
-  // exists for examples and tests.
-  static ThreadPool& default_pool();
-
  private:
   void worker_loop(unsigned tid) PDMM_EXCLUDES(mu_);
   void work_on_job(uint32_t epoch32);

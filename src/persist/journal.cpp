@@ -406,7 +406,7 @@ std::unique_ptr<Journal> Journal::open_scanned(const std::string& path,
   return std::unique_ptr<Journal>(
       // lint:allow(raw-alloc) private ctor — make_unique can't reach it;
       // ownership transfers to the unique_ptr on the same line.
-      new Journal(f, scan.last_epoch, scan.truncated_tail, opt));
+      new Journal(f, scan.last_epoch, opt));
 }
 
 Journal::~Journal() {

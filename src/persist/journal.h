@@ -136,6 +136,14 @@ class JournalTailer {
   JournalTailer(const JournalTailer&) = delete;
   JournalTailer& operator=(const JournalTailer&) = delete;
 
+  // Sets Options::expected_stream once the caller has learned it (a
+  // follower learns its lineage's stream when bootstrap restores a
+  // checkpoint). Call it before the first poll: the header is checked
+  // once, when the poll that reads it resolves.
+  void expect_stream(std::string fingerprint) {
+    opt_.expected_stream = std::move(fingerprint);
+  }
+
   // One poll: reads forward from the cursor, delivering every record that
   // validates (in epoch order, exactly once across the tailer's lifetime)
   // until the file runs out. The sink returning false aborts the poll
@@ -183,7 +191,7 @@ class JournalTailer {
   uint64_t line_number_at(uint64_t byte_offset) const;
 
   const std::string path_;
-  const Options opt_;
+  Options opt_;
   bool header_done_ = false;
   uint64_t offset_ = 0;
   uint64_t file_size_ = 0;
@@ -313,7 +321,6 @@ class Journal {
   uint64_t records_appended() const PDMM_REQUIRES(appender_role_) {
     return appended_;
   }
-  bool tail_was_truncated() const { return tail_truncated_; }
 
   // The single-appender capability guarding the write frontier.
   const ThreadRole& appender_role() const
@@ -322,12 +329,10 @@ class Journal {
   }
 
  private:
-  Journal(std::FILE* f, uint64_t last_epoch, bool tail_truncated,
-          Options opt)
+  Journal(std::FILE* f, uint64_t last_epoch, Options opt)
       : f_(f),
         last_epoch_(last_epoch),
         committed_epoch_(last_epoch),
-        tail_truncated_(tail_truncated),
         opt_(opt) {}
 
   std::FILE* f_;
@@ -338,7 +343,6 @@ class Journal {
   // Reused encode buffer: append_buffered() serializes every record into
   // the same string so the steady-state append path stops allocating.
   std::string enc_buf_ PDMM_GUARDED_BY(appender_role_);
-  bool tail_truncated_;  // immutable after open
   Options opt_;
 };
 

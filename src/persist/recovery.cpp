@@ -78,6 +78,30 @@ CheckpointSelection select_checkpoint(DynamicMatcher& m,
   return sel;
 }
 
+std::string expected_journal_stream(const CheckpointSelection& ck,
+                                    const std::string& expected_stream) {
+  return expected_stream.empty() ? ck.stream : expected_stream;
+}
+
+bool journal_reaches_checkpoint(uint64_t journal_records,
+                                uint64_t journal_last_epoch,
+                                uint64_t checkpoint_epoch,
+                                std::string* error) {
+  if (journal_records == 0 || journal_last_epoch >= checkpoint_epoch) {
+    return true;
+  }
+  if (error) {
+    *error = "journal ends at epoch " + std::to_string(journal_last_epoch) +
+             " but the checkpoint claims epoch " +
+             std::to_string(checkpoint_epoch) +
+             "; not the same run's lineage (a process kill cannot "
+             "produce this). Delete the stale checkpoints to keep the "
+             "journal's state, or delete the journal to accept the "
+             "checkpoint's";
+  }
+  return false;
+}
+
 bool apply_journal_record(DynamicMatcher& m, const JournalRecord& rec,
                           std::string* error) {
   const auto refuse = [&](const std::string& why) {
@@ -148,7 +172,6 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
   // unspecified on failure, and a caller that retries must construct a
   // fresh one.
   if (!opt.journal_path.empty()) {
-    const uint64_t base = rep.checkpoint_epoch;
     std::string sink_error;
     const JournalRecordSink sink = [&](JournalRecord&& rec) {
       if (rec.epoch <= m.batch_epoch()) return true;  // in the checkpoint
@@ -157,13 +180,10 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
       return true;
     };
     // The reader refuses a journal of another stream before a single
-    // record is replayed. The expectation is the caller's stream, else
-    // the restored checkpoint's: select_checkpoint() already refused a
-    // checkpoint disagreeing with the caller, so one comparison covers
-    // both (a journal with no recorded fingerprint is accepted).
+    // record is replayed.
     const JournalScan scan = scan_journal_streamed(
         opt.journal_path, sink,
-        opt.expected_stream.empty() ? ck.stream : opt.expected_stream);
+        expected_journal_stream(ck, opt.expected_stream));
     if (!scan.ok) {
       rep.error = sink_error.empty() ? scan.error : sink_error;
       return rep;
@@ -181,23 +201,10 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
                   ") and the journal holds no records to rebuild from";
       return rep;
     }
-    if (scan.record_count != 0 && scan.last_epoch < base) {
-      // A checkpoint is written only after its covering journal record
-      // flushed, so within the process-kill durability model the journal
-      // always reaches at least the checkpoint epoch. A checkpoint AHEAD
-      // of a non-empty journal therefore means either an OS crash beyond
-      // the flush-only tier or, worse, a stale checkpoint series next to
-      // a newer run's journal — silently preferring the checkpoint would
-      // discard the journal's durable batches. Refuse and let the
-      // operator pick a side. (No record had epoch > base, so the sink
-      // applied nothing and the checkpoint state is still intact.)
-      rep.error = "journal ends at epoch " + std::to_string(scan.last_epoch) +
-                  " but the checkpoint claims epoch " +
-                  std::to_string(base) +
-                  "; not the same run's lineage (a process kill cannot "
-                  "produce this). Delete the stale checkpoints to keep "
-                  "the journal's state, or delete the journal to accept "
-                  "the checkpoint's";
+    // (When this refuses, no record had an epoch past the checkpoint's,
+    // so the sink applied nothing and the checkpoint state is intact.)
+    if (!journal_reaches_checkpoint(scan.record_count, scan.last_epoch,
+                                    rep.checkpoint_epoch, &rep.error)) {
       return rep;
     }
     // Journal-only recovery of an empty/fresh journal is fine: an empty

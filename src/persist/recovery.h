@@ -90,6 +90,26 @@ CheckpointSelection select_checkpoint(DynamicMatcher& m,
                                       const std::string& prefix,
                                       const std::string& expected_stream);
 
+// The fingerprint the journal after `ck` must record: the caller's stream,
+// else the restored checkpoint's (select_checkpoint() refused one that
+// disagrees with the caller). Recovery's scan and the follower's tailer
+// both expect it, so a foreign journal is refused before any record
+// applies; a journal with no recorded fingerprint is accepted.
+std::string expected_journal_stream(const CheckpointSelection& ck,
+                                    const std::string& expected_stream);
+
+// The behind-the-checkpoint refusal. A checkpoint is written only after
+// its covering journal record flushed, so a journal holding records that
+// ends before `checkpoint_epoch` is an OS crash beyond the flush-only tier
+// or a stale series next to a newer run's journal; preferring the
+// checkpoint would discard the journal's durable batches. False, with
+// *error. An empty journal (a fresh segment after the checkpoint) is not
+// behind.
+bool journal_reaches_checkpoint(uint64_t journal_records,
+                                uint64_t journal_last_epoch,
+                                uint64_t checkpoint_epoch,
+                                std::string* error);
+
 // The record-apply step: applies journal record `rec` to `m`, whose batch
 // epoch must be rec.epoch - 1 (callers skip records a checkpoint already
 // covers). A record that cannot apply to this state — an endpoint list

@@ -35,9 +35,7 @@ ReplicaEngine::ReplicaEngine(DynamicMatcher& m, MatchViewService* service,
     : matcher_(m),
       service_(service),
       opt_(std::move(opt)),
-      tailer_(opt_.journal_path,
-              JournalTailer::Options{opt_.expected_stream}),
-      stream_(opt_.expected_stream) {
+      tailer_(opt_.journal_path, {}) {
   // The whole engine is updater-thread code: it mutates the matcher and
   // publishes views, so it must be constructed and driven on the thread
   // holding the updater role.
@@ -66,11 +64,11 @@ bool ReplicaEngine::bootstrap(std::string* error) {
     return set_err("replica needs the primary's journal path");
   }
 
+  persist::CheckpointSelection ck;
   if (!opt_.checkpoint_prefix.empty()) {
-    const persist::CheckpointSelection ck = persist::select_checkpoint(
-        matcher_, opt_.checkpoint_prefix, opt_.expected_stream);
+    ck = persist::select_checkpoint(matcher_, opt_.checkpoint_prefix,
+                                    opt_.expected_stream);
     if (!ck.ok) return set_err(ck.error);
-    if (!ck.stream.empty()) stream_ = ck.stream;
     primary_ck_epoch_ = ck.epoch;
     // No usable checkpoint is not an error for a follower: the journal
     // holds the full history, so the empty matcher at epoch 0 replays to
@@ -78,6 +76,10 @@ bool ReplicaEngine::bootstrap(std::string* error) {
     // (A promoted-segment journal starting past epoch 1 will fail the
     // first apply's contiguity check with a precise error instead.)
   }
+  // The journal must continue this lineage's stream; like recovery's
+  // scan, the tailer refuses a foreign header before any record applies.
+  stream_ = persist::expected_journal_stream(ck, opt_.expected_stream);
+  tailer_.expect_stream(stream_);
 
   bootstrapped_ = true;
   if (service_) service_->publish_now();
@@ -138,10 +140,8 @@ bool ReplicaEngine::apply_record(persist::JournalRecord&& rec) {
     return false;
   }
   ++records_applied_;
-  if (opt_.verify_checkpoints && !opt_.checkpoint_prefix.empty()) {
-    if (!verify_against_checkpoint(rec.epoch)) return false;
-  }
-  return true;
+  return opt_.checkpoint_prefix.empty() ||
+         verify_against_checkpoint(rec.epoch);
 }
 
 TailStatus ReplicaEngine::step() {
@@ -155,6 +155,14 @@ TailStatus ReplicaEngine::step() {
       });
   if (s == TailStatus::kFailed) {
     return fail(apply_error_.empty() ? tailer_.error() : apply_error_);
+  }
+  // A journal behind the bootstrap checkpoint delivers only covered
+  // records, so the matcher's epoch is still the checkpoint's.
+  std::string behind;
+  if (!persist::journal_reaches_checkpoint(tailer_.records_delivered(),
+                                           tailer_.durable_epoch(),
+                                           matcher_.batch_epoch(), &behind)) {
+    return fail(std::move(behind));
   }
   if (stream_.empty() && !tailer_.stream().empty()) {
     stream_ = tailer_.stream();
@@ -251,10 +259,8 @@ bool ReplicaEngine::promote(const PromoteOptions& popt,
   }
   // Final divergence cross-check at the promotion epoch, if the primary
   // left a checkpoint exactly there.
-  if (opt_.verify_checkpoints) {
-    apply_error_.clear();
-    if (!verify_against_checkpoint(applied)) return set_err(apply_error_);
-  }
+  apply_error_.clear();
+  if (!verify_against_checkpoint(applied)) return set_err(apply_error_);
 
   std::error_code ec;
   if (std::filesystem::exists(popt.journal_path, ec) &&

@@ -70,10 +70,9 @@ struct ReplicaOptions {
   // divergence cross-checks, and cannot promote.
   std::string checkpoint_prefix;
   // Expected update-stream fingerprint; enforced against both the journal
-  // header and checkpoint meta when non-empty.
+  // header and checkpoint meta when non-empty. Empty: the journal header
+  // must still agree with the bootstrap checkpoint's recorded stream.
   std::string expected_stream;
-  // Cross-check state against primary checkpoints at matching epochs.
-  bool verify_checkpoints = true;
   // Retry schedule for promote()'s drain loop (the steady-state follow
   // loop's pacing belongs to the caller, which owns the poll cadence).
   util::Backoff::Options backoff;
@@ -142,8 +141,9 @@ class ReplicaEngine {
   const JournalTailer& tailer() const { return tailer_; }
   const std::string& error() const { return error_; }
   bool failed() const { return failed_; }
-  // Stream fingerprint governing the lineage: the journal header's when
-  // recorded, else the bootstrap checkpoint's, else expected_stream.
+  // Stream fingerprint governing the lineage: expected_stream, else the
+  // bootstrap checkpoint's, else the journal header's (the tailer refuses
+  // a header that disagrees with the first two).
   const std::string& stream() const { return stream_; }
 
  private:

@@ -23,26 +23,17 @@ SyncPoints::Hook& hook_slot() {
 }  // namespace
 
 std::atomic<bool> SyncPoints::armed_{false};
-std::atomic<bool> SyncPoints::crashed_{false};
 
 SyncPoints::Action SyncPoints::fire_slow(const char* point, uint64_t arg) {
   std::lock_guard<std::mutex> lk(hook_mutex());
   Hook& hook = hook_slot();
   if (!hook) return kProceed;
-  const Action a = hook(point, arg);
-  if (a == kCrash) {
-    // mo: relaxed — monotone latch read by crash_requested() (see header).
-    crashed_.store(true, std::memory_order_relaxed);
-  }
-  return a;
+  return hook(point, arg);
 }
 
 void SyncPoints::install(Hook hook) {
   std::lock_guard<std::mutex> lk(hook_mutex());
   hook_slot() = std::move(hook);
-  // mo: relaxed — flag reset; install happens-before any fire by contract
-  // (no engine running during install).
-  crashed_.store(false, std::memory_order_relaxed);
   // mo: release — pairs with fire()'s acquire load; publishes the hook.
   armed_.store(static_cast<bool>(hook_slot()), std::memory_order_release);
 }

@@ -21,9 +21,9 @@
 //             without a failing disk
 //   kCrash    the process "dies" here: the engine halts every stage
 //             without another byte of I/O, modeling SIGKILL at this exact
-//             boundary. kCrash is sticky (crash_requested()) so library
-//             code below the engine (checkpoint rename) can trigger it
-//             and the engine-level loops observe it on their next check.
+//             boundary. Nothing latches it: a call site below the engine
+//             (checkpoint rename) reports it through its `false` return,
+//             and that return is what halts the engine.
 //
 // This is the schedule-exploration idea of workflow model checking scaled
 // to one pipeline: the synchronous (inline) engine visits the points in a
@@ -57,27 +57,16 @@ class SyncPoints {
     return fire_slow(point, arg);
   }
 
-  // Installs `hook` (replacing any previous one) and clears the sticky
-  // crash flag. Test-only; must not race with fire().
+  // Installs `hook` (replacing any previous one). Test-only; must not
+  // race with fire().
   static void install(Hook hook);
-  // Removes the hook and clears the sticky crash flag.
+  // Removes the hook.
   static void clear();
-
-  // True once any firing returned kCrash since the last install()/clear().
-  // Stage loops poll this so a crash requested inside a library call
-  // (checkpoint rename) halts the engine exactly like one requested at an
-  // engine-level boundary.
-  static bool crash_requested() {
-    // mo: relaxed — a monotone latch; observers only need it eventually,
-    // and the stage that set it acts on the kCrash return value directly.
-    return crashed_.load(std::memory_order_relaxed);
-  }
 
  private:
   static Action fire_slow(const char* point, uint64_t arg);
 
   static std::atomic<bool> armed_;
-  static std::atomic<bool> crashed_;
 };
 
 // ---- point names -----------------------------------------------------------

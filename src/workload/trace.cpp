@@ -37,15 +37,11 @@ void append_batch(std::string& out, const Batch& b) {
   out += "b\n";
 }
 
-void write_batch(std::ostream& out, const Batch& b) {
-  std::string s;
-  append_batch(s, b);
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
 void write_trace(std::ostream& out, const std::vector<Batch>& batches) {
-  out << "# pdmm update trace: " << batches.size() << " batches\n";
-  for (const Batch& b : batches) write_batch(out, b);
+  std::string s = "# pdmm update trace: " + std::to_string(batches.size()) +
+                  " batches\n";
+  for (const Batch& b : batches) append_batch(s, b);
+  out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
 namespace {

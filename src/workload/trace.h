@@ -22,16 +22,13 @@ namespace pdmm {
 // Serializes batches into `out`. Inverse of read_trace.
 void write_trace(std::ostream& out, const std::vector<Batch>& batches);
 
-// Serializes one batch: its d/i op lines followed by the `b` boundary.
-// write_trace is a header comment plus one write_batch per batch; the
-// persistence journal (src/persist/journal.h) embeds exactly one batch
-// encoding as each record's payload, so journals replay with the same
-// parser (read_trace) that validates traces.
-void write_batch(std::ostream& out, const Batch& b);
-// The one writer of that grammar: appends the batch's encoding to `out`.
-// write_batch is a thin wrapper over it, so trace files and journal
-// payloads cannot drift apart; the journal calls it directly and skips
-// the stream formatting.
+// Appends one batch's encoding to `out`: its d/i op lines followed by the
+// `b` boundary. The one writer of that grammar: write_trace is a header
+// comment plus one append_batch per batch, and the persistence journal
+// (src/persist/journal.h) embeds exactly one batch encoding as each
+// record's payload, so trace files and journal payloads cannot drift
+// apart and journals replay with the same parser (read_trace) that
+// validates traces.
 void append_batch(std::string& out, const Batch& b);
 
 // Parses a trace into `out` (replacing its contents). Malformed input —

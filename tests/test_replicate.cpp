@@ -787,9 +787,10 @@ TEST_F(ReplicateTest, CrashedFollowerRestartsAndConverges) {
   }
 }
 
-// Every lineage refusal goes through one checkpoint walk and one apply
-// step, so recovery and a bootstrapping follower must agree case by case:
-// same verdict, same error, same restored checkpoint, same final bytes.
+// Every lineage refusal goes through one checkpoint walk, one journal
+// stream expectation, one behind-the-checkpoint check and one apply step,
+// so recovery and a bootstrapping follower must agree case by case: same
+// verdict, same error, same restored checkpoint, same final bytes.
 TEST_F(ReplicateTest, LineageRefusalsAgreeBetweenRecoveryAndFollower) {
   ThreadPool pool(1);
   const Config cfg = replicate_config();
@@ -813,12 +814,17 @@ TEST_F(ReplicateTest, LineageRefusalsAgreeBetweenRecoveryAndFollower) {
         persist::write_checkpoint_series(prefix, m, 8, &err, false, fp))
         << err;
   };
+  const std::vector<Batch> first3(ref.batches.begin(),
+                                  ref.batches.begin() + 3);
   struct Case {
     const char* name;
     std::function<void(const std::string& wal, const std::string& ck)>
         setup;
+    const char* expected_stream;  // the caller's stream ("": none given)
     const char* refusal;  // nullptr: the lineage is accepted
-    uint64_t ck_epoch;    // checkpoint restored when accepted
+    // Accepted: the checkpoint restored. Refused: the epoch the follower's
+    // state stops at (nothing past the refused record is applied).
+    uint64_t epoch;
   };
   const std::vector<Case> cases = {
       // Hard stops: a valid older checkpoint is there, and must NOT be
@@ -829,14 +835,14 @@ TEST_F(ReplicateTest, LineageRefusalsAgreeBetweenRecoveryAndFollower) {
          checkpoint(ck, 4, cfg, kStreamFp);
          checkpoint(ck, 8, other_cfg, kStreamFp);
        },
-       "different Config", 0},
+       kStreamFp, "different Config", 0},
       {"other_stream",
        [&](const std::string& wal, const std::string& ck) {
          write_journal(wal, ref.batches);
          checkpoint(ck, 4, cfg, kStreamFp);
          checkpoint(ck, 8, cfg, "another stream");
        },
-       "different update stream", 0},
+       kStreamFp, "different update stream", 0},
       {"damaged_newest",
        [&](const std::string& wal, const std::string& ck) {
          write_journal(wal, ref.batches);
@@ -846,20 +852,35 @@ TEST_F(ReplicateTest, LineageRefusalsAgreeBetweenRecoveryAndFollower) {
          bytes[bytes.size() / 2] ^= 0x01;
          write_file(ck + ".8", bytes);
        },
-       nullptr, 4},
+       kStreamFp, nullptr, 4},
       {"renamed",
        [&](const std::string& wal, const std::string& ck) {
          write_journal(wal, ref.batches);
          checkpoint(ck, 8, cfg, kStreamFp);
          fs::rename(ck + ".8", ck + ".6");
        },
-       nullptr, 0},
+       kStreamFp, nullptr, 0},
       {"absent_edge",
        [&](const std::string& wal, const std::string& ck) {
          write_journal(wal, bogus_tail);
          checkpoint(ck, 4, cfg, kStreamFp);
        },
-       "does not match", 0},
+       kStreamFp, "does not match", 7},
+      // No caller stream: the restored checkpoint's stream is the one the
+      // journal must continue. Its batches would even apply cleanly.
+      {"foreign_journal_stream",
+       [&](const std::string& wal, const std::string& ck) {
+         write_journal(wal, first3, "B");
+         checkpoint(ck, 1, cfg, "A");
+       },
+       "", "the journal and its lineage record different update streams", 1},
+      {"journal_behind_checkpoint",
+       [&](const std::string& wal, const std::string& ck) {
+         write_journal(wal, first3);
+         checkpoint(ck, 5, cfg, kStreamFp);
+       },
+       kStreamFp,
+       "journal ends at epoch 3 but the checkpoint claims epoch 5", 5},
   };
 
   for (const Case& c : cases) {
@@ -873,14 +894,14 @@ TEST_F(ReplicateTest, LineageRefusalsAgreeBetweenRecoveryAndFollower) {
     persist::RecoveryOptions ro;
     ro.checkpoint_prefix = ck;
     ro.journal_path = wal;
-    ro.expected_stream = kStreamFp;
+    ro.expected_stream = c.expected_stream;
     const persist::RecoveryReport rr = persist::recover(rm, ro);
 
     DynamicMatcher fm(cfg, pool);
     ReplicaOptions fo;
     fo.journal_path = wal;
     fo.checkpoint_prefix = ck;
-    fo.expected_stream = kStreamFp;
+    fo.expected_stream = c.expected_stream;
     ReplicaEngine rep(fm, nullptr, fo);
     std::string ferr;
     bool fok = rep.bootstrap(&ferr);
@@ -896,19 +917,75 @@ TEST_F(ReplicateTest, LineageRefusalsAgreeBetweenRecoveryAndFollower) {
       EXPECT_FALSE(fok);
       EXPECT_NE(rr.error.find(c.refusal), std::string::npos) << rr.error;
       EXPECT_NE(ferr.find(c.refusal), std::string::npos) << ferr;
+      EXPECT_EQ(fm.batch_epoch(), c.epoch);
       continue;
     }
     ASSERT_TRUE(rr.ok) << rr.error;
     ASSERT_TRUE(fok) << ferr;
-    EXPECT_EQ(rr.checkpoint_epoch, c.ck_epoch);
+    EXPECT_EQ(rr.checkpoint_epoch, c.epoch);
     EXPECT_EQ(rr.skipped_checkpoints, 1u);
-    EXPECT_EQ(boot_epoch, c.ck_epoch);
-    if (c.ck_epoch == 0) {
+    EXPECT_EQ(boot_epoch, c.epoch);
+    if (c.epoch == 0) {
       EXPECT_EQ(boot_edges, 0u) << "a skipped checkpoint leaked state";
     }
     EXPECT_EQ(rr.final_epoch, 8u);
     EXPECT_EQ(rep.applied_epoch(), 8u);
     EXPECT_EQ(save_str(rm), ref.reference[8]);
+    EXPECT_EQ(save_str(fm), ref.reference[8]);
+  }
+}
+
+// Negative control for the behind-the-checkpoint refusal: a fresh journal
+// segment that starts right after the bootstrap checkpoint (a follower
+// started next to a new primary, or a promoted lineage) holds no record
+// at or before the checkpoint's epoch. Header-only, it is a quiet
+// primary, not a stale lineage; its first records continue the state.
+TEST_F(ReplicateTest, JournalStartingAfterTheCheckpointIsFollowed) {
+  ThreadPool pool(1);
+  const Config cfg = replicate_config();
+  const RefRun ref = drive_reference(cfg, pool, 8);
+  constexpr uint64_t kE = 4;
+  // With no fingerprint anywhere, and with one on the checkpoint and the
+  // journal but none given by the caller.
+  for (const std::string& fp : {std::string(), std::string(kStreamFp)}) {
+    SCOPED_TRACE(fp.empty() ? "no stream" : "stream");
+    const std::string dir = path(fp.empty() ? "plain" : "stream");
+    fs::create_directories(dir);
+    {
+      DynamicMatcher m(cfg, pool);
+      for (uint64_t e = 0; e < kE; ++e) {
+        m.update_by_endpoints(ref.batches[e].deletions,
+                              ref.batches[e].insertions);
+      }
+      std::string err;
+      ASSERT_TRUE(persist::write_checkpoint_series(dir + "/ck", m, 4, &err,
+                                                   false, fp))
+          << err;
+    }
+    std::string err;
+    Journal::Options jopt;
+    jopt.stream = fp;
+    auto j = Journal::open(dir + "/wal.log", jopt, &err);
+    ASSERT_NE(j, nullptr) << err;
+    j->appender_role().assert_held();
+
+    DynamicMatcher fm(cfg, pool);
+    ReplicaOptions ropt;
+    ropt.journal_path = dir + "/wal.log";
+    ropt.checkpoint_prefix = dir + "/ck";
+    ReplicaEngine rep(fm, nullptr, ropt);
+    ASSERT_TRUE(rep.bootstrap(&err)) << err;
+    EXPECT_EQ(rep.applied_epoch(), kE);
+    EXPECT_EQ(rep.step(), TailStatus::kIdle) << rep.error();
+    EXPECT_FALSE(rep.failed());
+    EXPECT_TRUE(rep.error().empty()) << rep.error();
+
+    for (uint64_t e = kE + 1; e <= 8; ++e) {
+      ASSERT_TRUE(j->append(e, ref.batches[e - 1], &err)) << err;
+    }
+    ASSERT_EQ(rep.step(), TailStatus::kRecord) << rep.error();
+    EXPECT_EQ(rep.applied_epoch(), 8u);
+    EXPECT_EQ(rep.tailer().durable_epoch(), 8u);
     EXPECT_EQ(save_str(fm), ref.reference[8]);
   }
 }

@@ -296,6 +296,10 @@ TEST(SnapshotGolden, CommittedFixtureIsReproducedByteExact) {
   so.seed = 4243;
   ChurnStream stream(so);
   drive(a, stream, 24, 32);
+  // The cost model is pinned too: the bytes alone would not notice a
+  // primitive swap that changed the work or round accounting.
+  EXPECT_EQ(a.cost().work, 18529u);
+  EXPECT_EQ(a.cost().rounds, 1424u);
   const std::string produced = save_str(a);
 
   const std::string path =

@@ -8,8 +8,12 @@
 //    identical across thread counts.
 //  * S_l membership is cached per vertex as a bitmask; refreshes touch the
 //    shared S_l sets only when a membership bit actually flips.
-//  * All phase-scoped buffers come from the Scratch arena (one allocation
-//    over the matcher's lifetime, reused every batch).
+//  * Grouped applies run in one serial pass in record order (no sort, no
+//    pool wake); the cost model charges the EREW rounds.
+//  * All phase-scoped buffers and per-call maps come from the Scratch
+//    arena (grown once, reused every batch). A steady-state batch still
+//    makes ~126 heap allocations at n = 2^13, k = 256 — Luby's buffers,
+//    the BatchResult vectors and container growth; see matcher.h.
 #include "core/matcher.h"
 
 #include <algorithm>
@@ -121,9 +125,12 @@ void DynamicMatcher::grow_edges(size_t bound) {
 uint64_t DynamicMatcher::compute_s_mask(Vertex v) const {
   const VertexState& vs = verts_[v];
   const Level top = scheme_.top_level();
-  uint64_t counts[kMaxLevels] = {0};
+  // Only counts[0..top] are read below, so only those are zeroed.
+  uint64_t counts[kMaxLevels];
+  std::fill_n(counts, static_cast<size_t>(top) + 1, uint64_t{0});
   uint64_t total = vs.owned.size();
   for (const auto& ls : vs.a_sets) {
+    PDMM_DASSERT(ls.level >= 0 && ls.level <= top);
     counts[static_cast<size_t>(ls.level)] = ls.set.size();
     total += ls.set.size();
   }
@@ -160,7 +167,7 @@ void DynamicMatcher::refresh_s_membership(Vertex v) {
 }
 
 void DynamicMatcher::refresh_s_membership_all(
-    const std::vector<Vertex>& touched) {
+    const std::vector<uint64_t>& touched) {
   if (touched.empty()) return;
   // Pass 1 (parallel; `touched` is sorted unique, so the per-vertex mask
   // writes are disjoint): recompute each mask, remember which bits flip.
@@ -168,7 +175,7 @@ void DynamicMatcher::refresh_s_membership_all(
   deltas.resize(touched.size());
   parallel_for(pool_, touched.size(), [&](size_t i) {
     PDMM_DASSERT(i == 0 || touched[i - 1] < touched[i]);
-    const Vertex v = touched[i];
+    const auto v = static_cast<Vertex>(touched[i]);
     const uint64_t nm = compute_s_mask(v);
     deltas[i] = nm ^ vhot_.s_mask(v);
     vhot_.set_s_mask(v, nm);
@@ -181,21 +188,23 @@ void DynamicMatcher::refresh_s_membership_all(
   for (size_t i = 0; i < touched.size(); ++i) {
     uint64_t delta = deltas[i];
     if (delta == 0) continue;
-    const uint64_t nm = vhot_.s_mask(touched[i]);
+    const auto v = static_cast<Vertex>(touched[i]);
+    const uint64_t nm = vhot_.s_mask(v);
     do {
       const int l = std::countr_zero(delta);
       delta &= delta - 1;
-      muts.push_back(SMut{static_cast<Level>(l), touched[i],
-                          static_cast<uint8_t>((nm >> l) & 1)});
+      muts.push_back(
+          SMut{static_cast<Level>(l), v, static_cast<uint8_t>((nm >> l) & 1)});
     } while (delta != 0);
   }
   if (muts.empty()) return;
 
   // ...and apply them grouped by level. The keys (lvl << 32) | v are
-  // unique (one record per (level, vertex)), so each level applies in
-  // ascending vertex order; concurrent groups touch distinct S_l sets.
+  // unique (one record per (level, vertex)) and, `touched` being
+  // ascending, already ascend within each level, so each level applies in
+  // ascending vertex order.
   apply_grouped_unique(
-      pool_, muts, [](const SMut& m) { return m.key(); },
+      muts, [](const SMut& m) { return m.key(); },
       [](uint64_t k) { return k >> 32; },
       [&](uint64_t lvl, const SMut* b, const SMut* e) {
         IndexedSet& s = s_[static_cast<size_t>(lvl)];
@@ -256,7 +265,7 @@ void DynamicMatcher::apply_struct_muts(bool insert) {
       scratch_.pack_flags);
   if (live.empty()) return;
   apply_grouped_unique(
-      pool_, live, [](const StructMut& m) { return m.key(); },
+      live, [](const StructMut& m) { return m.key(); },
       [](uint64_t k) { return k >> 32; },
       [&](uint64_t key, const StructMut* b, const StructMut* e) {
         VertexState& vs = verts_[static_cast<Vertex>(key)];
@@ -278,20 +287,20 @@ void DynamicMatcher::apply_struct_muts(bool insert) {
       },
       scratch_.struct_groups, &cost_);
 
-  // `live` is now sorted by (u, e), so the touched vertex set falls out of
-  // one scan, already sorted and unique — exactly what the grouped S_l
-  // refresh requires.
-  auto& touched = scratch_.struct_touched;
-  touched.clear();
-  for (const StructMut& m : live) {
-    if (touched.empty() || touched.back() != m.u) touched.push_back(m.u);
-  }
-  refresh_s_membership_all(touched);
+  // The applied groups are the touched vertex set, already sorted and
+  // unique — exactly what the grouped S_l refresh requires.
+  refresh_s_membership_all(scratch_.struct_groups);
 }
 
 void DynamicMatcher::insert_edges_into_structures(
-    const std::vector<EdgeId>& ids) {
-  if (ids.empty()) return;
+    const std::vector<EdgeId>& unsorted_ids) {
+  if (unsorted_ids.empty()) return;
+  // The callers' ids (free-list pops, then the reinsertion queue) are in
+  // no particular order; ascending ids make each vertex's records ascend
+  // by (u, e) key, as the grouped apply requires.
+  auto& ids = scratch_.insert_ids;
+  ids.assign(unsorted_ids.begin(), unsorted_ids.end());
+  parallel_sort_with(pool_, ids, scratch_.sort_buf);
   const uint32_t r = reg_.max_rank();
   auto& muts = scratch_.struct_muts;
   muts.assign(ids.size() * r, StructMut{});
@@ -326,6 +335,7 @@ void DynamicMatcher::remove_edges_from_structures(
   auto& muts = scratch_.struct_muts;
   muts.assign(ids.size() * r, StructMut{});
   parallel_for(pool_, ids.size(), [&](size_t i) {
+    PDMM_DASSERT(i == 0 || ids[i - 1] < ids[i]);
     const EdgeId e = ids[i];
     const auto eps = reg_.endpoints(e);
     const Vertex owner = eowner_[e];
@@ -427,9 +437,9 @@ void DynamicMatcher::apply_level_moves(std::vector<LevelMove>& moves) {
   });
   cost_.round(affected.size() * r);
 
-  // Apply the container moves grouped per vertex; groups are disjoint so
-  // per-vertex containers need no locks, and the unique (u, e) keys pin
-  // the applied order independent of grain and thread count.
+  // Apply the container moves grouped per vertex; the unique (u, e)
+  // keys — ascending within each vertex, `affected` being ascending — pin
+  // the applied order independent of the thread count.
   auto& live = scratch_.move_live;
   pack_values_into(
       pool_, muts,
@@ -443,7 +453,7 @@ void DynamicMatcher::apply_level_moves(std::vector<LevelMove>& moves) {
       },
       live, scratch_.pack_flags);
   apply_grouped_unique(
-      pool_, live, [](const MoveMut& m) { return m.key(); },
+      live, [](const MoveMut& m) { return m.key(); },
       [](uint64_t k) { return k >> 32; },
       [&](uint64_t key, const MoveMut* b, const MoveMut* e) {
         VertexState& vs = verts_[static_cast<Vertex>(key)];
@@ -468,24 +478,26 @@ void DynamicMatcher::apply_level_moves(std::vector<LevelMove>& moves) {
   // endpoint with only same-container records kept every count and its
   // level, so its mask is arithmetically unchanged — the old
   // endpoint-gather + sort + unique pass recomputed those for nothing.
-  // Both inputs are already sorted (moves by v from the entry sort; live
-  // by (u << 32 | e) from the grouped apply), so the union is one merge.
+  // Both inputs are already sorted (moves by v from the entry sort; the
+  // live records' vertices are the grouped apply's ascending group ids),
+  // so the union is one merge.
+  const auto& groups = scratch_.move_groups;
   auto& touched = scratch_.moved_touched;
   touched.clear();
-  touched.reserve(moves.size() + live.size());
-  const auto push = [&touched](Vertex u) {
+  touched.reserve(moves.size() + groups.size());
+  const auto push = [&touched](uint64_t u) {
     if (touched.empty() || touched.back() != u) touched.push_back(u);
   };
-  size_t mi = 0, li = 0;
-  while (mi < moves.size() || li < live.size()) {
-    const Vertex mu = mi < moves.size() ? moves[mi].v : kNoVertex;
-    const Vertex lu = li < live.size() ? live[li].u : kNoVertex;
-    if (mu <= lu) {
+  size_t mi = 0, gi = 0;
+  while (mi < moves.size() || gi < groups.size()) {
+    const uint64_t mu = mi < moves.size() ? moves[mi].v : kNoVertex;
+    const uint64_t gu = gi < groups.size() ? groups[gi] : kNoVertex;
+    if (mu <= gu) {
       push(mu);
       ++mi;
     } else {
-      push(lu);
-      ++li;
+      push(gu);
+      ++gi;
     }
   }
   refresh_s_membership_all(touched);
@@ -613,8 +625,9 @@ void DynamicMatcher::level_sweep(bool with_step1) {
 void DynamicMatcher::process_level_step1(Level l) {
   IndexedSet& u_set = undecided_[static_cast<size_t>(l)];
   if (u_set.empty()) return;
-  const std::vector<Vertex> u_nodes(u_set.items().begin(),
-                                    u_set.items().end());
+  // A copy: the drop to level -1 below erases from u_set while walking.
+  auto& u_nodes = scratch_.u_nodes;
+  u_nodes.assign(u_set.items().begin(), u_set.items().end());
 
   // U_free: edges owned by an undecided node of this level whose endpoints
   // are all unmatched. Ownership makes the union duplicate-free.
@@ -722,7 +735,8 @@ void DynamicMatcher::drain_eager() {
       for (const auto& s : s_) any_rising |= !s.empty();
       if (!any_rising) return;
     }
-    std::vector<EdgeId> q;
+    auto& q = scratch_.eager_queue;
+    q.clear();
     q.swap(reinsert_queue_);
     phase_insert(q);
   }
@@ -732,7 +746,8 @@ void DynamicMatcher::drain_eager() {
   // extra pass resolves the residue without settling.
   ++stats_.eager_cap_hits;
   while (!reinsert_queue_.empty() || total_undecided() != 0) {
-    std::vector<EdgeId> q;
+    auto& q = scratch_.eager_queue;
+    q.clear();
     q.swap(reinsert_queue_);
     phase_insert(q);
     for (Level l = scheme_.top_level(); l >= 0; --l) process_level_step1(l);
@@ -823,7 +838,6 @@ DynamicMatcher::BatchResult DynamicMatcher::update_by_endpoints(
     PDMM_ASSERT_MSG(e != kNoEdge, "deletion of an absent edge (by endpoints)");
     dels.push_back(e);
   }
-  std::sort(dels.begin(), dels.end());
   return update(dels, insertions);
 }
 
@@ -848,10 +862,16 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
   reinsert_queue_.clear();
 
   // --- classify deletions ---
-  std::vector<EdgeId> dels(deletions.begin(), deletions.end());
+  auto& dels = scratch_.dels;
+  dels.assign(deletions.begin(), deletions.end());
   std::sort(dels.begin(), dels.end());
   dels.erase(std::unique(dels.begin(), dels.end()), dels.end());
-  std::vector<EdgeId> del_unmatched, del_temp, del_matched;
+  auto& del_unmatched = scratch_.del_unmatched;
+  auto& del_temp = scratch_.del_temp;
+  auto& del_matched = scratch_.del_matched;
+  del_unmatched.clear();
+  del_temp.clear();
+  del_matched.clear();
   for (EdgeId e : dels) {
     PDMM_ASSERT_MSG(reg_.alive(e), "deletion of an absent edge");
     if (eflags_[e] & kMatched) {
@@ -881,7 +901,8 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
 
   // --- group 3: insertions (user + kicked edges + dissolved D sets) ---
   res.inserted_ids.resize(insertions.size(), kNoEdge);
-  std::vector<EdgeId> new_ids;
+  auto& new_ids = scratch_.new_ids;
+  new_ids.clear();
   for (size_t i = 0; i < insertions.size(); ++i) {
     const EdgeId id = reg_.insert(insertions[i]);
     res.inserted_ids[i] = id;
@@ -903,29 +924,25 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
   // Per edge-id identity tracking: a "retire" event (0) closes the current
   // identity (reporting its loss of matched status if it started matched),
   // and any later events under the same id belong to a fresh identity.
+  // Tracks are kept in first-journaled order; the per-id slot lane finds an
+  // id's track and is reset entry by entry afterwards.
   {
-    struct Track {
-      bool seen = false;
-      bool initial = false;  // matched at identity start
-      bool cur = false;
-    };
-    FlatPosMap<uint32_t> index;
-    std::vector<Track> tracks;
-    std::vector<EdgeId> track_ids;
+    constexpr uint32_t kNoSlot = ~uint32_t{0};
+    auto& slot = scratch_.diff_slot;
+    auto& tracks = scratch_.diff_tracks;
+    if (slot.size() < reg_.id_bound()) slot.resize(reg_.id_bound(), kNoSlot);
+    tracks.clear();
     for (const auto& [e, ev] : batch_journal_) {
-      uint32_t* slot = index.find(e);
-      if (!slot) {
-        index.insert(e, static_cast<uint32_t>(tracks.size()));
-        slot = index.find(e);
-        tracks.push_back({});
-        track_ids.push_back(e);
+      if (slot[e] == kNoSlot) {
+        slot[e] = static_cast<uint32_t>(tracks.size());
+        tracks.push_back(DiffTrack{e});
       }
-      Track& t = tracks[*slot];
+      DiffTrack& t = tracks[slot[e]];
       if (ev == 0) {
         // Retirement: matched edges are always unmatched before deletion.
         PDMM_DASSERT(!t.seen || !t.cur);
         if (t.seen && t.initial) res.newly_unmatched.push_back(e);
-        t = Track{};  // fresh identity for a possibly recycled id
+        t = DiffTrack{e};  // fresh identity for a possibly recycled id
       } else {
         const bool now = ev > 0;
         if (!t.seen) {
@@ -937,11 +954,11 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
         t.cur = now;
       }
     }
-    for (size_t i = 0; i < tracks.size(); ++i) {
-      const Track& t = tracks[i];
+    for (const DiffTrack& t : tracks) {
+      slot[t.e] = kNoSlot;
       if (!t.seen) continue;
-      if (!t.initial && t.cur) res.newly_matched.push_back(track_ids[i]);
-      if (t.initial && !t.cur) res.newly_unmatched.push_back(track_ids[i]);
+      if (!t.initial && t.cur) res.newly_matched.push_back(t.e);
+      if (t.initial && !t.cur) res.newly_unmatched.push_back(t.e);
     }
   }
 

@@ -42,7 +42,6 @@
 #include "core/epoch_stats.h"
 #include "core/level_scheme.h"
 #include "core/vertex_soa.h"
-#include "dict/batch_ops.h"
 #include "graph/registry.h"
 #include "graph/types.h"
 #include "parallel/cost_model.h"
@@ -341,8 +340,8 @@ class DynamicMatcher {
   };
 
   // One S_l membership flip: vertex v enters (add) or leaves S_lvl. Keyed
-  // by (lvl << 32) | v and grouped by level, so per-level applications run
-  // in parallel with a deterministic in-level order.
+  // by (lvl << 32) | v and grouped by level, so each level applies its
+  // flips in a deterministic (ascending-vertex) order.
   struct SMut {
     Level lvl = 0;
     Vertex v = kNoVertex;
@@ -353,32 +352,60 @@ class DynamicMatcher {
     }
   };
 
+  // One edge id's identity in update()'s batch-diff replay.
+  struct DiffTrack {
+    EdgeId e = kNoEdge;
+    bool seen = false;
+    bool initial = false;  // matched at identity start
+    bool cur = false;
+  };
+
   // Batch-scoped scratch arena: every buffer a hot phase needs, reused
-  // across calls so the steady-state update path allocates nothing. Buffers
-  // are grouped by the (non-reentrant) routine that owns them; routines
-  // that call each other use disjoint groups.
+  // across calls. Buffers are grouped by the (non-reentrant) routine that
+  // owns them; routines that call each other use disjoint groups. The
+  // id-indexed lanes hold their "unset" value between uses: each user
+  // resets exactly the entries it set by re-walking them.
+  //
+  // Measured at n = 2^13, k = 256 (churn, 1 thread), a steady-state
+  // update() makes about 126 heap allocations; none comes from here once
+  // the buffers have grown. What still allocates: Luby's per-call buffers
+  // (about 67, static_mm/luby.cpp), container growth (about 22 from the
+  // undecided sets' hash index as they fill and drain, plus D sets and
+  // IndexedSet spills) and the BatchResult vectors (about 14).
   struct Scratch {
+    // update(): classified deletions, inserted ids, batch-diff replay
+    std::vector<EdgeId> dels, del_unmatched, del_temp, del_matched, new_ids;
+    std::vector<EdgeId> eager_queue;  // drain_eager's reinsertion batch
+    std::vector<DiffTrack> diff_tracks;
+    std::vector<uint32_t> diff_slot;  // per edge id: track index, or ~0
     // apply_level_moves
     std::vector<EdgeId> affected;
     std::vector<MoveMut> move_muts, move_live;
-    std::vector<Vertex> moved_touched;
-    GroupScratch<MoveMut> move_groups;
+    std::vector<uint64_t> moved_touched;
+    std::vector<uint64_t> move_groups;  // vertices with a live move record
     // insert_edges_into_structures / remove_edges_from_structures
+    std::vector<EdgeId> insert_ids;  // the inserted ids, ascending
     std::vector<StructMut> struct_muts, struct_live;
-    std::vector<Vertex> struct_touched;
-    GroupScratch<StructMut> struct_groups;
+    std::vector<uint64_t> struct_groups;  // vertices with a live record
     // refresh_s_membership_all
     std::vector<uint64_t> s_deltas;
     std::vector<SMut> s_muts;
-    GroupScratch<SMut> s_groups;
+    std::vector<uint64_t> s_groups;  // levels whose S_l set changed
     // process_level_step1 / phase_insert
+    std::vector<Vertex> u_nodes;
     std::vector<EdgeId> candidates, free_edges;
     std::vector<LevelMove> moves;
     // settle machinery (grand_random_settle / subsubsettle)
     std::vector<Vertex> settle_b, settle_kept;
     std::vector<EdgeId> settle_eprime, settle_marked, settle_lifted;
     std::vector<EdgeId> settle_eprime_buf;  // E'-filter double buffer
+    std::vector<EdgeId> settle_h_set;       // E' at settle start
+    std::vector<EdgeId> settle_kicked;      // kicked this iteration
     std::vector<uint8_t> settle_in_b;       // B membership, |V|-indexed
+    std::vector<Vertex> settle_h;       // h(e) per edge id, or kNoVertex
+    std::vector<uint32_t> marked_deg;   // marked edges per vertex, or 0
+    std::vector<EdgeId> lifted_at;      // lifted edge per vertex, or kNoEdge
+    std::vector<uint8_t> kicked_flag;   // per edge id: kicked, or 0
     std::vector<EdgeId> adopted;  // E' edges temp-deleted this iteration
     // shared pack flag buffer (single pack in flight at a time)
     std::vector<uint8_t> pack_flags;
@@ -396,21 +423,20 @@ class DynamicMatcher {
 
   // ---- settle machinery (settle.cpp) ----
   void grand_random_settle(Level l);
-  // One subsubsettle iteration; returns number of edges lifted.
+  // One subsubsettle iteration over B and E', with h(e) in
+  // scratch_.settle_h; returns number of edges lifted.
   size_t subsubsettle(Level l, uint32_t phase_i, uint64_t iter_salt,
                       std::vector<Vertex>& b,
-                      std::vector<EdgeId>& e_prime,
-                      FlatPosMap<uint32_t>& h_choice);
+                      std::vector<EdgeId>& e_prime);
   // Refreshes B (drop settled/over-threshold vertices) and filters E' down
   // to the still-live owned edges of the surviving B. During a settle all
   // level moves are rises to l, so no edge ever *enters* an O~(v,l) — the
   // fresh E' is always a subset of the old one, and an order-preserving
-  // filter of e_prime replaces the old full rebuild+sort. `kicked_set`
-  // names the edges kicked out of M this iteration: their stale
-  // elevel_/eowner_ would otherwise pass the filter predicate.
+  // filter of e_prime replaces the old full rebuild+sort. The edges kicked
+  // out of M this iteration (scratch_.kicked_flag) are dropped too: their
+  // stale elevel_/eowner_ would otherwise pass the filter predicate.
   void refresh_settle_sets(Level l, std::vector<Vertex>& b,
-                           std::vector<EdgeId>& e_prime,
-                           const FlatPosMap<uint32_t>& kicked_set);
+                           std::vector<EdgeId>& e_prime);
   void sequential_settle_fallback(Level l, const std::vector<Vertex>& b);
   void random_settle_single(Vertex v, Level l);
   // Kicks the matched edges (other than `keep`) of keep's endpoints out of
@@ -435,7 +461,9 @@ class DynamicMatcher {
   // Batch-parallel insertion/removal of many edges: a read-only parallel
   // pass computes one StructMut per (edge, endpoint), the records apply
   // grouped per vertex (lock-free EREW), and S_l membership refreshes once
-  // over the touched vertex set.
+  // over the touched vertex set. The grouped apply needs the records of
+  // each vertex in ascending edge order: removals take ascending ids,
+  // insertions take ids in any order and sort a copy.
   void insert_edges_into_structures(const std::vector<EdgeId>& ids);
   void remove_edges_from_structures(const std::vector<EdgeId>& ids);
   // Shared tail of the two batch phases above: pack the live records of
@@ -459,10 +487,11 @@ class DynamicMatcher {
   // o~(v, l) profile of v folded into the S_l membership bitmask.
   uint64_t compute_s_mask(Vertex v) const;
   void refresh_s_membership(Vertex v);
-  // Grouped-parallel refresh over a sorted, duplicate-free vertex set: one
-  // parallel pass recomputes the masks (disjoint per-vertex writes), the
-  // rare flips expand into SMut records applied grouped per level.
-  void refresh_s_membership_all(const std::vector<Vertex>& touched);
+  // Grouped-parallel refresh over a sorted, duplicate-free vertex set (as
+  // uint64_t, the type of a grouped apply's group ids): one parallel pass
+  // recomputes the masks (disjoint per-vertex writes), the rare flips
+  // expand into SMut records applied grouped per level.
+  void refresh_s_membership_all(const std::vector<uint64_t>& touched);
   void grow_vertices(Vertex bound);
   void grow_edges(size_t bound);
   void maybe_rebuild(size_t incoming_updates);

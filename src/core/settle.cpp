@@ -27,16 +27,15 @@ uint64_t DynamicMatcher::settle_rng_stream() const {
 // structures with elevel < l (an endpoint of e owns it or holds it in an
 // A(·, l') with l' < l) and some endpoint sits in the refreshed B. The
 // membership tests: elevel_[e] >= l catches lifted and riser-captured
-// edges, the kTempDeleted flag catches adoptions, and `kicked_set` catches
-// this iteration's kicked matched edges — those left the structures but
-// keep their stale elevel_/eowner_, which is exactly why the caller must
-// pass them explicitly (kicks from earlier iterations were filtered out
-// when they happened, and E' only shrinks). Filtering the (sorted) old E'
+// edges, the kTempDeleted flag catches adoptions, and the kicked_flag lane
+// catches this iteration's kicked matched edges — those left the
+// structures but keep their stale elevel_/eowner_, which is exactly why
+// the caller must flag them (kicks from earlier iterations were filtered
+// out when they happened, and E' only shrinks). Filtering the (sorted) old E'
 // preserves ascending order, so the result is byte-identical to the
 // rebuild's sort output.
-void DynamicMatcher::refresh_settle_sets(
-    Level l, std::vector<Vertex>& b, std::vector<EdgeId>& e_prime,
-    const FlatPosMap<uint32_t>& kicked_set) {
+void DynamicMatcher::refresh_settle_sets(Level l, std::vector<Vertex>& b,
+                                         std::vector<EdgeId>& e_prime) {
   const uint64_t keep_threshold = scheme_.rise_threshold(l) / 2;
   auto& kept = scratch_.settle_kept;
   kept.clear();
@@ -50,6 +49,7 @@ void DynamicMatcher::refresh_settle_sets(
   auto& in_b = scratch_.settle_in_b;
   if (in_b.size() < verts_.size()) in_b.resize(verts_.size(), 0);
   for (Vertex v : b) in_b[v] = 1;
+  const auto& kicked = scratch_.kicked_flag;
   auto& out = scratch_.settle_eprime_buf;
   pack_values_into(
       pool_, e_prime,
@@ -57,7 +57,7 @@ void DynamicMatcher::refresh_settle_sets(
         const EdgeId e = e_prime[i];
         if (elevel_[e] >= l) return false;            // lifted / captured
         if (eflags_[e] & kTempDeleted) return false;  // adopted into a D set
-        if (kicked_set.contains(e)) return false;     // stale elevel_
+        if (kicked[e]) return false;                  // stale elevel_
         for (Vertex u : reg_.endpoints(e)) {
           if (in_b[u]) return true;
         }
@@ -129,13 +129,24 @@ void DynamicMatcher::grand_random_settle(Level l) {
 
   // h(e): one uniformly random endpoint per edge, drawn once per settle.
   // When e is lifted into M, every surviving edge whose h points into e is
-  // adopted into D(e) (§3.3.2). Stored as edge -> vertex.
-  FlatPosMap<uint32_t> h_choice;
+  // adopted into D(e) (§3.3.2). Stored in the per-edge-id settle_h lane;
+  // E' only shrinks, so the initial E' names every entry to reset at the
+  // end. The per-iteration lanes are sized here too: no edge id or vertex
+  // is created during a settle.
+  auto& h = scratch_.settle_h;
+  if (h.size() < reg_.id_bound()) h.resize(reg_.id_bound(), kNoVertex);
+  if (scratch_.kicked_flag.size() < reg_.id_bound())
+    scratch_.kicked_flag.resize(reg_.id_bound(), 0);
+  if (scratch_.marked_deg.size() < verts_.size())
+    scratch_.marked_deg.resize(verts_.size(), 0);
+  if (scratch_.lifted_at.size() < verts_.size())
+    scratch_.lifted_at.resize(verts_.size(), kNoEdge);
   const uint64_t h_stream = hash_mix(settle_rng_stream(), 0xc401ceULL);
   for (EdgeId e : e_prime) {
     const auto eps = reg_.endpoints(e);
-    h_choice.insert(e, eps[rng_.below(h_stream, e, eps.size())]);
+    h[e] = eps[rng_.below(h_stream, e, eps.size())];
   }
+  scratch_.settle_h_set.assign(e_prime.begin(), e_prime.end());
   cost_.round(e_prime.size());
 
   const uint32_t phases = 2 * log2_ceil(scheme_.alpha());
@@ -157,17 +168,17 @@ void DynamicMatcher::grand_random_settle(Level l) {
       for (uint32_t it = 0; it < iters && !b.empty(); ++it) {
         ++stats_.subsubsettles;
         const uint64_t salt = hash_mix(repeats, i, it);
-        subsubsettle(l, i, salt, b, e_prime, h_choice);
+        subsubsettle(l, i, salt, b, e_prime);
       }
     }
   }
+  for (EdgeId e : scratch_.settle_h_set) h[e] = kNoVertex;
 }
 
 size_t DynamicMatcher::subsubsettle(Level l, uint32_t phase_i,
                                     uint64_t iter_salt,
                                     std::vector<Vertex>& b,
-                                    std::vector<EdgeId>& e_prime,
-                                    FlatPosMap<uint32_t>& h_choice) {
+                                    std::vector<EdgeId>& e_prime) {
   // Step 1: mark each edge of E' with probability p = 2^i / alpha^(l+2).
   const double p = std::min(
       1.0, static_cast<double>(uint64_t{1} << std::min(phase_i, 62u)) /
@@ -183,40 +194,41 @@ size_t DynamicMatcher::subsubsettle(Level l, uint32_t phase_i,
   if (marked.empty()) return 0;
 
   // Step 2: lift marked edges with no incident marked edge (within E').
-  FlatPosMap<uint32_t> marked_deg;  // vertex -> #marked edges at vertex
+  auto& marked_deg = scratch_.marked_deg;  // #marked edges per vertex
   for (EdgeId e : marked) {
-    for (Vertex u : reg_.endpoints(e)) {
-      if (uint32_t* c = marked_deg.find(u)) {
-        ++*c;
-      } else {
-        marked_deg.insert(u, 1);
-      }
-    }
+    for (Vertex u : reg_.endpoints(e)) ++marked_deg[u];
   }
   auto& lifted = scratch_.settle_lifted;
   pack_values_into(
       pool_, marked,
       [&](size_t i) {
         for (Vertex u : reg_.endpoints(marked[i])) {
-          if (*marked_deg.find(u) != 1) return false;
+          if (marked_deg[u] != 1) return false;
         }
         return true;
       },
       lifted, scratch_.pack_flags);
+  for (EdgeId e : marked) {
+    for (Vertex u : reg_.endpoints(e)) marked_deg[u] = 0;
+  }
   cost_.round(marked.size() * reg_.max_rank());
   if (lifted.empty()) return 0;
 
   // Kick the matched edges of endpoints being absorbed into lifted edges.
   // Lifted edges are pairwise non-incident, so each vertex belongs to at
   // most one of them.
-  FlatPosMap<uint32_t> lifted_at;  // vertex -> lifted edge covering it
-  std::vector<EdgeId> kicked;
+  auto& lifted_at = scratch_.lifted_at;  // lifted edge covering a vertex
+  auto& kicked = scratch_.settle_kicked;
+  auto& kicked_flag = scratch_.kicked_flag;
+  kicked.clear();
   for (EdgeId e : lifted) {
-    for (Vertex u : reg_.endpoints(e)) lifted_at.insert(u, e);
+    for (Vertex u : reg_.endpoints(e)) {
+      PDMM_DASSERT(lifted_at[u] == kNoEdge);
+      lifted_at[u] = e;
+    }
     kick_conflicting_matches(e, kicked);
   }
-  FlatPosMap<uint32_t> kicked_set;
-  for (EdgeId m : kicked) kicked_set.insert(m, 1);
+  for (EdgeId m : kicked) kicked_flag[m] = 1;
   cost_.round(lifted.size() * reg_.max_rank() + kicked.size());
 
   // Add lifted edges to M at level l and raise their endpoints.
@@ -232,27 +244,28 @@ size_t DynamicMatcher::subsubsettle(Level l, uint32_t phase_i,
   // into that edge's D set (temporarily deleting them). The structural
   // removals batch through the grouped pipeline; the D-set bookkeeping is
   // serial and cheap.
+  const auto& h = scratch_.settle_h;
   auto& adopted = scratch_.adopted;
   adopted.clear();
   for (EdgeId eprime_edge : e_prime) {
     if (eflags_[eprime_edge] & kMatched) continue;  // lifted or still in M
-    if (kicked_set.contains(eprime_edge)) continue;  // already out + queued
+    if (kicked_flag[eprime_edge]) continue;          // already out + queued
     PDMM_DASSERT(!(eflags_[eprime_edge] & kTempDeleted));
-    const uint32_t* hv = h_choice.find(eprime_edge);
-    PDMM_DASSERT(hv != nullptr);
-    if (!lifted_at.contains(*hv)) continue;
+    PDMM_DASSERT(h[eprime_edge] != kNoVertex);
+    if (lifted_at[h[eprime_edge]] == kNoEdge) continue;
     adopted.push_back(eprime_edge);
   }
   if (!adopted.empty()) {
     remove_edges_from_structures(adopted);
-    for (EdgeId f : adopted) {
-      const uint32_t* owner_edge = lifted_at.find(*h_choice.find(f));
-      temp_delete_bookkeep(f, *owner_edge);
-    }
+    for (EdgeId f : adopted) temp_delete_bookkeep(f, lifted_at[h[f]]);
   }
   cost_.round(e_prime.size());
 
-  refresh_settle_sets(l, b, e_prime, kicked_set);
+  refresh_settle_sets(l, b, e_prime);
+  for (EdgeId e : lifted) {
+    for (Vertex u : reg_.endpoints(e)) lifted_at[u] = kNoEdge;
+  }
+  for (EdgeId m : kicked) kicked_flag[m] = 0;
   return lifted.size();
 }
 

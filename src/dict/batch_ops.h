@@ -2,63 +2,79 @@
 // the dynamic matcher that mutates per-vertex structures.
 //
 // A parallel phase first *computes* its mutations read-only (one record per
-// (target vertex, payload)), then this helper sorts the records by key and
-// applies each group in a single task. Concurrent tasks touch disjoint
-// targets, so per-target containers need no locks, and the sorted order
-// makes the result deterministic for a fixed seed.
+// (target vertex, payload)), then this helper applies each group of records
+// sharing a target through a callback that touches only that target.
 //
 // Determinism discipline: phases that care about the order of mutations
 // *within* one group (container iteration order feeds downstream random
-// sampling) use apply_grouped_unique with a key that is unique per record —
-// typically (target << 32) | edge — and a group projection of the key. A
-// total order leaves nothing to the sort's tie-breaking, so the applied
-// order is independent of grain and thread count by construction.
+// sampling) use a key that is unique per record — typically
+// (target << 32) | edge — and a group projection of the key. Every group
+// then receives its records in ascending-key order, so the applied order is
+// independent of the thread count by construction.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "parallel/cost_model.h"
-#include "parallel/parallel_for.h"
-#include "parallel/sort.h"
-#include "parallel/thread_pool.h"
+#include "util/assert.h"
 
 namespace pdmm {
 
-// Scratch for the grouped-apply helpers (merge buffer + group offsets) so
-// hot callers can run allocation-free.
-template <typename Rec>
-struct GroupScratch {
-  std::vector<Rec> sort_buf;
-  std::vector<size_t> starts;
-};
-
-// Sorts `records` by key(record) (a uint64 that must be UNIQUE per record),
-// then calls apply(group, span_begin, span_end) once per distinct
-// group(key), groups in parallel. Because keys are unique, the applied
-// order within each group is the ascending-key order — fully deterministic.
+// Calls apply(group, span_begin, span_end) on each run of consecutive
+// records that share group(key(record)), in input order, and leaves the
+// distinct groups, ascending, in `group_ids`. Keys must be UNIQUE per
+// record.
+//
+// Precondition: within each group, keys ascend in input order (records of
+// different groups may interleave freely), so every group receives all of
+// its records in ascending key order. Debug builds assert it.
+//
+// The records apply in one serial pass, with no sort and no pool. The cost
+// model still charges the EREW algorithm's two rounds — records.size() for
+// sorting the records by key and the group count for applying each group
+// as its own task — so `work` and `rounds` do not depend on how the pass
+// runs. Sorting and then applying the groups on the pool measured no
+// faster at any record or thread count on a 4-vCPU VM (E13 batch = 8192,
+// churn_wide_t4); ROADMAP's parallelism item has the numbers.
 template <typename Rec, typename KeyFn, typename GroupFn, typename ApplyFn>
-void apply_grouped_unique(ThreadPool& pool, std::vector<Rec>& records,
-                          KeyFn&& key, GroupFn&& group, ApplyFn&& apply,
-                          GroupScratch<Rec>& scratch,
+void apply_grouped_unique(const std::vector<Rec>& records, KeyFn&& key,
+                          GroupFn&& group, ApplyFn&& apply,
+                          std::vector<uint64_t>& group_ids,
                           CostCounters* cost = nullptr) {
+  group_ids.clear();
   if (records.empty()) return;
-  parallel_sort_with(pool, records, scratch.sort_buf,
-                     [&](const Rec& a, const Rec& b) { return key(a) < key(b); });
-  group_boundaries_into(
-      records, [&](const Rec& r) { return group(key(r)); }, scratch.starts);
-  const std::vector<size_t>& starts = scratch.starts;
-  const size_t groups = starts.size() - 1;
-  parallel_for(
-      pool, groups,
-      [&](size_t g) {
-        apply(group(key(records[starts[g]])), records.data() + starts[g],
-              records.data() + starts[g + 1]);
-      },
-      /*grain=*/1);
+  const size_t n = records.size();
+  const Rec* recs = records.data();
+  for (size_t b = 0; b < n;) {
+    const uint64_t g = group(key(recs[b]));
+    size_t e = b + 1;
+    while (e < n && group(key(recs[e])) == g) ++e;
+    apply(g, recs + b, recs + e);
+    group_ids.push_back(g);
+    b = e;
+  }
+  std::sort(group_ids.begin(), group_ids.end());
+  group_ids.erase(std::unique(group_ids.begin(), group_ids.end()),
+                  group_ids.end());
+#ifndef NDEBUG
+  std::vector<uint64_t> last(group_ids.size());
+  std::vector<uint8_t> seen(group_ids.size(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = key(recs[i]);
+    const size_t g = static_cast<size_t>(
+        std::lower_bound(group_ids.begin(), group_ids.end(), group(k)) -
+        group_ids.begin());
+    PDMM_ASSERT_MSG(!seen[g] || last[g] < k,
+                    "grouped records must ascend by key within each group");
+    seen[g] = 1;
+    last[g] = k;
+  }
+#endif
   if (cost) {
-    cost->round(records.size());  // sort counts as one logical round here;
-    cost->round(groups);          // apply is the second round.
+    cost->round(n);                 // sort counts as one logical round here;
+    cost->round(group_ids.size());  // apply is the second round.
   }
 }
 

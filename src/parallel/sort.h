@@ -77,18 +77,4 @@ void parallel_sort(ThreadPool& pool, std::vector<T>& v, Cmp cmp = Cmp{},
   parallel_sort_with(pool, v, buf, cmp, grain);
 }
 
-// Group boundaries of an already-sorted range: fills `starts` with the
-// offset of each run of equal keys, then sorted.size(). Used to realize the
-// EREW discipline: mutations are grouped by target vertex, then applied one
-// group per task.
-template <typename T, typename KeyFn>
-void group_boundaries_into(const std::vector<T>& sorted, KeyFn&& key,
-                           std::vector<size_t>& starts) {
-  starts.clear();
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (i == 0 || key(sorted[i]) != key(sorted[i - 1])) starts.push_back(i);
-  }
-  starts.push_back(sorted.size());
-}
-
 }  // namespace pdmm

@@ -89,7 +89,6 @@ TEST_P(ParallelAcrossThreads, SortTinyAndEmpty) {
 }
 
 TEST_P(ParallelAcrossThreads, ApplyGroupedPartitionsByKey) {
-  ThreadPool pool(GetParam(), /*allow_oversubscribe=*/true);
   struct Rec {
     uint32_t group;
     uint32_t idx;  // makes the full key unique within its group
@@ -106,9 +105,9 @@ TEST_P(ParallelAcrossThreads, ApplyGroupedPartitionsByKey) {
     expected[r.group] += r.val;
   }
   std::vector<std::atomic<uint64_t>> got(97);
-  GroupScratch<Rec> scratch;
+  std::vector<uint64_t> group_ids;
   apply_grouped_unique(
-      pool, recs,
+      recs,
       [](const Rec& r) {
         return (static_cast<uint64_t>(r.group) << 32) | r.idx;
       },
@@ -121,7 +120,7 @@ TEST_P(ParallelAcrossThreads, ApplyGroupedPartitionsByKey) {
         }
         got[group].fetch_add(sum);
       },
-      scratch);
+      group_ids);
   for (size_t k = 0; k < 97; ++k) EXPECT_EQ(got[k].load(), expected[k]);
 }
 
@@ -181,7 +180,6 @@ TEST_P(ParallelAcrossThreads, PackIntoReusesBuffersAndKeepsOrder) {
 }
 
 TEST_P(ParallelAcrossThreads, ApplyGroupedUniqueOrdersWithinGroups) {
-  ThreadPool pool(GetParam(), /*allow_oversubscribe=*/true);
   struct Rec {
     uint32_t group;
     uint32_t item;
@@ -193,9 +191,9 @@ TEST_P(ParallelAcrossThreads, ApplyGroupedUniqueOrdersWithinGroups) {
                static_cast<uint32_t>(i)};  // unique within its group
   }
   std::vector<std::vector<uint32_t>> got(31);
-  GroupScratch<Rec> scratch;
+  std::vector<uint64_t> group_ids;
   apply_grouped_unique(
-      pool, recs,
+      recs,
       [](const Rec& r) {
         return (static_cast<uint64_t>(r.group) << 32) | r.item;
       },
@@ -207,7 +205,7 @@ TEST_P(ParallelAcrossThreads, ApplyGroupedUniqueOrdersWithinGroups) {
           sink.push_back(r->item);
         }
       },
-      scratch);
+      group_ids);
   for (const auto& sink : got) {
     // Unique total keys pin ascending in-group order for any grain/threads.
     EXPECT_TRUE(std::is_sorted(sink.begin(), sink.end()));
@@ -216,6 +214,79 @@ TEST_P(ParallelAcrossThreads, ApplyGroupedUniqueOrdersWithinGroups) {
   for (const auto& sink : got) total += sink.size();
   EXPECT_EQ(total, recs.size());
 }
+
+// The contract of apply_grouped_unique on records interleaved across
+// groups: every group sees exactly its records, in ascending key order,
+// the applied groups come back sorted and unique, and the cost charge is
+// the EREW algorithm's two rounds (one over the records, one over the
+// groups).
+struct GroupedRec {
+  uint32_t group;
+  uint32_t item;
+};
+
+struct GroupedRun {
+  std::vector<std::vector<uint32_t>> seqs;  // items per group, as applied
+  std::vector<uint64_t> group_ids;
+  CostCounters cost;
+};
+
+GroupedRun run_grouped(const std::vector<GroupedRec>& recs, size_t groups) {
+  GroupedRun out;
+  out.seqs.resize(groups);
+  apply_grouped_unique(
+      recs,
+      [](const GroupedRec& r) {
+        return (static_cast<uint64_t>(r.group) << 32) | r.item;
+      },
+      [](uint64_t k) { return k >> 32; },
+      [&](uint64_t g, const GroupedRec* b, const GroupedRec* e) {
+        for (const GroupedRec* r = b; r != e; ++r) {
+          EXPECT_EQ(r->group, g);
+          out.seqs[g].push_back(r->item);
+        }
+      },
+      out.group_ids, &out.cost);
+  return out;
+}
+
+TEST(ApplyGrouped, InterleavedGroupsApplyInKeyOrder) {
+  // Interleaved across groups, key-ascending within each group (the item
+  // is the input position), and every odd group id left unused.
+  constexpr uint32_t kRecs = 600;
+  constexpr uint32_t kGroups = 41;
+  Xoshiro256 rng(23);
+  std::vector<GroupedRec> recs(kRecs);
+  std::vector<std::vector<uint32_t>> expected(kGroups);
+  for (uint32_t i = 0; i < kRecs; ++i) {
+    recs[i] = {static_cast<uint32_t>(2 * rng.below(kGroups / 2)), i};
+    expected[recs[i].group].push_back(i);
+  }
+  std::vector<uint64_t> used;
+  for (uint32_t g = 0; g < kGroups; ++g)
+    if (!expected[g].empty()) used.push_back(g);
+
+  const GroupedRun run = run_grouped(recs, kGroups);
+  EXPECT_EQ(run.seqs, expected);
+  EXPECT_EQ(run.group_ids, used);
+  EXPECT_EQ(run.cost.rounds, 2u);
+  EXPECT_EQ(run.cost.work, kRecs + used.size());
+
+  // No records: no groups and no rounds charged.
+  const GroupedRun none = run_grouped({}, kGroups);
+  EXPECT_TRUE(none.group_ids.empty());
+  EXPECT_EQ(none.cost.rounds, 0u);
+}
+
+#ifndef NDEBUG
+TEST(ApplyGroupedDeath, DescendingKeysWithinAGroupAbort) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Group 0 receives item 5 before item 3: the pass would apply them out
+  // of key order, so debug builds refuse the input.
+  const std::vector<GroupedRec> recs{{0, 5}, {1, 1}, {0, 3}};
+  EXPECT_DEATH(run_grouped(recs, 2), "ascend by key within each group");
+}
+#endif
 
 TEST(ThreadPool, ClampsToHardwareConcurrency) {
   // When hardware_concurrency() reports 0 ("unknown"), the pool honors the

@@ -21,6 +21,7 @@
 
 #include "core/checker.h"
 #include "core/matcher.h"
+#include "parallel/parallel_for.h"
 #include "param_name.h"
 #include "workload/generators.h"
 
@@ -33,6 +34,7 @@ struct RunResult {
   uint64_t rounds = 0;
   size_t matching = 0;
   std::vector<uint64_t> per_batch_work;  // localizes a divergence
+  std::vector<size_t> per_batch_inserted;  // accepted insertions per batch
 };
 
 enum class StreamKind { kChurn, kPowerLaw, kOscillation };
@@ -61,6 +63,9 @@ void drive(DynamicMatcher& m, Stream& stream, size_t batches,
     out.work += res.work;
     out.rounds += res.rounds;
     out.per_batch_work.push_back(res.work);
+    size_t inserted = 0;
+    for (const EdgeId e : res.inserted_ids) inserted += e != kNoEdge;
+    out.per_batch_inserted.push_back(inserted);
   }
 }
 
@@ -153,6 +158,62 @@ TEST_P(ThreadDeterminism, StateAndCountersMatchAcrossThreadCounts) {
     EXPECT_EQ(got.snapshot, ref.snapshot)
         << stream_name(p.stream) << ": state diverged with " << threads
         << " threads";
+  }
+}
+
+// The wide matrix point: batches wide enough that the matcher's pooled
+// loops split into chunks and run concurrently. A parallel region runs
+// serially up to kDefaultGrain = 2048 items, and the points above never
+// get there: a 96-update batch on n = 512 stays far below it. Here
+// ChurnStream on n = 2^13 with a 2^14-edge target inserts only until
+// 2^14 - 2^14 / 10 = 14746 edges are live, so each of the first three
+// 4096-update batches is 4096 insertions: phase_insert's pack and
+// insert_edges_into_structures' record-building loop run over 4096 ids in
+// two chunks, and the pack of its 4096 x r = 8192 records in four. The
+// last two batches mix deletions in at the target.
+constexpr size_t kWideBatch = 4096;
+
+RunResult run_wide(uint64_t seed, unsigned threads) {
+  ThreadPool pool(threads, /*allow_oversubscribe=*/true);
+  Config cfg;
+  cfg.max_rank = 2;
+  cfg.seed = seed;
+  cfg.initial_capacity = 1 << 16;
+  cfg.auto_rebuild = false;
+  DynamicMatcher m(cfg, pool);
+
+  ChurnStream::Options so;
+  so.n = 1 << 13;
+  so.target_edges = 1 << 14;
+  so.seed = seed + 404;
+  ChurnStream stream(so);
+  RunResult out;
+  drive(m, stream, /*batches=*/5, kWideBatch, out);
+
+  out.matching = m.matching_size();
+  MatchingChecker::check(m);
+  std::ostringstream snap;
+  EXPECT_TRUE(m.save(snap));
+  out.snapshot = snap.str();
+  return out;
+}
+
+TEST(ThreadDeterminismWide, WideBatchesMatchAcrossThreadCounts) {
+  const RunResult ref = run_wide(9, 1);
+  // The first batch's accepted insertions are the id count of its insert
+  // phase's regions; above kDefaultGrain those regions split into chunks.
+  ASSERT_FALSE(ref.per_batch_inserted.empty());
+  ASSERT_GT(ref.per_batch_inserted.front(), kDefaultGrain)
+      << "the wide point no longer runs the insert phase's loops in chunks";
+  EXPECT_GT(ref.matching, 0u);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    const RunResult got = run_wide(9, threads);
+    EXPECT_EQ(got.per_batch_work, ref.per_batch_work) << threads << " threads";
+    EXPECT_EQ(got.work, ref.work) << threads << " threads";
+    EXPECT_EQ(got.rounds, ref.rounds) << threads << " threads";
+    EXPECT_EQ(got.matching, ref.matching) << threads << " threads";
+    EXPECT_EQ(got.snapshot, ref.snapshot)
+        << "wide churn: state diverged with " << threads << " threads";
   }
 }
 

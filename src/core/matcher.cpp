@@ -9,15 +9,20 @@
 //  * S_l membership is cached per vertex as a bitmask; refreshes touch the
 //    shared S_l sets only when a membership bit actually flips.
 //  * Grouped applies run in one serial pass in record order (no sort, no
-//    pool wake); the cost model charges the EREW rounds.
-//  * All phase-scoped buffers and per-call maps come from the Scratch
-//    arena (grown once, reused every batch). A steady-state batch still
-//    makes ~126 heap allocations at n = 2^13, k = 256 — Luby's buffers,
-//    the BatchResult vectors and container growth; see matcher.h.
+//    pool wake); the cost model charges the EREW rounds. Nothing sorts ids
+//    whose order no state byte depends on: the applies report their groups
+//    in first-seen order, deduplicated through a vertex flag lane. Only the
+//    S_l flip records are sorted, because each S_l's member order is the
+//    order in which the settle fallback walks B.
+//  * All phase-scoped buffers, per-call maps and Luby's lanes come from the
+//    Scratch arena (grown once, reused every batch). A steady-state batch
+//    still makes ~54 heap allocations at n = 2^13, k = 256 — the
+//    BatchResult vectors and container growth; see matcher.h.
 #include "core/matcher.h"
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "core/checker.h"
 #include "dict/batch_ops.h"
@@ -101,6 +106,12 @@ std::vector<EdgeId> DynamicMatcher::collect_o_tilde(Vertex v, Level l) const {
   return out;
 }
 
+std::vector<uint8_t>& DynamicMatcher::vertex_flags() {
+  auto& flag = scratch_.vflag;
+  if (flag.size() < verts_.size()) flag.resize(verts_.size(), 0);
+  return flag;
+}
+
 void DynamicMatcher::grow_vertices(Vertex bound) {
   if (bound > verts_.size()) {
     verts_.resize(bound);
@@ -169,12 +180,11 @@ void DynamicMatcher::refresh_s_membership(Vertex v) {
 void DynamicMatcher::refresh_s_membership_all(
     const std::vector<uint64_t>& touched) {
   if (touched.empty()) return;
-  // Pass 1 (parallel; `touched` is sorted unique, so the per-vertex mask
+  // Pass 1 (parallel; `touched` is duplicate-free, so the per-vertex mask
   // writes are disjoint): recompute each mask, remember which bits flip.
   auto& deltas = scratch_.s_deltas;
   deltas.resize(touched.size());
   parallel_for(pool_, touched.size(), [&](size_t i) {
-    PDMM_DASSERT(i == 0 || touched[i - 1] < touched[i]);
     const auto v = static_cast<Vertex>(touched[i]);
     const uint64_t nm = compute_s_mask(v);
     deltas[i] = nm ^ vhot_.s_mask(v);
@@ -200,12 +210,21 @@ void DynamicMatcher::refresh_s_membership_all(
   if (muts.empty()) return;
 
   // ...and apply them grouped by level. The keys (lvl << 32) | v are
-  // unique (one record per (level, vertex)) and, `touched` being
-  // ascending, already ascend within each level, so each level applies in
-  // ascending vertex order.
+  // unique (one record per (level, vertex)); sorting the few records by
+  // key makes each level apply in ascending vertex order, whatever order
+  // `touched` came in.
+  std::sort(muts.begin(), muts.end(),
+            [](const SMut& a, const SMut& b) { return a.key() < b.key(); });
+  uint64_t seen_levels = 0;
   apply_grouped_unique(
       muts, [](const SMut& m) { return m.key(); },
       [](uint64_t k) { return k >> 32; },
+      [&seen_levels](uint64_t lvl) {
+        const uint64_t bit = uint64_t{1} << lvl;
+        const bool first = !(seen_levels & bit);
+        seen_levels |= bit;
+        return first;
+      },
       [&](uint64_t lvl, const SMut* b, const SMut* e) {
         IndexedSet& s = s_[static_cast<size_t>(lvl)];
         for (const SMut* m = b; m != e; ++m) {
@@ -264,9 +283,11 @@ void DynamicMatcher::apply_struct_muts(bool insert) {
       pool_, muts, [&](size_t i) { return muts[i].u != kNoVertex; }, live,
       scratch_.pack_flags);
   if (live.empty()) return;
+  auto& flag = vertex_flags();
   apply_grouped_unique(
       live, [](const StructMut& m) { return m.key(); },
       [](uint64_t k) { return k >> 32; },
+      [&flag](uint64_t v) { return !std::exchange(flag[v], uint8_t{1}); },
       [&](uint64_t key, const StructMut* b, const StructMut* e) {
         VertexState& vs = verts_[static_cast<Vertex>(key)];
         for (const StructMut* m = b; m != e; ++m) {
@@ -287,8 +308,9 @@ void DynamicMatcher::apply_struct_muts(bool insert) {
       },
       scratch_.struct_groups, &cost_);
 
-  // The applied groups are the touched vertex set, already sorted and
-  // unique — exactly what the grouped S_l refresh requires.
+  // The applied groups are the touched vertex set, each vertex once —
+  // exactly what the grouped S_l refresh requires.
+  for (uint64_t v : scratch_.struct_groups) flag[v] = 0;
   refresh_s_membership_all(scratch_.struct_groups);
 }
 
@@ -349,13 +371,20 @@ void DynamicMatcher::remove_edges_from_structures(
   apply_struct_muts(/*insert=*/false);
 }
 
-void DynamicMatcher::apply_level_moves(std::vector<LevelMove>& moves) {
+void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
   if (moves.empty()) return;
-  std::sort(moves.begin(), moves.end(),
-            [](const LevelMove& a, const LevelMove& b) { return a.v < b.v; });
-  for (size_t i = 1; i < moves.size(); ++i)
-    PDMM_ASSERT_MSG(moves[i].v != moves[i - 1].v,
-                    "duplicate vertex in level-move batch");
+  // The S_l refresh below needs every vertex whose mask can have changed,
+  // once: the movers, then the vertices with a live container move that
+  // are not movers. Bit 1 of the vertex flag marks a mover, bit 2 a group
+  // of the grouped apply; the touched list names every flagged vertex.
+  auto& flag = vertex_flags();
+  auto& touched = scratch_.moved_touched;
+  touched.clear();
+  for (const LevelMove& mv : moves) {
+    PDMM_ASSERT_MSG(flag[mv.v] == 0, "duplicate vertex in level-move batch");
+    flag[mv.v] = 1;
+    touched.push_back(mv.v);
+  }
 
   // Collect affected edges before levels change: every owned edge of a
   // mover, plus (for risers) every edge in A(v, l') with l' < target —
@@ -455,6 +484,11 @@ void DynamicMatcher::apply_level_moves(std::vector<LevelMove>& moves) {
   apply_grouped_unique(
       live, [](const MoveMut& m) { return m.key(); },
       [](uint64_t k) { return k >> 32; },
+      [&flag](uint64_t v) {
+        if (flag[v] & 2) return false;
+        flag[v] |= 2;
+        return true;
+      },
       [&](uint64_t key, const MoveMut* b, const MoveMut* e) {
         VertexState& vs = verts_[static_cast<Vertex>(key)];
         for (const MoveMut* m = b; m != e; ++m) {
@@ -476,30 +510,10 @@ void DynamicMatcher::apply_level_moves(std::vector<LevelMove>& moves) {
   // the movers (their level term changed) and the vertices with a live
   // container move (their per-level counts changed). An affected-edge
   // endpoint with only same-container records kept every count and its
-  // level, so its mask is arithmetically unchanged — the old
-  // endpoint-gather + sort + unique pass recomputed those for nothing.
-  // Both inputs are already sorted (moves by v from the entry sort; the
-  // live records' vertices are the grouped apply's ascending group ids),
-  // so the union is one merge.
-  const auto& groups = scratch_.move_groups;
-  auto& touched = scratch_.moved_touched;
-  touched.clear();
-  touched.reserve(moves.size() + groups.size());
-  const auto push = [&touched](uint64_t u) {
-    if (touched.empty() || touched.back() != u) touched.push_back(u);
-  };
-  size_t mi = 0, gi = 0;
-  while (mi < moves.size() || gi < groups.size()) {
-    const uint64_t mu = mi < moves.size() ? moves[mi].v : kNoVertex;
-    const uint64_t gu = gi < groups.size() ? groups[gi] : kNoVertex;
-    if (mu <= gu) {
-      push(mu);
-      ++mi;
-    } else {
-      push(gu);
-      ++gi;
-    }
-  }
+  // level, so its mask is arithmetically unchanged.
+  for (uint64_t v : scratch_.move_groups)
+    if (!(flag[v] & 1)) touched.push_back(v);
+  for (uint64_t v : touched) flag[v] = 0;
   refresh_s_membership_all(touched);
 }
 
@@ -657,18 +671,8 @@ void DynamicMatcher::process_level_step1(Level l) {
 
   auto& moves = scratch_.moves;
   moves.clear();
-  if (!u_free.empty()) {
-    StaticMMResult mm = static_maximal_matching(
-        pool_, reg_, u_free,
-        hash_mix(cfg_.seed, batch_counter_,
-                 0xA11CE000ull + static_cast<uint64_t>(l)),
-        &cost_);
-    stats_.static_mm_rounds += mm.rounds;
-    for (EdgeId e : mm.matched) {
-      set_matched(e, 0);  // Step-1 matches land on level 0
-      for (Vertex u : reg_.endpoints(e)) moves.push_back({u, 0});
-    }
-  }
+  match_free_edges(u_free, hash_mix(cfg_.seed, batch_counter_,
+                                    0xA11CE000ull + static_cast<uint64_t>(l)));
   // Undecided nodes that stayed unmatched drop to level -1.
   for (Vertex v : u_nodes) {
     if (vhot_.matched(v) == kNoEdge) {
@@ -701,21 +705,24 @@ void DynamicMatcher::phase_insert(const std::vector<EdgeId>& ids) {
       s_free, scratch_.pack_flags);
   cost_.round(ids.size() * reg_.max_rank());
 
-  auto& moves = scratch_.moves;
-  moves.clear();
-  if (!s_free.empty()) {
-    StaticMMResult mm = static_maximal_matching(
-        pool_, reg_, s_free, hash_mix(cfg_.seed, batch_counter_, 0x1A5E47ull),
-        &cost_);
-    stats_.static_mm_rounds += mm.rounds;
-    for (EdgeId e : mm.matched) {
-      set_matched(e, 0);
-      for (Vertex u : reg_.endpoints(e)) moves.push_back({u, 0});
-    }
-  }
-  apply_level_moves(moves);
+  scratch_.moves.clear();
+  match_free_edges(s_free, hash_mix(cfg_.seed, batch_counter_, 0x1A5E47ull));
+  apply_level_moves(scratch_.moves);
 
   insert_edges_into_structures(ids);
+}
+
+void DynamicMatcher::match_free_edges(std::span<const EdgeId> free_edges,
+                                      uint64_t seed) {
+  if (free_edges.empty()) return;
+  StaticMMResult& mm = scratch_.luby_out;
+  static_maximal_matching(pool_, reg_, free_edges, seed, scratch_.luby, mm,
+                          &cost_);
+  stats_.static_mm_rounds += mm.rounds;
+  for (EdgeId e : mm.matched) {
+    set_matched(e, 0);  // static-MM matches land on level 0
+    for (Vertex u : reg_.endpoints(e)) scratch_.moves.push_back({u, 0});
+  }
 }
 
 size_t DynamicMatcher::total_undecided() const {
@@ -797,19 +804,9 @@ void DynamicMatcher::rebuild() {
   cost_.round(all.size());
   // From scratch everything is free: one static MM seeds the matching (all
   // matched edges at level 0), then every edge enters the structures.
-  auto& moves = scratch_.moves;
-  moves.clear();
-  if (!all.empty()) {
-    StaticMMResult mm = static_maximal_matching(
-        pool_, reg_, all, hash_mix(cfg_.seed, batch_counter_, 0x4eb01dull),
-        &cost_);
-    stats_.static_mm_rounds += mm.rounds;
-    for (EdgeId e : mm.matched) {
-      set_matched(e, 0);
-      for (Vertex u : reg_.endpoints(e)) moves.push_back({u, 0});
-    }
-  }
-  apply_level_moves(moves);
+  scratch_.moves.clear();
+  match_free_edges(all, hash_mix(cfg_.seed, batch_counter_, 0x4eb01dull));
+  apply_level_moves(scratch_.moves);
   insert_edges_into_structures(all);
 }
 

@@ -46,6 +46,7 @@
 #include "graph/types.h"
 #include "parallel/cost_model.h"
 #include "parallel/thread_pool.h"
+#include "static_mm/luby.h"
 #include "util/indexed_set.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -367,17 +368,22 @@ class DynamicMatcher {
   // resets exactly the entries it set by re-walking them.
   //
   // Measured at n = 2^13, k = 256 (churn, 1 thread), a steady-state
-  // update() makes about 126 heap allocations; none comes from here once
-  // the buffers have grown. What still allocates: Luby's per-call buffers
-  // (about 67, static_mm/luby.cpp), container growth (about 22 from the
-  // undecided sets' hash index as they fill and drain, plus D sets and
-  // IndexedSet spills) and the BatchResult vectors (about 14).
+  // update() makes about 54 heap allocations (tests/test_alloc_budget.cpp
+  // holds it at 80 or fewer); none comes from here once the buffers have
+  // grown. What still allocates is container growth — the undecided sets'
+  // hash index as they fill and drain (about 23), owned and A(v, l) sets
+  // spilling past their inline storage (about 12), new D sets (about 4) —
+  // and the BatchResult vectors (about 14).
   struct Scratch {
     // update(): classified deletions, inserted ids, batch-diff replay
     std::vector<EdgeId> dels, del_unmatched, del_temp, del_matched, new_ids;
     std::vector<EdgeId> eager_queue;  // drain_eager's reinsertion batch
     std::vector<DiffTrack> diff_tracks;
     std::vector<uint32_t> diff_slot;  // per edge id: track index, or ~0
+    // Per-vertex flag, |V|-indexed, 0 between uses: the grouped applies'
+    // group dedupe (apply_struct_muts, apply_level_moves) and B membership
+    // in refresh_settle_sets. See vertex_flags().
+    std::vector<uint8_t> vflag;
     // apply_level_moves
     std::vector<EdgeId> affected;
     std::vector<MoveMut> move_muts, move_live;
@@ -391,17 +397,18 @@ class DynamicMatcher {
     std::vector<uint64_t> s_deltas;
     std::vector<SMut> s_muts;
     std::vector<uint64_t> s_groups;  // levels whose S_l set changed
-    // process_level_step1 / phase_insert
+    // process_level_step1 / phase_insert / rebuild
     std::vector<Vertex> u_nodes;
     std::vector<EdgeId> candidates, free_edges;
     std::vector<LevelMove> moves;
+    StaticMMScratch luby;  // static_maximal_matching's lanes and buffers
+    StaticMMResult luby_out;
     // settle machinery (grand_random_settle / subsubsettle)
     std::vector<Vertex> settle_b, settle_kept;
     std::vector<EdgeId> settle_eprime, settle_marked, settle_lifted;
     std::vector<EdgeId> settle_eprime_buf;  // E'-filter double buffer
     std::vector<EdgeId> settle_h_set;       // E' at settle start
     std::vector<EdgeId> settle_kicked;      // kicked this iteration
-    std::vector<uint8_t> settle_in_b;       // B membership, |V|-indexed
     std::vector<Vertex> settle_h;       // h(e) per edge id, or kNoVertex
     std::vector<uint32_t> marked_deg;   // marked edges per vertex, or 0
     std::vector<EdgeId> lifted_at;      // lifted edge per vertex, or kNoEdge
@@ -420,6 +427,10 @@ class DynamicMatcher {
   void level_sweep(bool with_step1);
   void process_level_step1(Level l);
   void phase_insert(const std::vector<EdgeId>& fresh_ids);
+  // Matches within `free_edges` (all endpoints unmatched) by Luby's static
+  // MM (Theorem 2.2); the winners join M at level 0 and their endpoints
+  // are appended to scratch_.moves.
+  void match_free_edges(std::span<const EdgeId> free_edges, uint64_t seed);
 
   // ---- settle machinery (settle.cpp) ----
   void grand_random_settle(Level l);
@@ -455,9 +466,9 @@ class DynamicMatcher {
   // ---- structural primitives ----
   // Moves each (v, to) to its new level, then restores edge ownership and
   // level invariants for every affected edge (batch set-level, Claim 3.4).
-  // `moves` is consumed as working storage (sorted, then left unspecified);
-  // callers pass scratch_.moves.
-  void apply_level_moves(std::vector<LevelMove>& moves);
+  // `moves` names each vertex at most once (a release assert), in any
+  // order; the order reaches no state byte. Callers pass scratch_.moves.
+  void apply_level_moves(const std::vector<LevelMove>& moves);
   // Batch-parallel insertion/removal of many edges: a read-only parallel
   // pass computes one StructMut per (edge, endpoint), the records apply
   // grouped per vertex (lock-free EREW), and S_l membership refreshes once
@@ -487,11 +498,16 @@ class DynamicMatcher {
   // o~(v, l) profile of v folded into the S_l membership bitmask.
   uint64_t compute_s_mask(Vertex v) const;
   void refresh_s_membership(Vertex v);
-  // Grouped-parallel refresh over a sorted, duplicate-free vertex set (as
-  // uint64_t, the type of a grouped apply's group ids): one parallel pass
-  // recomputes the masks (disjoint per-vertex writes), the rare flips
-  // expand into SMut records applied grouped per level.
+  // Grouped-parallel refresh over a duplicate-free vertex set in any order
+  // (as uint64_t, the type of a grouped apply's group ids): one parallel
+  // pass recomputes the masks (disjoint per-vertex writes), and the rare
+  // flips expand into SMut records that are sorted by (level, vertex) and
+  // applied grouped per level. Every S_l thus receives its flips in
+  // ascending vertex order whatever the input order: S_l's member order is
+  // the settle's B, which sequential_settle_fallback walks in order.
   void refresh_s_membership_all(const std::vector<uint64_t>& touched);
+  // scratch_.vflag, grown to the vertex bound.
+  std::vector<uint8_t>& vertex_flags();
   void grow_vertices(Vertex bound);
   void grow_edges(size_t bound);
   void maybe_rebuild(size_t incoming_updates);

@@ -46,8 +46,7 @@ void DynamicMatcher::refresh_settle_sets(Level l, std::vector<Vertex>& b,
   }
   b.swap(kept);
 
-  auto& in_b = scratch_.settle_in_b;
-  if (in_b.size() < verts_.size()) in_b.resize(verts_.size(), 0);
+  auto& in_b = vertex_flags();
   for (Vertex v : b) in_b[v] = 1;
   const auto& kicked = scratch_.kicked_flag;
   auto& out = scratch_.settle_eprime_buf;

@@ -13,8 +13,8 @@
 // independent of the thread count by construction.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "parallel/cost_model.h"
@@ -23,9 +23,15 @@
 namespace pdmm {
 
 // Calls apply(group, span_begin, span_end) on each run of consecutive
-// records that share group(key(record)), in input order, and leaves the
-// distinct groups, ascending, in `group_ids`. Keys must be UNIQUE per
-// record.
+// records that share group(key(record)), in input order, and leaves each
+// distinct group once in `group_ids`, in the order of its first record.
+// Keys must be UNIQUE per record.
+//
+// The dedupe goes through a per-group flag the caller owns: mark(g) sets
+// g's flag and returns whether it was clear. Every flag must be clear on
+// entry; the flags this call sets are exactly those of `group_ids`, so the
+// caller clears them by re-walking that list (a vertex-indexed lane) or
+// lets them go out of scope (a local 64-bit mask over levels). No sort.
 //
 // Precondition: within each group, keys ascend in input order (records of
 // different groups may interleave freely), so every group receives all of
@@ -38,40 +44,34 @@ namespace pdmm {
 // runs. Sorting and then applying the groups on the pool measured no
 // faster at any record or thread count on a 4-vCPU VM (E13 batch = 8192,
 // churn_wide_t4); ROADMAP's parallelism item has the numbers.
-template <typename Rec, typename KeyFn, typename GroupFn, typename ApplyFn>
+template <typename Rec, typename KeyFn, typename GroupFn, typename MarkFn,
+          typename ApplyFn>
 void apply_grouped_unique(const std::vector<Rec>& records, KeyFn&& key,
-                          GroupFn&& group, ApplyFn&& apply,
+                          GroupFn&& group, MarkFn&& mark, ApplyFn&& apply,
                           std::vector<uint64_t>& group_ids,
                           CostCounters* cost = nullptr) {
   group_ids.clear();
   if (records.empty()) return;
   const size_t n = records.size();
   const Rec* recs = records.data();
+#ifndef NDEBUG
+  std::unordered_map<uint64_t, uint64_t> last;  // group -> its last key
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = key(recs[i]);
+    const auto [it, first] = last.try_emplace(group(k), k);
+    PDMM_ASSERT_MSG(first || it->second < k,
+                    "grouped records must ascend by key within each group");
+    it->second = k;
+  }
+#endif
   for (size_t b = 0; b < n;) {
     const uint64_t g = group(key(recs[b]));
     size_t e = b + 1;
     while (e < n && group(key(recs[e])) == g) ++e;
     apply(g, recs + b, recs + e);
-    group_ids.push_back(g);
+    if (mark(g)) group_ids.push_back(g);
     b = e;
   }
-  std::sort(group_ids.begin(), group_ids.end());
-  group_ids.erase(std::unique(group_ids.begin(), group_ids.end()),
-                  group_ids.end());
-#ifndef NDEBUG
-  std::vector<uint64_t> last(group_ids.size());
-  std::vector<uint8_t> seen(group_ids.size(), 0);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t k = key(recs[i]);
-    const size_t g = static_cast<size_t>(
-        std::lower_bound(group_ids.begin(), group_ids.end(), group(k)) -
-        group_ids.begin());
-    PDMM_ASSERT_MSG(!seen[g] || last[g] < k,
-                    "grouped records must ascend by key within each group");
-    seen[g] = 1;
-    last[g] = k;
-  }
-#endif
   if (cost) {
     cost->round(n);                 // sort counts as one logical round here;
     cost->round(group_ids.size());  // apply is the second round.

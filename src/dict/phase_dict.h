@@ -37,6 +37,8 @@ class PhaseDict {
 
   size_t size() const { return live_; }
   size_t capacity() const { return keys_.size(); }
+  // Table rebuilds since construction (growth, shrink or tombstone purge).
+  size_t rebuilds() const { return rebuilds_; }
 
   // ---- batch operations (each is one phase) ----
 
@@ -51,6 +53,8 @@ class PhaseDict {
     parallel_for(pool, keys.size(),
                  [&](size_t i) { insert_one(keys[i], values[i]); });
     live_ += keys.size();
+    // Conservative: counts every claim as a fresh slot, also one that
+    // reused a tombstone (the batch does not sum insert_one's results).
     dirty_ += keys.size();
   }
 
@@ -119,9 +123,8 @@ class PhaseDict {
 
   void insert(uint64_t key, const Value& v) {
     reserve_for(live_ + 1);
-    insert_one(key, v);
+    dirty_ += insert_one(key, v);
     ++live_;
-    ++dirty_;
   }
 
   void erase(uint64_t key) {
@@ -152,13 +155,17 @@ class PhaseDict {
       if (k == kTomb && first_tomb == SIZE_MAX) first_tomb = i;
       i = (i + 1) & mask_;
     }
-    if (first_tomb != SIZE_MAX) i = first_tomb;
+    // A reused tombstone was already counted in dirty_.
+    if (first_tomb != SIZE_MAX) {
+      i = first_tomb;
+    } else {
+      ++dirty_;
+    }
     vals_[i] = v;
     // mo: release — value written before the key is published, so readers
     // in a later phase (behind the pool barrier) always see both.
     keys_[i].store(key, std::memory_order_release);
     ++live_;
-    ++dirty_;
   }
 
   void clear() {
@@ -181,7 +188,8 @@ class PhaseDict {
     return static_cast<size_t>(splitmix64(key)) & mask_;
   }
 
-  void insert_one(uint64_t key, const Value& v) {
+  // Returns whether the claimed slot was empty (not a tombstone).
+  bool insert_one(uint64_t key, const Value& v) {
     PDMM_DASSERT(key < kTomb);
     size_t i = slot(key);
     while (true) {
@@ -195,7 +203,7 @@ class PhaseDict {
         if (keys_[i].compare_exchange_strong(k, key,
                                              std::memory_order_acq_rel)) {
           vals_[i] = v;
-          return;
+          return k == kEmpty;
         }
         // Lost the race for this slot; re-inspect it (k was reloaded).
         continue;
@@ -243,6 +251,7 @@ class PhaseDict {
     init(std::max(want_live, entries.size()));
     for (auto& [k, v] : entries) insert_one(k, v);
     dirty_ = entries.size();
+    ++rebuilds_;
   }
 
   std::vector<std::atomic<uint64_t>> keys_;
@@ -250,6 +259,7 @@ class PhaseDict {
   size_t mask_ = 0;
   size_t live_ = 0;   // live entries
   size_t dirty_ = 0;  // live + tombstoned since last rebuild
+  size_t rebuilds_ = 0;
 };
 
 }  // namespace pdmm

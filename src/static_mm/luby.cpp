@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "parallel/pack.h"
 #include "parallel/parallel_for.h"
-#include "parallel/sort.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -22,74 +22,46 @@ uint64_t priority_of(uint64_t seed, uint32_t round, EdgeId e) {
 
 }  // namespace
 
-StaticMMResult static_maximal_matching(ThreadPool& pool,
-                                       const HyperedgeRegistry& reg,
-                                       std::span<const EdgeId> candidates,
-                                       uint64_t seed,
-                                       CostCounters* cost) {
-  StaticMMResult result;
+void static_maximal_matching(ThreadPool& pool, const HyperedgeRegistry& reg,
+                             std::span<const EdgeId> candidates,
+                             uint64_t seed, StaticMMScratch& s,
+                             StaticMMResult& out, CostCounters* cost) {
+  out.matched.clear();
+  out.rounds = 0;
   const size_t m0 = candidates.size();
-  if (m0 == 0) return result;
+  if (m0 == 0) return;
   const uint32_t r = reg.max_rank();
 
-  // Dense-relabel the touched vertices so per-round vertex state is O(m r),
-  // independent of the total graph size.
-  std::vector<Vertex> verts;
-  verts.reserve(m0 * r);
-  for (EdgeId e : candidates) {
-    auto eps = reg.endpoints(e);
-    verts.insert(verts.end(), eps.begin(), eps.end());
-  }
-  parallel_sort(pool, verts);
-  verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
+  // The EREW algorithm first relabels the O(m r) touched vertices densely
+  // (a sort, then one lookup per endpoint) so its per-round vertex state
+  // is O(m r). The lanes index vertex ids instead, but both relabel rounds
+  // are still charged, so `work` and `rounds` stay the algorithm's.
   if (cost) cost->round(m0 * r);
-
-  const size_t nv = verts.size();
-  auto dense_of = [&](Vertex v) {
-    return static_cast<uint32_t>(
-        std::lower_bound(verts.begin(), verts.end(), v) - verts.begin());
-  };
-
-  // Per-candidate dense endpoints, fixed stride r.
-  std::vector<uint32_t> dense_eps(m0 * r, kNoVertex);
-  std::vector<uint8_t> deg(m0);
-  parallel_for(pool, m0, [&](size_t i) {
-    auto eps = reg.endpoints(candidates[i]);
-    deg[i] = static_cast<uint8_t>(eps.size());
-    for (size_t j = 0; j < eps.size(); ++j)
-      dense_eps[i * r + j] = dense_of(eps[j]);
-  });
   if (cost) cost->round(m0 * r);
+  s.vmax.resize(std::max<size_t>(s.vmax.size(), reg.vertex_bound()), 0);
+  s.vmatched.resize(s.vmax.size(), 0);
+  auto& live = s.live;  // indices into candidates
+  live.resize(m0);
+  std::iota(live.begin(), live.end(), 0u);
+  s.prio.resize(m0);
 
-  std::vector<uint32_t> live(m0);  // indices into the candidate arrays
-  for (size_t i = 0; i < m0; ++i) live[i] = static_cast<uint32_t>(i);
-
-  std::vector<std::atomic<uint64_t>> vmax(nv);
-  std::vector<std::atomic<uint8_t>> vmatched(nv);
-  // mo: relaxed — single-threaded init; the pool barrier that launches the
-  // first round publishes these stores to the workers.
-  for (auto& a : vmax) a.store(0, std::memory_order_relaxed);
-  for (auto& a : vmatched) a.store(0, std::memory_order_relaxed);
-
-  std::vector<uint64_t> prio(m0);
   // Safety cap: Luby finishes in O(log m) rounds whp; 64 + 8*log2 is far
   // beyond any plausible run and turns a broken RNG into a loud failure.
   const uint32_t round_cap = 64 + 8 * log2_ceil(m0 + 2);
 
   while (!live.empty()) {
-    PDMM_ASSERT_MSG(result.rounds < round_cap,
+    PDMM_ASSERT_MSG(out.rounds < round_cap,
                     "Luby failed to terminate within the whp round budget");
-    ++result.rounds;
-    const uint32_t round = result.rounds;
+    const uint32_t round = ++out.rounds;
     const size_t m = live.size();
 
     // Draw priorities and publish per-vertex maxima.
     parallel_for(pool, m, [&](size_t i) {
       const uint32_t c = live[i];
       const uint64_t p = priority_of(seed, round, candidates[c]);
-      prio[c] = p;
-      for (uint8_t j = 0; j < deg[c]; ++j) {
-        auto& slot = vmax[dense_eps[c * r + j]];
+      s.prio[c] = p;
+      for (Vertex v : reg.endpoints(candidates[c])) {
+        const std::atomic_ref slot(s.vmax[v]);
         // mo: relaxed — monotone fetch-max race; only the winning value
         // matters and the phase boundary (pool barrier) orders it before
         // the reads in the winner-selection pass.
@@ -102,51 +74,65 @@ StaticMMResult static_maximal_matching(ThreadPool& pool,
     if (cost) cost->round(m * r);
 
     // Winners: local maximum at every endpoint. Mark their endpoints.
-    std::vector<uint32_t> winners = pack_values(pool, live, [&](size_t i) {
-      const uint32_t c = live[i];
-      for (uint8_t j = 0; j < deg[c]; ++j) {
-        // mo: relaxed — reads values written in the previous phase; the
-        // pool barrier between phases is the synchronization edge.
-        if (vmax[dense_eps[c * r + j]].load(std::memory_order_relaxed) !=
-            prio[c])
-          return false;
-      }
-      return true;
-    });
-    parallel_for(pool, winners.size(), [&](size_t i) {
-      const uint32_t c = winners[i];
-      for (uint8_t j = 0; j < deg[c]; ++j)
-        // mo: relaxed — idempotent flag set (1 is the only value written);
-        // readers run in the next phase, after the pool barrier.
-        vmatched[dense_eps[c * r + j]].store(1, std::memory_order_relaxed);
-    });
-    if (cost) cost->round(m * r + winners.size() * r);
-    PDMM_ASSERT_MSG(!winners.empty(),
+    pack_values_into(
+        pool, live,
+        [&](size_t i) {
+          const uint32_t c = live[i];
+          const auto eps = reg.endpoints(candidates[c]);
+          for (Vertex v : eps) {
+            // mo: relaxed — reads values written in the previous phase;
+            // the pool barrier between phases is the synchronization edge.
+            if (std::atomic_ref(s.vmax[v]).load(std::memory_order_relaxed) !=
+                s.prio[c])
+              return false;
+          }
+          for (Vertex v : eps)
+            // mo: relaxed — idempotent flag set (1 is the only value
+            // written); readers run in the next phase, after the barrier.
+            std::atomic_ref(s.vmatched[v]).store(1, std::memory_order_relaxed);
+          return true;
+        },
+        s.winners, s.pack_flags);
+    if (cost) cost->round(m * r + s.winners.size() * r);
+    PDMM_ASSERT_MSG(!s.winners.empty(),
                     "a Luby round must match at least the global maximum");
-    for (uint32_t c : winners) result.matched.push_back(candidates[c]);
+    for (uint32_t c : s.winners) out.matched.push_back(candidates[c]);
 
-    // Drop candidates incident to matched vertices and reset maxima of
-    // surviving endpoints for the next round.
-    live = pack_values(pool, live, [&](size_t i) {
-      const uint32_t c = live[i];
-      for (uint8_t j = 0; j < deg[c]; ++j) {
-        // mo: relaxed — flag was set before the previous pool barrier.
-        if (vmatched[dense_eps[c * r + j]].load(std::memory_order_relaxed))
-          return false;
-      }
-      return true;
-    });
-    parallel_for(pool, live.size(), [&](size_t i) {
-      const uint32_t c = live[i];
-      for (uint8_t j = 0; j < deg[c]; ++j)
-        // mo: relaxed — reset for the next round; surviving candidates'
-        // endpoints are disjoint from matched ones, and the next round's
-        // pool barrier orders the reset before any re-publish.
-        vmax[dense_eps[c * r + j]].store(0, std::memory_order_relaxed);
-    });
+    // Drop candidates incident to matched vertices, and zero the maxima of
+    // every endpoint this round published to, so vmax is all zero again.
+    pack_values_into(
+        pool, live,
+        [&](size_t i) {
+          bool keep = true;
+          for (Vertex v : reg.endpoints(candidates[live[i]])) {
+            // mo: relaxed — every writer stores the same 0 and nobody reads
+            // vmax in this phase; the next round's pool barrier orders the
+            // reset before any re-publish.
+            std::atomic_ref(s.vmax[v]).store(0, std::memory_order_relaxed);
+            // mo: relaxed — flag was set before the previous pool barrier.
+            keep &= !std::atomic_ref(s.vmatched[v]).load(
+                std::memory_order_relaxed);
+          }
+          return keep;
+        },
+        s.next_live, s.pack_flags);
+    live.swap(s.next_live);
     if (cost) cost->round(m * r);
   }
-  return result;
+  // Leave vmatched all zero for the next call (after the last pool barrier,
+  // so plain writes).
+  for (EdgeId e : out.matched)
+    for (Vertex v : reg.endpoints(e)) s.vmatched[v] = 0;
+}
+
+StaticMMResult static_maximal_matching(ThreadPool& pool,
+                                       const HyperedgeRegistry& reg,
+                                       std::span<const EdgeId> candidates,
+                                       uint64_t seed, CostCounters* cost) {
+  StaticMMScratch scratch;
+  StaticMMResult out;
+  static_maximal_matching(pool, reg, candidates, seed, scratch, out, cost);
+  return out;
 }
 
 std::vector<EdgeId> greedy_maximal_matching(

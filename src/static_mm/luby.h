@@ -30,9 +30,30 @@ struct StaticMMResult {
   uint32_t rounds = 0;  // Luby rounds used (the O(log M) quantity)
 };
 
-// Computes a maximal matching among `candidates` (ids live in `reg`).
-// Deterministic for a fixed seed. `cost`, when provided, accrues one round
-// per parallel primitive plus the element work.
+// Working storage of static_maximal_matching, reusable across calls and
+// registries. Per-vertex state lives in lanes indexed by vertex id (read
+// through std::atomic_ref, all zero between calls), with endpoints read
+// straight from the registry, so a caller that matches every batch (the
+// dynamic matcher) allocates nothing once its scratch has grown.
+struct StaticMMScratch {
+  std::vector<uint64_t> vmax;     // per vertex: the round's max priority
+  std::vector<uint8_t> vmatched;  // per vertex: matched during this call
+  std::vector<uint32_t> live, next_live, winners;  // candidate indices
+  std::vector<uint64_t> prio;  // per candidate index: this round's priority
+  std::vector<uint8_t> pack_flags;
+};
+
+// Computes a maximal matching among `candidates` (ids live in `reg`) into
+// `out`, reusing its vector. Deterministic for a fixed seed, whatever the
+// pool size or the scratch's history. `cost`, when provided, accrues one
+// round per parallel primitive plus the element work.
+void static_maximal_matching(ThreadPool& pool, const HyperedgeRegistry& reg,
+                             std::span<const EdgeId> candidates,
+                             uint64_t seed, StaticMMScratch& scratch,
+                             StaticMMResult& out,
+                             CostCounters* cost = nullptr);
+
+// The same with a fresh scratch (tests, baselines and benches).
 StaticMMResult static_maximal_matching(ThreadPool& pool,
                                        const HyperedgeRegistry& reg,
                                        std::span<const EdgeId> candidates,

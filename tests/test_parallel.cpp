@@ -6,6 +6,7 @@
 #include <atomic>
 #include <numeric>
 #include <thread>
+#include <utility>
 
 #include "dict/batch_ops.h"
 #include "parallel/pack.h"
@@ -106,12 +107,14 @@ TEST_P(ParallelAcrossThreads, ApplyGroupedPartitionsByKey) {
   }
   std::vector<std::atomic<uint64_t>> got(97);
   std::vector<uint64_t> group_ids;
+  std::vector<uint8_t> seen(97, 0);
   apply_grouped_unique(
       recs,
       [](const Rec& r) {
         return (static_cast<uint64_t>(r.group) << 32) | r.idx;
       },
       [](uint64_t k) { return k >> 32; },
+      [&](uint64_t g) { return !std::exchange(seen[g], uint8_t{1}); },
       [&](uint64_t group, const Rec* b, const Rec* e) {
         uint64_t sum = 0;
         for (const Rec* r = b; r != e; ++r) {
@@ -192,12 +195,14 @@ TEST_P(ParallelAcrossThreads, ApplyGroupedUniqueOrdersWithinGroups) {
   }
   std::vector<std::vector<uint32_t>> got(31);
   std::vector<uint64_t> group_ids;
+  std::vector<uint8_t> seen(31, 0);
   apply_grouped_unique(
       recs,
       [](const Rec& r) {
         return (static_cast<uint64_t>(r.group) << 32) | r.item;
       },
       [](uint64_t k) { return k >> 32; },
+      [&](uint64_t g) { return !std::exchange(seen[g], uint8_t{1}); },
       [&](uint64_t g, const Rec* b, const Rec* e) {
         auto& sink = got[g];
         for (const Rec* r = b; r != e; ++r) {
@@ -217,8 +222,9 @@ TEST_P(ParallelAcrossThreads, ApplyGroupedUniqueOrdersWithinGroups) {
 
 // The contract of apply_grouped_unique on records interleaved across
 // groups: every group sees exactly its records, in ascending key order,
-// the applied groups come back sorted and unique, and the cost charge is
-// the EREW algorithm's two rounds (one over the records, one over the
+// each applied group comes back once, in the order of its first record,
+// with its caller-owned flag set (and no other flag), and the cost charge
+// is the EREW algorithm's two rounds (one over the records, one over the
 // groups).
 struct GroupedRec {
   uint32_t group;
@@ -228,18 +234,21 @@ struct GroupedRec {
 struct GroupedRun {
   std::vector<std::vector<uint32_t>> seqs;  // items per group, as applied
   std::vector<uint64_t> group_ids;
+  std::vector<uint8_t> flags;  // the dedupe flag of each group afterwards
   CostCounters cost;
 };
 
 GroupedRun run_grouped(const std::vector<GroupedRec>& recs, size_t groups) {
   GroupedRun out;
   out.seqs.resize(groups);
+  out.flags.assign(groups, 0);
   apply_grouped_unique(
       recs,
       [](const GroupedRec& r) {
         return (static_cast<uint64_t>(r.group) << 32) | r.item;
       },
       [](uint64_t k) { return k >> 32; },
+      [&](uint64_t g) { return !std::exchange(out.flags[g], uint8_t{1}); },
       [&](uint64_t g, const GroupedRec* b, const GroupedRec* e) {
         for (const GroupedRec* r = b; r != e; ++r) {
           EXPECT_EQ(r->group, g);
@@ -262,13 +271,15 @@ TEST(ApplyGrouped, InterleavedGroupsApplyInKeyOrder) {
     recs[i] = {static_cast<uint32_t>(2 * rng.below(kGroups / 2)), i};
     expected[recs[i].group].push_back(i);
   }
-  std::vector<uint64_t> used;
-  for (uint32_t g = 0; g < kGroups; ++g)
-    if (!expected[g].empty()) used.push_back(g);
+  std::vector<uint64_t> used;  // each used group once, first-seen order
+  std::vector<uint8_t> used_flag(kGroups, 0);
+  for (const GroupedRec& r : recs)
+    if (!std::exchange(used_flag[r.group], uint8_t{1})) used.push_back(r.group);
 
   const GroupedRun run = run_grouped(recs, kGroups);
   EXPECT_EQ(run.seqs, expected);
   EXPECT_EQ(run.group_ids, used);
+  EXPECT_EQ(run.flags, used_flag);
   EXPECT_EQ(run.cost.rounds, 2u);
   EXPECT_EQ(run.cost.work, kRecs + used.size());
 

@@ -8,6 +8,7 @@
 // reset and fully usable.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -327,6 +328,39 @@ TEST(SnapshotGolden, CommittedFixtureIsReproducedByteExact) {
   ASSERT_TRUE(err.ok()) << err.to_string();
   MatchingChecker::check(b);
   EXPECT_EQ(a.matching_size(), b.matching_size());
+}
+
+// With max_settle_repeats = 0 every settle takes
+// sequential_settle_fallback, which settles B = S_l one vertex at a time in
+// S_l's member order. So the order in which each S_l received its
+// membership flips reaches the state here, and nowhere else the suite
+// looks: the digest of the final snapshot bytes is pinned.
+uint64_t fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(SnapshotGolden, SettleFallbackStateIsPinned) {
+  ThreadPool pool(1);
+  Config cfg = snap_config(2, 1);
+  cfg.initial_capacity = 1 << 22;
+  cfg.max_settle_repeats = 0;
+  DynamicMatcher a(cfg, pool);
+  ChurnStream::Options so;
+  so.n = 1 << 13;
+  so.target_edges = 1 << 14;
+  so.seed = 1;
+  ChurnStream stream(so);
+  drive(a, stream, 96, 256);
+  EXPECT_GT(a.stats().settle_fallbacks, 0u);
+  char got[17];
+  std::snprintf(got, sizeof got, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(save_str(a))));
+  EXPECT_STREQ(got, "99677f6e68e83c8f");
 }
 
 // ---------------------------------------------------------------------------

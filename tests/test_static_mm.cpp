@@ -1,6 +1,8 @@
 // Tests for the static parallel maximal matching (Theorem 2.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/checker.h"
 #include "param_name.h"
 #include "parallel/thread_pool.h"
@@ -134,6 +136,55 @@ TEST(StaticMMBasic, MatchesOnlyWithinCandidates) {
   ASSERT_EQ(res.matched.size(), 1u);
   EXPECT_EQ(res.matched[0], a);
 }
+
+// One scratch reused across many calls — mixed candidate subsets of two
+// registries of different rank and vertex bound, sizes from empty to past
+// the pool's serial grain — must behave as a fresh one every time, and
+// leave both vertex lanes all zero after every call.
+class StaticMMScratchReuse : public testing::TestWithParam<unsigned> {};
+
+TEST_P(StaticMMScratchReuse, MatchesFreshScratchAndLeavesLanesZero) {
+  ThreadPool pool(GetParam(), /*allow_oversubscribe=*/true);
+  const auto small = random_graph(3000, 12000, 2, 21);
+  const auto wide = random_graph(6000, 9000, 3, 22);
+  const size_t sizes[] = {0, 1, 17, 300, 2500, 5000, 9000};
+  StaticMMScratch scratch;
+  StaticMMResult out;
+  Xoshiro256 rng(23 + GetParam());
+  for (uint64_t call = 0; call < 60; ++call) {
+    const HyperedgeRegistry& reg = call % 3 == 2 ? *wide : *small;
+    std::vector<EdgeId> cands = reg.all_edges();
+    for (size_t i = cands.size(); i > 1; --i)
+      std::swap(cands[i - 1], cands[rng.below(i)]);
+    cands.resize(std::min(cands.size(), sizes[call % 7]));
+    const uint64_t seed = 1000 + call;
+
+    static_maximal_matching(pool, reg, cands, seed, scratch, out);
+    const StaticMMResult fresh =
+        static_maximal_matching(pool, reg, cands, seed);
+    EXPECT_EQ(out.matched, fresh.matched) << "call " << call;
+    EXPECT_EQ(out.rounds, fresh.rounds) << "call " << call;
+    // The greedy oracle, fed the matching first: a valid matching is taken
+    // whole, and a maximal one leaves no other candidate free to add.
+    std::vector<EdgeId> oracle_in = out.matched;
+    oracle_in.insert(oracle_in.end(), cands.begin(), cands.end());
+    EXPECT_EQ(greedy_maximal_matching(reg, oracle_in), out.matched)
+        << "call " << call;
+    ASSERT_TRUE(std::all_of(scratch.vmax.begin(), scratch.vmax.end(),
+                            [](uint64_t x) { return x == 0; }))
+        << "call " << call;
+    ASSERT_TRUE(std::all_of(scratch.vmatched.begin(), scratch.vmatched.end(),
+                            [](uint8_t x) { return x == 0; }))
+        << "call " << call;
+  }
+  EXPECT_GE(scratch.vmax.size(), wide->vertex_bound());
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, StaticMMScratchReuse,
+                         testing::Values(1u, 2u, 4u, 8u),
+                         [](const auto& info) {
+                           return testing_util::name_cat("t", info.param);
+                         });
 
 TEST(GreedyMM, AgreesOnValidity) {
   auto reg = random_graph(300, 1200, 3, 9);

@@ -1,10 +1,27 @@
 #include "core/checker.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include "core/matcher.h"
 
 namespace pdmm {
+
+namespace {
+
+// A violation message: the parts (text and ids) concatenated.
+template <class... Parts>
+std::string describe(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
+bool contains_vertex(std::span<const Vertex> eps, Vertex v) {
+  return std::find(eps.begin(), eps.end(), v) != eps.end();
+}
+
+}  // namespace
 
 void MatchingChecker::check_maximal_matching(const HyperedgeRegistry& reg,
                                              std::span<const EdgeId> matched) {
@@ -23,85 +40,117 @@ void MatchingChecker::check_maximal_matching(const HyperedgeRegistry& reg,
   }
 }
 
-void MatchingChecker::check(const DynamicMatcher& m) {
+// The state may be untrusted (a freshly parsed snapshot), so no id indexes
+// anything before it is validated: edge ids by reg.alive(), owners by
+// endpoint membership, vertex ids against verts_.size(). The per-edge
+// lanes are taken to cover the registry's id range, as the loader and
+// grow_edges() size them.
+std::string MatchingChecker::violation(const DynamicMatcher& m) {
+  using DM = DynamicMatcher;
   const HyperedgeRegistry& reg = m.reg_;
   const Level top = m.scheme_.top_level();
+  const size_t nv = m.verts_.size();
 
   // --- SoA layout integrity: the hot lanes (core/vertex_soa.h) must cover
-  // exactly the cold per-vertex structs, lane sizes in lockstep. Every hot
-  // read below goes through m.vhot_, so the per-vertex/per-edge walks
-  // cross-validate the hot scalars against the cold containers throughout.
-  PDMM_ASSERT_MSG(m.vhot_.size() == m.verts_.size(),
-                  "SoA hot arrays out of lockstep with cold vertex structs");
-  PDMM_ASSERT(m.vhot_.level_lane_size() == m.verts_.size());
-  PDMM_ASSERT(m.vhot_.matched_lane_size() == m.verts_.size());
-  PDMM_ASSERT(m.vhot_.s_mask_lane_size() == m.verts_.size());
-  PDMM_ASSERT(m.vhot_.changed_lane_size() == m.verts_.size());
+  // exactly the cold per-vertex structs, lane sizes in lockstep, and every
+  // endpoint must index them. Every hot read below goes through m.vhot_,
+  // so the per-vertex/per-edge walks cross-validate the hot scalars
+  // against the cold containers throughout.
+  if (m.vhot_.size() != nv || m.vhot_.level_lane_size() != nv ||
+      m.vhot_.matched_lane_size() != nv ||
+      m.vhot_.s_mask_lane_size() != nv || m.vhot_.changed_lane_size() != nv) {
+    return "SoA hot arrays out of lockstep with cold vertex structs";
+  }
+  if (nv < reg.vertex_bound()) {
+    return describe("vertex structs cover ", nv, " vertices but edges name ",
+                    reg.vertex_bound());
+  }
 
-  // --- per-vertex invariants ---
-  for (Vertex v = 0; v < m.verts_.size(); ++v) {
+  // --- per-vertex invariants; also totals the O(v) / A(v,l) memberships,
+  // which the per-edge walk must account for one by one ---
+  size_t have_owned = 0, have_a = 0;
+  for (Vertex v = 0; v < nv; ++v) {
     const auto& vs = m.verts_[v];
     const Level vl = m.vhot_.level(v);
     const EdgeId vm = m.vhot_.matched(v);
-    PDMM_ASSERT(vl >= kUnmatchedLevel && vl <= top);
+    if (vl < kUnmatchedLevel || vl > top) {
+      return describe("vertex ", v, " level ", vl, " outside [-1, L]");
+    }
     // Invariant 3.1(1): level -1 iff unmatched (between batches).
-    PDMM_ASSERT_MSG((vl == kUnmatchedLevel) == (vm == kNoEdge),
-                    "vertex level -1 must coincide with being unmatched");
+    if ((vl == kUnmatchedLevel) != (vm == kNoEdge)) {
+      return describe("vertex ", v,
+                      ": level -1 must coincide with being unmatched");
+    }
     if (vm != kNoEdge) {
-      PDMM_ASSERT(reg.alive(vm));
-      PDMM_ASSERT(m.eflags_[vm] & DynamicMatcher::kMatched);
-      const auto eps = reg.endpoints(vm);
-      PDMM_ASSERT_MSG(std::find(eps.begin(), eps.end(), v) != eps.end(),
-                      "M(v) must contain v");
+      if (!reg.alive(vm) || !(m.eflags_[vm] & DM::kMatched)) {
+        return describe("vertex ", v, " matched to edge ", vm,
+                        ", which is not an alive matched edge");
+      }
+      if (!contains_vertex(reg.endpoints(vm), v)) {
+        return describe("vertex ", v, " matched to edge ", vm,
+                        ", which does not contain it");
+      }
     }
-    // O(v): v owns exactly the edges claiming v as owner.
+    // O(v): structured edges claiming v as owner, at v's level.
+    have_owned += vs.owned.size();
     for (EdgeId e : vs.owned.items()) {
-      PDMM_ASSERT(reg.alive(e));
-      PDMM_ASSERT_MSG(m.eowner_[e] == v, "owned-set / owner mismatch");
-      PDMM_ASSERT_MSG(m.elevel_[e] == vl,
-                      "owned edge level must equal owner level");
+      if (!reg.alive(e) || (m.eflags_[e] & DM::kTempDeleted) ||
+          m.eowner_[e] != v || m.elevel_[e] != vl) {
+        return describe("O(", v, ") contains edge ", e,
+                        ", which it does not own at its level");
+      }
     }
-    // A(v, l): correct level labels, only levels >= l(v), never owner.
+    // A(v, l): non-empty, only for l(v) <= l <= L, structured edges of
+    // level l that v does not own.
     for (const auto& ls : vs.a_sets) {
-      PDMM_ASSERT_MSG(!ls.set.empty(), "empty A(v,l) sets must be pruned");
-      PDMM_ASSERT_MSG(ls.level >= std::max(vl, Level{0}) &&
-                          ls.level <= top,
-                      "A(v,l) exists only for l(v) <= l <= L");
+      if (ls.set.empty()) {
+        return describe("A(", v, ", ", ls.level,
+                        ") is empty; empty sets must be pruned");
+      }
+      if (ls.level < std::max(vl, Level{0}) || ls.level > top) {
+        return describe("A(", v, ", ", ls.level,
+                        ") exists outside [max(l(v), 0), L]");
+      }
+      have_a += ls.set.size();
       for (size_t i = 0; i < ls.set.size(); ++i) {
         const EdgeId e = ls.set.at(i);
-        PDMM_ASSERT(reg.alive(e));
-        PDMM_ASSERT_MSG(m.elevel_[e] == ls.level, "A(v,l) level mismatch");
-        PDMM_ASSERT_MSG(m.eowner_[e] != v, "A(v,l) must exclude owned edges");
+        if (!reg.alive(e) || (m.eflags_[e] & DM::kTempDeleted) ||
+            m.elevel_[e] != ls.level || m.eowner_[e] == v) {
+          return describe("A(", v, ", ", ls.level, ") contains edge ", e,
+                          ", which does not belong there");
+        }
       }
     }
   }
 
   // --- per-edge invariants ---
-  size_t matched_count = 0;
+  size_t matched_count = 0, temp_deleted = 0, want_owned = 0, want_a = 0;
   for (EdgeId e : reg.all_edges()) {
     const auto eps = reg.endpoints(e);
     const uint8_t flags = m.eflags_[e];
-    if (flags & DynamicMatcher::kTempDeleted) {
-      // Invariant 3.2 + exclusivity: lives in exactly D(resp) and nowhere
-      // else; resp is matched and shares a vertex with e.
-      PDMM_ASSERT(!(flags & DynamicMatcher::kMatched));
-      const EdgeId resp = m.eresp_[e];
-      PDMM_ASSERT(resp != kNoEdge && reg.alive(resp));
-      PDMM_ASSERT(m.eflags_[resp] & DynamicMatcher::kMatched);
-      PDMM_ASSERT(m.edge_d_[resp] && m.edge_d_[resp]->contains(e));
-      bool incident = false;
-      for (Vertex u : eps) {
-        const auto reps = reg.endpoints(resp);
-        incident |= std::find(reps.begin(), reps.end(), u) != reps.end();
+    if (flags & DM::kTempDeleted) {
+      // Invariant 3.2: lives in D(resp), resp is matched and shares a
+      // vertex with e. (The per-vertex walk above keeps temp-deleted edges
+      // out of every O(v) and A(v,l); the D walk below out of other D sets.)
+      ++temp_deleted;
+      if (flags & DM::kMatched) {
+        return describe("edge ", e, " flagged both matched and temp-deleted");
       }
-      PDMM_ASSERT_MSG(incident,
-                      "temp-deleted edge must touch its responsible edge");
-      for (Vertex u : eps) {
-        PDMM_ASSERT_MSG(!m.verts_[u].owned.contains(e),
-                        "temp-deleted edge present in O(v)");
-        for (const auto& ls : m.verts_[u].a_sets)
-          PDMM_ASSERT_MSG(!ls.set.contains(e),
-                          "temp-deleted edge present in A(v,l)");
+      const EdgeId resp = m.eresp_[e];
+      if (resp == kNoEdge || !reg.alive(resp) ||
+          !(m.eflags_[resp] & DM::kMatched)) {
+        return describe("temp-deleted edge ", e,
+                        " has no alive matched responsible edge");
+      }
+      if (!m.edge_d_[resp] || !m.edge_d_[resp]->contains(e)) {
+        return describe("temp-deleted edge ", e, " missing from D(", resp,
+                        ")");
+      }
+      const auto reps = reg.endpoints(resp);
+      if (std::none_of(eps.begin(), eps.end(),
+                       [&](Vertex u) { return contains_vertex(reps, u); })) {
+        return describe("temp-deleted edge ", e,
+                        " must touch its responsible edge ", resp);
       }
       continue;
     }
@@ -110,51 +159,86 @@ void MatchingChecker::check(const DynamicMatcher& m) {
     // level = max endpoint level; membership in the endpoint sets is exact.
     const Vertex owner = m.eowner_[e];
     const Level lvl = m.elevel_[e];
-    PDMM_ASSERT(lvl >= 0 && lvl <= top);
-    PDMM_ASSERT(std::find(eps.begin(), eps.end(), owner) != eps.end());
+    if (lvl < 0 || lvl > top) {
+      return describe("structured edge ", e, " level ", lvl,
+                      " outside [0, L]");
+    }
+    if (!contains_vertex(eps, owner)) {
+      return describe("owner ", owner, " of edge ", e,
+                      " is not one of its endpoints");
+    }
     Level maxl = kUnmatchedLevel;
     for (Vertex u : eps) maxl = std::max(maxl, m.vhot_.level(u));
-    PDMM_ASSERT_MSG(m.vhot_.level(owner) == maxl,
-                    "owner must be a max-level endpoint");
-    PDMM_ASSERT_MSG(lvl == maxl, "edge level must equal max endpoint level");
-    PDMM_ASSERT(m.verts_[owner].owned.contains(e));
+    if (m.vhot_.level(owner) != maxl) {
+      return describe("owner ", owner, " of edge ", e,
+                      " is not a max-level endpoint");
+    }
+    if (lvl != maxl) {
+      return describe("edge ", e, " level ", lvl,
+                      " differs from its max endpoint level ", maxl);
+    }
+    if (!m.verts_[owner].owned.contains(e)) {
+      return describe("edge ", e, " missing from O(", owner, ")");
+    }
+    ++want_owned;
     for (Vertex u : eps) {
       if (u == owner) continue;
       const IndexedSet* a = m.verts_[u].find_a(lvl);
-      PDMM_ASSERT_MSG(a && a->contains(e),
-                      "edge missing from A(u, l(e)) of a non-owner endpoint");
+      if (!a || !a->contains(e)) {
+        return describe("edge ", e, " missing from A(", u, ", ", lvl, ")");
+      }
+      ++want_a;
     }
 
-    if (flags & DynamicMatcher::kMatched) {
+    if (flags & DM::kMatched) {
       ++matched_count;
       // Invariant 3.1(2): all endpoints at the edge's level, matched to it.
       for (Vertex u : eps) {
-        PDMM_ASSERT_MSG(m.vhot_.level(u) == lvl,
-                        "matched edge endpoint at wrong level");
-        PDMM_ASSERT_MSG(m.vhot_.matched(u) == e,
-                        "matched edge endpoint not matched to it");
+        if (m.vhot_.level(u) != lvl || m.vhot_.matched(u) != e) {
+          return describe("matched edge ", e, " endpoint ", u,
+                          " is not matched to it at level ", lvl);
+        }
       }
-    } else {
-      // Maximality: some endpoint is matched.
-      bool covered = false;
-      for (Vertex u : eps) covered |= m.vhot_.matched(u) != kNoEdge;
-      PDMM_ASSERT_MSG(covered, "maximality violated: free edge left");
+    } else if (std::none_of(eps.begin(), eps.end(), [&](Vertex u) {
+                 return m.vhot_.matched(u) != kNoEdge;
+               })) {
+      return describe("maximality violated: free edge ", e);
     }
   }
-  PDMM_ASSERT(matched_count == m.matching_size_);
+  if (matched_count != m.matching_size_) {
+    return describe(matched_count, " matched edges but matching size ",
+                    m.matching_size_);
+  }
+  // Every membership a structured edge requires was found above; equal
+  // totals leave no room for stray entries.
+  if (have_owned != want_owned || have_a != want_a) {
+    return describe("O(v) / A(v,l) sets hold ", have_owned, " / ", have_a,
+                    " entries but the structured edges account for ",
+                    want_owned, " / ", want_a);
+  }
 
-  // --- D sets point back correctly ---
+  // --- D sets point back; with the containment checked per temp-deleted
+  // edge above, equal counts make D-membership a bijection ---
+  size_t d_members = 0;
   for (EdgeId e = 0; e < m.edge_d_.size(); ++e) {
     const IndexedSet* d = m.edge_d_[e].get();
     if (!d || d->empty()) continue;
-    PDMM_ASSERT_MSG(reg.alive(e) && (m.eflags_[e] & DynamicMatcher::kMatched),
-                    "non-empty D(e) requires e matched");
+    if (!reg.alive(e) || !(m.eflags_[e] & DM::kMatched)) {
+      return describe("non-empty D(", e, ") requires edge ", e, " matched");
+    }
+    d_members += d->size();
     for (size_t i = 0; i < d->size(); ++i) {
       const EdgeId f = d->at(i);
-      PDMM_ASSERT(reg.alive(f));
-      PDMM_ASSERT(m.eflags_[f] & DynamicMatcher::kTempDeleted);
-      PDMM_ASSERT(m.eresp_[f] == e);
+      if (!reg.alive(f) || !(m.eflags_[f] & DM::kTempDeleted) ||
+          m.eresp_[f] != e) {
+        return describe("D(", e, ") member ", f,
+                        " is not temp-deleted under edge ", e);
+      }
     }
+  }
+  if (d_members != temp_deleted) {
+    return describe(d_members, " D(e) members but ", temp_deleted,
+                    " temp-deleted edges");
   }
 
   // --- S_l exactness; undecided sets and reinsert queue empty at rest ---
@@ -162,36 +246,53 @@ void MatchingChecker::check(const DynamicMatcher& m) {
     const auto& s = m.s_[static_cast<size_t>(l)];
     for (size_t i = 0; i < s.size(); ++i) {
       const Vertex v = s.at(i);
-      PDMM_ASSERT_MSG(m.vhot_.level(v) < l &&
-                          m.o_tilde(v, l) >= m.scheme_.rise_threshold(l),
-                      "S_l contains a non-member");
+      if (v >= nv || m.vhot_.level(v) >= l ||
+          m.o_tilde(v, l) < m.scheme_.rise_threshold(l)) {
+        return describe("S_", l, " contains non-member ", v);
+      }
     }
   }
-  for (Vertex v = 0; v < m.verts_.size(); ++v) {
+  for (Vertex v = 0; v < nv; ++v) {
     const auto& vs = m.verts_[v];
     if (vs.owned.empty() && vs.a_sets.empty()) {
-      PDMM_ASSERT_MSG(m.vhot_.s_mask(v) == 0,
-                      "stale S_l bitmask on a structure-free vertex");
+      if (m.vhot_.s_mask(v) != 0) {
+        return describe("stale S_l bitmask on structure-free vertex ", v);
+      }
       continue;
     }
     for (Level l = 0; l <= top; ++l) {
       const bool member = m.vhot_.level(v) < l &&
                           m.o_tilde(v, l) >= m.scheme_.rise_threshold(l);
-      PDMM_ASSERT_MSG(m.s_[static_cast<size_t>(l)].contains(v) == member,
-                      "S_l membership out of sync");
-      PDMM_ASSERT_MSG(((m.vhot_.s_mask(v) >> l) & 1) == (member ? 1u : 0u),
-                      "cached S_l bitmask out of sync with membership");
+      if (m.s_[static_cast<size_t>(l)].contains(v) != member) {
+        return describe("S_", l, " membership of vertex ", v,
+                        " out of sync");
+      }
+      if (((m.vhot_.s_mask(v) >> l) & 1) != (member ? 1u : 0u)) {
+        return describe("cached S_l bitmask of vertex ", v,
+                        " out of sync at level ", l);
+      }
     }
   }
-  PDMM_ASSERT(m.total_undecided() == 0);
-  PDMM_ASSERT(m.reinsert_queue_.empty());
+  if (m.total_undecided() != 0) {
+    return "undecided sets must be empty between batches";
+  }
+  if (!m.reinsert_queue_.empty()) {
+    return "reinsert queue must be empty between batches";
+  }
+  return {};
+}
+
+void MatchingChecker::check(const DynamicMatcher& m) {
+  const std::string why = violation(m);
+  PDMM_ASSERT_MSG(why.empty(), why.c_str());
 
   // Invariant 3.5(2) between batches holds in eager mode (unless a drain
-  // cap cut the last sweep short).
+  // cap cut the last sweep short). violation() leaves it out: a snapshot
+  // saved right after a capped drain legitimately carries a rising set,
+  // and load() resets the eager_cap_hits counter that would excuse it.
   if (m.cfg_.settle_after_insertions && m.stats_.eager_cap_hits == 0) {
-    for (Level l = 0; l <= top; ++l) {
-      PDMM_ASSERT_MSG(m.s_[static_cast<size_t>(l)].empty(),
-                      "Invariant 3.5(2): rising set must be empty");
+    for (const auto& s : m.s_) {
+      PDMM_ASSERT_MSG(s.empty(), "Invariant 3.5(2): rising set must be empty");
     }
   }
 }

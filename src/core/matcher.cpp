@@ -242,28 +242,6 @@ void DynamicMatcher::refresh_s_membership_all(
 // Structural primitives
 // ---------------------------------------------------------------------------
 
-void DynamicMatcher::insert_edge_into_structures(EdgeId e) {
-  const auto eps = reg_.endpoints(e);
-  Vertex owner = eps[0];
-  Level maxl = vhot_.level(eps[0]);
-  for (size_t i = 1; i < eps.size(); ++i) {
-    if (vhot_.level(eps[i]) > maxl) {
-      maxl = vhot_.level(eps[i]);
-      owner = eps[i];
-    }
-  }
-  PDMM_ASSERT_MSG(maxl >= 0,
-                  "an edge with all endpoints unmatched cannot be placed");
-  elevel_[e] = maxl;
-  eowner_[e] = owner;
-  verts_[owner].owned.insert(e);
-  for (Vertex u : eps) {
-    if (u != owner) verts_[u].ensure_a(maxl).insert(e);
-  }
-  for (Vertex u : eps) refresh_s_membership(u);
-  cost_.add_work(eps.size() * 2);
-}
-
 void DynamicMatcher::remove_edge_from_structures(EdgeId e) {
   const auto eps = reg_.endpoints(e);
   const Vertex owner = eowner_[e];

@@ -22,8 +22,8 @@
 //     endpoint level = owner level; owner is a max-level endpoint
 //   - l(v) = -1 iff v unmatched (undecided nodes transiently violate this
 //     *inside* a batch; never between batches)
-//   - temp-deleted edges appear in exactly one D(e), e matched, and in no
-//     other structure
+//   - temp-deleted edges appear in exactly one D(e), e matched and sharing
+//     a vertex with them, and in no other structure
 //   - S_l = {v : l(v) < l and o~(v,l) >= alpha^l}
 //
 // Randomness: all random choices derive from (Config::seed, batch counter,
@@ -243,8 +243,11 @@ class DynamicMatcher {
   // save() returns false when the output stream failed (disk full, closed
   // pipe, ...) — the written bytes must then be discarded, they are not a
   // usable snapshot. load() validates its input exhaustively (see
-  // SnapshotError); on failure the matcher is reset to the pristine empty
-  // state of a freshly constructed instance, so it remains fully usable.
+  // SnapshotError): strict parsing, then the restored state must pass
+  // MatchingChecker::violation, the same invariant oracle the tests run
+  // after every batch. On failure the matcher is reset to the pristine
+  // empty state of a freshly constructed instance, so it remains fully
+  // usable.
   // Known bound of that contract: hostile declared sizes are rejected by
   // domain caps and a bad_alloc guard, but an absurd in-domain bound can
   // still be OOM-killed (not reported) on kernels that overcommit —
@@ -480,7 +483,6 @@ class DynamicMatcher {
   // Shared tail of the two batch phases above: pack the live records of
   // scratch_.struct_muts, apply them grouped per vertex, refresh S_l.
   void apply_struct_muts(bool insert);
-  void insert_edge_into_structures(EdgeId e);
   void remove_edge_from_structures(EdgeId e);
   std::vector<EdgeId> collect_o_tilde(Vertex v, Level l) const;
   void append_o_tilde(Vertex v, Level l, std::vector<EdgeId>& out) const;
@@ -522,7 +524,6 @@ class DynamicMatcher {
   void forget_view_base();
   // Snapshot-loader internals (core/snapshot.cpp).
   SnapshotError load_validated(std::istream& in);
-  SnapshotError verify_loaded_state(size_t declared_alive);
   void reset_cumulative_stats();
   uint64_t settle_rng_stream() const;
 

@@ -28,18 +28,20 @@
 // bounds before it indexes anything, every numeric field is parsed
 // strictly (a failed extraction is an error, not an uninitialized read),
 // duplicate lines and duplicate set members are rejected, truncation (a
-// missing `end` trailer) is rejected, and after the structural lines a
-// verification pass cross-checks the declared counts and the pairwise
-// pointer structure (matched edges <-> vertex matched pointers, owned /
-// A(v,l) membership <-> edge owner and level, D(e) <-> eresp). Errors are
-// returned as a line-numbered SnapshotError — never an abort — and leave
-// the matcher reset to its freshly-constructed empty state.
+// missing `end` trailer) is rejected, and the declared alive-edge count
+// must match. The restored state is then vetted by the same oracle the
+// tests use, MatchingChecker::violation (core/checker.h): every structural
+// invariant of a between-batch state, run without aborting. Errors are
+// returned as a SnapshotError — line-numbered for the parse-time checks,
+// never an abort — and leave the matcher reset to its freshly-constructed
+// empty state.
 #include <algorithm>
 #include <istream>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "core/checker.h"
 #include "core/matcher.h"
 #include "util/parse_num.h"
 
@@ -683,173 +685,25 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
     }
   }
 
-  grow_vertices(reg_.vertex_bound());
-  if (SnapshotError verr = verify_loaded_state(num_alive); !verr.ok()) {
-    return verr;
+  if (reg_.num_edges() != num_alive) {
+    cur.lineno = 0;
+    cur.fail("reg line declares " + std::to_string(num_alive) +
+             " alive edges but the snapshot restored " +
+             std::to_string(reg_.num_edges()));
+    return failed();
   }
 
-  // Rebuild the derived S_l sets from the restored structures.
+  // Rebuild the derived S_l sets from the restored structures. This reads
+  // only levels the parser bounded to [-1, L], so it is safe before the
+  // state is validated.
+  grow_vertices(reg_.vertex_bound());
   for (Vertex v = 0; v < verts_.size(); ++v) {
     const VertexState& vs = verts_[v];
     if (!vs.owned.empty() || !vs.a_sets.empty()) refresh_s_membership(v);
   }
-  return {};
-}
-
-// Post-load verification: the declared counters and the pairwise pointer
-// structure must be consistent before the matcher is allowed to continue.
-// This is the loader-grade subset of MatchingChecker (which remains the
-// aborting test oracle): counts, cross-pointers and set membership — the
-// properties whose violation would make later batches corrupt memory or
-// silently diverge.
-SnapshotError DynamicMatcher::verify_loaded_state(size_t declared_alive) {
-  const auto fail = [](std::string msg) {
-    return SnapshotError{0, std::move(msg)};
-  };
-  const Level top = scheme_.top_level();
-
-  if (reg_.num_edges() != declared_alive) {
-    return fail("reg line declares " + std::to_string(declared_alive) +
-                " alive edges but the snapshot restored " +
-                std::to_string(reg_.num_edges()));
-  }
-
-  // Per-edge structure. Counts the owned / A(v,l) memberships every
-  // structured edge requires; equality with the per-vertex totals below
-  // proves there are no stray extra memberships either.
-  size_t matched_edges = 0, temp_deleted = 0;
-  size_t want_owned = 0, want_a_members = 0;
-  for (EdgeId e : reg_.all_edges()) {
-    const auto eps = reg_.endpoints(e);
-    const uint8_t flags = eflags_[e];
-    if (flags & kTempDeleted) {
-      ++temp_deleted;
-      const EdgeId resp = eresp_[e];
-      if (resp == kNoEdge || !reg_.alive(resp) ||
-          !(eflags_[resp] & kMatched)) {
-        return fail("temp-deleted edge " + std::to_string(e) +
-                    " has no alive matched responsible edge");
-      }
-      if (!edge_d_[resp] || !edge_d_[resp]->contains(e)) {
-        return fail("temp-deleted edge " + std::to_string(e) +
-                    " missing from D(" + std::to_string(resp) + ")");
-      }
-      continue;
-    }
-    const Level lvl = elevel_[e];
-    if (lvl < 0 || lvl > top) {
-      return fail("structured edge " + std::to_string(e) +
-                  " has level outside [0, L]");
-    }
-    const Vertex owner = eowner_[e];
-    if (std::find(eps.begin(), eps.end(), owner) == eps.end()) {
-      return fail("owner of edge " + std::to_string(e) +
-                  " is not one of its endpoints");
-    }
-    if (!verts_[owner].owned.contains(e)) {
-      return fail("edge " + std::to_string(e) +
-                  " missing from its owner's owned set");
-    }
-    ++want_owned;
-    for (Vertex u : eps) {
-      if (u == owner) continue;
-      const IndexedSet* a = verts_[u].find_a(lvl);
-      if (!a || !a->contains(e)) {
-        return fail("edge " + std::to_string(e) +
-                    " missing from A(" + std::to_string(u) + ", " +
-                    std::to_string(lvl) + ")");
-      }
-      ++want_a_members;
-    }
-    if (flags & kMatched) {
-      ++matched_edges;
-      for (Vertex u : eps) {
-        if (vhot_.matched(u) != e || vhot_.level(u) != lvl) {
-          return fail("matched edge " + std::to_string(e) +
-                      " endpoint " + std::to_string(u) +
-                      " disagrees about the match");
-        }
-      }
-    }
-  }
-  if (matched_edges != matching_size_) {
-    return fail("matched-edge flags disagree with the matching size");
-  }
-
-  // Per-vertex structure, plus the membership totals.
-  size_t have_owned = 0, have_a_members = 0;
-  for (Vertex v = 0; v < verts_.size(); ++v) {
-    const VertexState& vs = verts_[v];
-    const Level vl = vhot_.level(v);
-    const EdgeId vm = vhot_.matched(v);
-    if ((vl == kUnmatchedLevel) != (vm == kNoEdge)) {
-      return fail("vertex " + std::to_string(v) +
-                  " level -1 must coincide with being unmatched");
-    }
-    if (vm != kNoEdge) {
-      if (!reg_.alive(vm) || !(eflags_[vm] & kMatched)) {
-        return fail("vertex " + std::to_string(v) +
-                    " matched to a non-matched edge");
-      }
-      const auto eps = reg_.endpoints(vm);
-      if (std::find(eps.begin(), eps.end(), v) == eps.end()) {
-        return fail("vertex " + std::to_string(v) +
-                    " matched to an edge that does not contain it");
-      }
-    }
-    have_owned += vs.owned.size();
-    for (EdgeId e : vs.owned.items()) {
-      if ((eflags_[e] & kTempDeleted) || eowner_[e] != v ||
-          elevel_[e] != vl) {
-        return fail("owned set of vertex " + std::to_string(v) +
-                    " contains edge " + std::to_string(e) +
-                    " it does not own at its level");
-      }
-    }
-    for (const auto& ls : vs.a_sets) {
-      if (ls.level < std::max(vl, Level{0}) || ls.level > top) {
-        return fail("A(v,l) of vertex " + std::to_string(v) +
-                    " exists outside [max(l(v), 0), L]");
-      }
-      have_a_members += ls.set.size();
-      for (size_t i = 0; i < ls.set.size(); ++i) {
-        const EdgeId e = ls.set.at(i);
-        if ((eflags_[e] & kTempDeleted) || elevel_[e] != ls.level ||
-            eowner_[e] == v) {
-          return fail("A(" + std::to_string(v) + ", " +
-                      std::to_string(ls.level) + ") contains edge " +
-                      std::to_string(e) + " that does not belong there");
-        }
-      }
-    }
-  }
-  if (have_owned != want_owned || have_a_members != want_a_members) {
-    return fail("owned / A(v,l) sets contain entries no structured edge "
-                "accounts for");
-  }
-
-  // D(e) members point back; together with the per-temp-deleted-edge
-  // containment above, equal counts make D-membership a bijection.
-  size_t d_members = 0;
-  for (EdgeId e = 0; e < edge_d_.size(); ++e) {
-    const IndexedSet* d = edge_d_[e].get();
-    if (!d || d->empty()) continue;
-    if (!reg_.alive(e) || !(eflags_[e] & kMatched)) {
-      return fail("non-empty D(" + std::to_string(e) +
-                  ") requires a matched edge");
-    }
-    d_members += d->size();
-    for (size_t i = 0; i < d->size(); ++i) {
-      const EdgeId f = d->at(i);
-      if (!(eflags_[f] & kTempDeleted) || eresp_[f] != e) {
-        return fail("D(" + std::to_string(e) + ") member " +
-                    std::to_string(f) +
-                    " is not temp-deleted under this edge");
-      }
-    }
-  }
-  if (d_members != temp_deleted) {
-    return fail("temp-deleted edge count disagrees with the D(e) sets");
+  // Everything else a between-batch state must satisfy is the oracle's.
+  if (std::string why = MatchingChecker::violation(*this); !why.empty()) {
+    return {0, std::move(why)};
   }
   return {};
 }

@@ -115,7 +115,6 @@ bool UpdateEngine::do_settle(const Item& it, PublishWork& w) {
   // therefore must finish before the next batch settles. The file/channel
   // I/O over the captured bytes is what ships downstream.
   w.epoch = it.epoch;
-  w.t_submit = it.t_submit;
   w.do_checkpoint = opt_.checkpoint_every > 0 &&
                     it.epoch % opt_.checkpoint_every == 0 &&
                     !opt_.checkpoint_prefix.empty();
@@ -208,12 +207,8 @@ bool UpdateEngine::commit_due_locked(bool idle) const {
   if (pending_commit_ == 0) return false;
   if (pending_commit_ >= opt_.group_commit) return true;
   if (closed_ || flush_target_ > durable_epoch_) return true;
-  if (!idle) return false;
-  // The queue idled with a partial group: commit now unless a timer says
-  // the group may keep waiting for more batches.
-  if (opt_.group_commit_us == 0) return true;
-  return Clock::now() - oldest_pending_t_ >=
-         std::chrono::microseconds(opt_.group_commit_us);
+  // The queue idled with a partial group: commit it now.
+  return idle;
 }
 
 UpdateEngine::PublishWork UpdateEngine::take_shell_locked() {
@@ -303,7 +298,7 @@ bool UpdateEngine::submit_inline(Item it) {
     bool commit_now = false;
     {
       MutexLock lk(mu_);
-      if (pending_commit_++ == 0) oldest_pending_t_ = Clock::now();
+      ++pending_commit_;
       commit_now = commit_due_locked(/*idle=*/false);
     }
     if (commit_now && !do_commit()) return false;
@@ -455,25 +450,7 @@ void UpdateEngine::journal_loop() {
           cv_settle_.notify_all();
           return;
         }
-        if (pending_commit_ > 0 && opt_.group_commit_us > 0) {
-          // A partial group is waiting on its timer: sleep at most until
-          // the group's deadline, then re-check (commit_due_locked turns
-          // true once the oldest buffered record has aged out).
-          const auto deadline =
-              oldest_pending_t_ +
-              std::chrono::microseconds(opt_.group_commit_us);
-          const auto now = Clock::now();
-          if (deadline <= now) {
-            commit_now = true;
-            break;
-          }
-          const auto rem = std::chrono::duration_cast<
-              std::chrono::microseconds>(deadline - now);
-          cv_journal_.wait_for_us(
-              mu_, static_cast<uint64_t>(rem.count()) + 1);
-        } else {
-          cv_journal_.wait(mu_);
-        }
+        cv_journal_.wait(mu_);
       }
     }
     if (have_item) {
@@ -485,7 +462,7 @@ void UpdateEngine::journal_loop() {
         return;
       }
       if (journal_ != nullptr) {
-        if (pending_commit_++ == 0) oldest_pending_t_ = Clock::now();
+        ++pending_commit_;
         commit_now = commit_due_locked(/*idle=*/ingest_q_.empty());
       }
       settle_q_.push_back(std::move(it));

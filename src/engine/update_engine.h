@@ -58,8 +58,8 @@
 // fsync NEVER advances it — the engine halts with error() set, submit()
 // starts returning false, and the watermark tells the caller exactly
 // which epochs survive. Group commit trades the freshness of this
-// watermark (it lags by up to group_commit-1 batches or group_commit_us)
-// for one fsync per group instead of one per batch; recovery replays the
+// watermark (it lags by up to group_commit-1 batches) for one fsync per
+// group instead of one per batch; recovery replays the
 // journal deterministically, so epochs that were applied in memory but
 // lost with the tail are simply re-settled to identical bytes. Checkpoint
 // placement obeys the write-ahead rule: a checkpoint for epoch e is only
@@ -112,10 +112,8 @@ class UpdateEngine {
     // Journal group commit: batches per commit() group. 1 = the
     // synchronous per-batch fsync cost. In pipelined mode a group also
     // commits early when the ingest queue idles (no batch waits on a
-    // group that may never fill); group_commit_us caps how long an idle
-    // group waits for more batches before committing anyway.
+    // group that may never fill).
     size_t group_commit = 1;
-    uint64_t group_commit_us = 0;
     // Checkpoint every N epochs into "<checkpoint_prefix>.<epoch>"
     // (0: never). Encoded at the barrier on S; written/pruned on P.
     uint64_t checkpoint_every = 0;
@@ -192,7 +190,6 @@ class UpdateEngine {
     std::unique_ptr<MatchView> view;
     std::string ck_bytes;                   // encoded checkpoint container
     bool do_checkpoint = false;
-    std::chrono::steady_clock::time_point t_submit;
     std::chrono::steady_clock::time_point t_published;
   };
 
@@ -230,7 +227,7 @@ class UpdateEngine {
   mutable Mutex mu_;
   // Queues and watermarks. The linear stage chain waits as:
   //   submit() on cv_producer_ (ingest space), J on cv_journal_ (ingest
-  //   items / settle space / commit timer), S on cv_settle_ (settle
+  //   items / settle space), S on cv_settle_ (settle
   //   items / publish space), P on cv_publish_ (publish items), drain()
   //   on cv_drain_. A downstream pop notifies its upstream stage only
   //   when that stage waits for space (the *_wants_space_ flags) — J and
@@ -256,8 +253,6 @@ class UpdateEngine {
   uint64_t flush_target_ PDMM_GUARDED_BY(mu_) = 0;
   // Open commit group: batches appended (buffered) but not committed.
   size_t pending_commit_ PDMM_GUARDED_BY(mu_) = 0;
-  std::chrono::steady_clock::time_point oldest_pending_t_
-      PDMM_GUARDED_BY(mu_);
   // Parallel arrays indexed epoch - base_epoch_ - 1 (epochs are assigned
   // contiguously by submit()).
   std::vector<LatencySample> samples_ PDMM_GUARDED_BY(mu_);

@@ -10,9 +10,7 @@
 // are no-ops).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -72,19 +70,6 @@ class CondVar {
     std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
     cv_.wait(lk);
     lk.release();  // the caller still owns the mutex
-  }
-
-  // Timed variant for waits with a deadline (the update engine's
-  // group-commit timer): sleeps at most `usec` microseconds. Returns
-  // false on timeout, true when notified — either way the caller still
-  // holds `mu` and must re-check its predicate (same while-loop idiom;
-  // spurious wakeups and timeouts are both just "re-check").
-  bool wait_for_us(Mutex& mu, uint64_t usec) PDMM_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    const std::cv_status st =
-        cv_.wait_for(lk, std::chrono::microseconds(usec));
-    lk.release();  // the caller still owns the mutex
-    return st == std::cv_status::no_timeout;
   }
 
   void notify_one() { cv_.notify_one(); }

@@ -612,7 +612,6 @@ TEST_F(EngineTest, PipelinedHammerServesConsistentViewsUnderLoad) {
   eo.pipelined = true;
   eo.queue_capacity = 4;
   eo.group_commit = 4;
-  eo.group_commit_us = 200;
   eo.checkpoint_every = 32;
   eo.checkpoint_keep = 2;
   eo.checkpoint_prefix = path("ck");

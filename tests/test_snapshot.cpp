@@ -8,6 +8,7 @@
 // reset and fully usable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -17,6 +18,8 @@
 #include "core/checker.h"
 #include "core/matcher.h"
 #include "param_name.h"
+#include "util/parse_num.h"
+#include "util/rng.h"
 #include "workload/generators.h"
 
 namespace pdmm {
@@ -404,11 +407,61 @@ class SnapshotCorpus : public testing::Test {
     return out;
   }
 
-  size_t find_line(const std::string& tag) const {
-    for (size_t i = 0; i < lines_.size(); ++i) {
-      if (lines_[i].rfind(tag + " ", 0) == 0 || lines_[i] == tag) return i;
+  // Index of the first line starting with `tag` (a tag, or a tag and its
+  // leading fields such as "d 17"); lines.size() when there is none.
+  static size_t find_in(const std::vector<std::string>& lines,
+                        const std::string& tag) {
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].rfind(tag + " ", 0) == 0 || lines[i] == tag) return i;
     }
-    return lines_.size();
+    return lines.size();
+  }
+  size_t find_line(const std::string& tag) const {
+    return find_in(lines_, tag);
+  }
+
+  static std::vector<std::string> tokens(const std::string& line) {
+    std::vector<std::string> out;
+    std::istringstream ls(line);
+    std::string t;
+    while (ls >> t) out.push_back(t);
+    return out;
+  }
+
+  static std::string untokens(const std::vector<std::string>& toks) {
+    std::string out;
+    for (const auto& t : toks) {
+      if (!out.empty()) out += ' ';
+      out += t;
+    }
+    return out;
+  }
+
+  // One `e <id> <k> <v...> <level> <owner> <flags> <resp>` line.
+  struct EdgeLine {
+    size_t index;  // into lines_
+    std::vector<std::string> toks;
+
+    const std::string& id() const { return toks[1]; }
+    std::vector<std::string> endpoints() const {
+      return {toks.begin() + 3, toks.end() - 4};
+    }
+    const std::string& level() const { return toks[toks.size() - 4]; }
+    const std::string& flags() const { return toks[toks.size() - 2]; }
+    const std::string& resp() const { return toks.back(); }
+    bool touches(const EdgeLine& other) const {
+      const auto mine = endpoints(), theirs = other.endpoints();
+      return std::find_first_of(mine.begin(), mine.end(), theirs.begin(),
+                                theirs.end()) != mine.end();
+    }
+  };
+
+  std::vector<EdgeLine> edge_lines() const {
+    std::vector<EdgeLine> out;
+    for (size_t i = 0; i < lines_.size(); ++i) {
+      if (lines_[i].rfind("e ", 0) == 0) out.push_back({i, tokens(lines_[i])});
+    }
+    return out;
   }
 
   static std::string join(const std::vector<std::string>& lines) {
@@ -426,7 +479,12 @@ class SnapshotCorpus : public testing::Test {
     DynamicMatcher m(snap_config(2, 31), *pool_);
     const SnapshotError err = load_str(m, mutant);
     EXPECT_FALSE(err.ok()) << what << ": mutant was accepted";
-    // Failed loads reset to empty; the matcher still matches afterwards.
+    expect_reset_and_usable(m, what);
+  }
+
+  // Failed loads reset to empty; the matcher still matches afterwards.
+  static void expect_reset_and_usable(DynamicMatcher& m,
+                                      const std::string& what) {
     EXPECT_EQ(m.graph().num_edges(), 0u) << what;
     m.insert_batch(std::vector<std::vector<Vertex>>{{0, 1}, {2, 3}});
     EXPECT_EQ(m.matching_size(), 2u) << what;
@@ -621,6 +679,131 @@ TEST_F(SnapshotCorpus, CountMismatchesAreRejected) {
       expect_rejected(join(mutant), "bd budget on a free-listed edge");
     }
   }
+}
+
+TEST_F(SnapshotCorpus, ReHomedTempDeletedEdgeIsRejected) {
+  // Invariant 3.2: a temp-deleted edge sits in D(e) of a matched edge e it
+  // shares a vertex with. Move one into the D set of a matched edge it
+  // does not touch and keep every pointer consistent (its resp field and
+  // both d lines), so only the incidence test can notice.
+  const auto edges = edge_lines();
+  for (const EdgeLine& f : edges) {
+    if (f.flags() != "2") continue;
+    for (const EdgeLine& r : edges) {
+      if (r.flags() != "1" || r.touches(f)) continue;
+      auto mutant = lines_;
+      auto moved = f.toks;
+      moved.back() = r.id();
+      mutant[f.index] = untokens(moved);
+      // Out of the old D line (gone with its last member)...
+      const size_t old_d = find_in(mutant, "d " + f.resp());
+      ASSERT_NE(old_d, mutant.size());
+      auto old_members = tokens(mutant[old_d]);
+      old_members.erase(
+          std::find(old_members.begin() + 2, old_members.end(), f.id()));
+      if (old_members.size() == 2) {
+        mutant.erase(mutant.begin() + static_cast<long>(old_d));
+      } else {
+        mutant[old_d] = untokens(old_members);
+      }
+      // ...into r's, which goes before `end` if r has none yet.
+      const size_t new_d = find_in(mutant, "d " + r.id());
+      if (new_d == mutant.size()) {
+        mutant.insert(mutant.end() - 1, "d " + r.id() + " " + f.id());
+      } else {
+        mutant[new_d] += " " + f.id();
+      }
+      expect_rejected(join(mutant), "temp-deleted edge " + f.id() +
+                                        " re-homed under edge " + r.id());
+      return;
+    }
+  }
+  FAIL() << "specimen lacks a temp-deleted edge and a matched edge it "
+            "does not touch";
+}
+
+TEST_F(SnapshotCorpus, StrayAMemberIsRejected) {
+  // An A(v,l) entry for an edge of level l that v is not an endpoint of.
+  // The entry itself looks right (alive, level l, not owned by v); only
+  // the membership totals show that no edge accounts for it.
+  const auto edges = edge_lines();
+  for (size_t i = 0; i < lines_.size(); ++i) {
+    const auto a = tokens(lines_[i]);
+    if (a[0] != "a") continue;
+    const std::string& v = a[1];
+    const std::string& level = a[2];
+    for (const EdgeLine& e : edges) {
+      const auto eps = e.endpoints();
+      if (e.flags() == "2" || e.level() != level ||
+          std::find(eps.begin(), eps.end(), v) != eps.end()) {
+        continue;
+      }
+      auto mutant = lines_;
+      mutant[i] += " " + e.id();
+      expect_rejected(join(mutant), "edge " + e.id() + " appended to A(" +
+                                        v + ", " + level + ")");
+      return;
+    }
+  }
+  FAIL() << "specimen lacks an A(v,l) line and a structured edge of that "
+            "level off v";
+}
+
+TEST_F(SnapshotCorpus, SeededTokenMutantsFailRecoverablyOrPassTheOracle) {
+  // Deterministic mutants of one or two token edits each (set 0 or 1, +-1,
+  // copy a token from another line, delete a token) on any line but the
+  // header and `end`. Each must either be rejected recoverably or load
+  // into a state that check() — load()'s oracle plus Invariant 3.5(2) —
+  // and the standalone maximality oracle both accept.
+  static const char* const kOps[] = {"set 0", "set 1", "+1",
+                                     "-1",    "copy",  "delete"};
+  Xoshiro256 rng(19);
+  const size_t body = lines_.size() - 2;  // lines 1 .. size - 2
+  const auto pick_line = [&] { return 1 + rng() % body; };
+  size_t loaded = 0;
+  for (int n = 0; n < 2000; ++n) {
+    auto mutant = lines_;
+    std::string what = "mutant " + std::to_string(n) + ":";
+    for (uint64_t k = 1 + rng() % 2; k > 0; --k) {
+      const size_t i = pick_line();
+      auto toks = tokens(mutant[i]);
+      if (toks.empty()) continue;  // an earlier edit emptied the line
+      const size_t j = rng() % toks.size();
+      const uint64_t op = rng() % 6;
+      std::string& t = toks[j];
+      int64_t x = 0;
+      const bool numeric = parse_i64_strict(t, x) == ParseNum::kOk;
+      switch (op) {
+        case 0: t = "0"; break;
+        case 1: t = "1"; break;
+        case 2: t = numeric ? std::to_string(x + 1) : "0"; break;
+        case 3: t = numeric ? std::to_string(x - 1) : "0"; break;
+        case 4: {
+          size_t src = pick_line();
+          if (src == i) src = src % body + 1;
+          const auto from = tokens(lines_[src]);
+          t = from[rng() % from.size()];
+          break;
+        }
+        default: toks.erase(toks.begin() + static_cast<long>(j));
+      }
+      mutant[i] = untokens(toks);
+      what += " line " + std::to_string(i) + " token " + std::to_string(j) +
+              " " + kOps[op] + ";";
+    }
+    SCOPED_TRACE(what);
+    DynamicMatcher m(snap_config(2, 31), *pool_);
+    if (load_str(m, join(mutant)).ok()) {
+      ++loaded;
+      MatchingChecker::check(m);
+      // The standalone oracle knows nothing of the leveling structures:
+      // M must be maximal over every alive edge, temp-deleted ones too.
+      MatchingChecker::check_maximal_matching(m.graph(), m.matching());
+    } else {
+      expect_reset_and_usable(m, what);
+    }
+  }
+  EXPECT_GT(loaded, 0u);
 }
 
 TEST_F(SnapshotCorpus, HostileBoundsAreRejectedBeforeAllocating) {

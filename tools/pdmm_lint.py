@@ -16,9 +16,10 @@ Rules (each can be waived per-site, see WAIVERS below):
                      relaxed is safe (phase barrier, metric, monotone race).
 
   assert-recoverable PDMM_ASSERT / PDMM_ASSERT_MSG in recoverable-error
-                     surfaces (src/persist/, src/workload/trace*). Those
-                     layers parse external bytes; corruption must surface as
-                     an error return, never a process abort.
+                     surfaces (src/persist/, src/workload/trace*, and the
+                     snapshot loader src/core/snapshot.cpp). Those layers
+                     parse external bytes; corruption must surface as an
+                     error return, never a process abort.
 
   raw-alloc          `new` / malloc-family calls outside the designated
                      container/arena files. Everything else uses standard
@@ -96,7 +97,7 @@ RAW_ALLOC_HOME = (
     "src/parallel/reduce.h",     # per-block partial array, unique_ptr-owned
     "src/parallel/epoch_reclaim.h",  # fixed slot array, unique_ptr-owned
 )
-ASSERT_RECOVERABLE_SCOPE = ("src/persist/",)
+ASSERT_RECOVERABLE_SCOPE = ("src/persist/", "src/core/snapshot.cpp")
 ASSERT_RECOVERABLE_FILES_RE = re.compile(r"^src/workload/trace[^/]*$")
 TSA_HOME = ("src/util/thread_annotations.h",)
 RAW_SLEEP_HOME = ("src/util/backoff.h",)

@@ -12,10 +12,9 @@
 //              # overlap settle with journal fsync + checkpoint I/O
 //
 // --pipeline runs the engine's journal/settle/publish stages on their own
-// threads; --group_commit=K amortizes one journal fsync over K batches
-// (--group_commit_us caps how long a partial group waits). Both modes
-// publish byte-identical views and journal bytes — pipelining changes
-// latency, never results.
+// threads; --group_commit=K amortizes one journal fsync over K batches.
+// Both modes publish byte-identical views and journal bytes — pipelining
+// changes latency, never results.
 //
 // Durability (src/persist): --journal=FILE appends one checksummed record
 // per batch (write-ahead of nothing, behind the in-memory commit — after a
@@ -186,7 +185,6 @@ int main(int argc, char** argv) {
   const bool fsync_each = args.get_bool("fsync", false);
   const bool pipeline = args.get_bool("pipeline", false);
   const uint64_t group_commit = args.get_u64("group_commit", 1);
-  const uint64_t group_commit_us = args.get_u64("group_commit_us", 0);
   const std::string checkpoint_prefix = args.get_string("checkpoint", "");
   const uint64_t checkpoint_every = args.get_u64("checkpoint_every", 0);
   const uint64_t checkpoint_keep = args.get_u64("checkpoint_keep", 2);
@@ -459,7 +457,6 @@ int main(int argc, char** argv) {
   engine::UpdateEngine::Options eopt;
   eopt.pipelined = pipeline;
   eopt.group_commit = static_cast<size_t>(group_commit);
-  eopt.group_commit_us = group_commit_us;
   eopt.checkpoint_every = checkpoint_every;
   eopt.checkpoint_keep = static_cast<size_t>(checkpoint_keep);
   eopt.checkpoint_durable = fsync_each;
@@ -554,11 +551,7 @@ int main(int argc, char** argv) {
               << (promoted ? " (promoted to primary)" : "") << "\n";
   }
   std::cout << "engine: " << (pipeline ? "pipelined" : "inline")
-            << ", group_commit=" << group_commit;
-  if (group_commit_us != 0) {
-    std::cout << " (timer " << group_commit_us << " us)";
-  }
-  std::cout << "\n";
+            << ", group_commit=" << group_commit << "\n";
   std::cout << "updater: " << (trace.size() - skip_batches)
             << " batches (epoch " << m.batch_epoch() << "), " << updates
             << " updates in " << update_secs << " s ("

@@ -2,18 +2,19 @@
 // The grand-random-settle machinery lives in settle.cpp.
 //
 // Hot-path disciplines (see docs/ARCHITECTURE.md "Performance notes"):
-//  * Structural phases are batch-parallel: a read-only parallel pass
-//    computes mutation records, which apply grouped per target vertex
-//    (lock-free EREW) with totally ordered keys, so the resulting state is
-//    identical across thread counts.
+//  * Structural phases compute, then apply: a read-only parallel pass
+//    computes one mutation record per (edge, endpoint), and one serial
+//    pass applies the records in record order. The records come from
+//    ascending edge ids, so every vertex's containers receive their edges
+//    in ascending order and the state is identical across thread counts.
+//    The cost model charges the EREW algorithm's rounds (sort the records
+//    by vertex, apply each vertex's records as its own task).
 //  * S_l membership is cached per vertex as a bitmask; refreshes touch the
 //    shared S_l sets only when a membership bit actually flips.
-//  * Grouped applies run in one serial pass in record order (no sort, no
-//    pool wake); the cost model charges the EREW rounds. Nothing sorts ids
-//    whose order no state byte depends on: the applies report their groups
-//    in first-seen order, deduplicated through a vertex flag lane. Only the
-//    S_l flip records are sorted, because each S_l's member order is the
-//    order in which the settle fallback walks B.
+//  * Nothing sorts ids whose order no state byte depends on: the applies
+//    list their touched vertices in first-seen order, deduplicated through
+//    a vertex flag lane. Only the S_l flip records are sorted, because each
+//    S_l's member order is the order in which the settle fallback walks B.
 //  * All phase-scoped buffers, per-call maps and Luby's lanes come from the
 //    Scratch arena (grown once, reused every batch). A steady-state batch
 //    still makes ~54 heap allocations at n = 2^13, k = 256 — the
@@ -25,7 +26,6 @@
 #include <utility>
 
 #include "core/checker.h"
-#include "dict/batch_ops.h"
 #include "parallel/pack.h"
 #include "parallel/parallel_for.h"
 #include "parallel/sort.h"
@@ -178,14 +178,14 @@ void DynamicMatcher::refresh_s_membership(Vertex v) {
 }
 
 void DynamicMatcher::refresh_s_membership_all(
-    const std::vector<uint64_t>& touched) {
+    const std::vector<Vertex>& touched) {
   if (touched.empty()) return;
   // Pass 1 (parallel; `touched` is duplicate-free, so the per-vertex mask
   // writes are disjoint): recompute each mask, remember which bits flip.
   auto& deltas = scratch_.s_deltas;
   deltas.resize(touched.size());
   parallel_for(pool_, touched.size(), [&](size_t i) {
-    const auto v = static_cast<Vertex>(touched[i]);
+    const Vertex v = touched[i];
     const uint64_t nm = compute_s_mask(v);
     deltas[i] = nm ^ vhot_.s_mask(v);
     vhot_.set_s_mask(v, nm);
@@ -198,7 +198,7 @@ void DynamicMatcher::refresh_s_membership_all(
   for (size_t i = 0; i < touched.size(); ++i) {
     uint64_t delta = deltas[i];
     if (delta == 0) continue;
-    const auto v = static_cast<Vertex>(touched[i]);
+    const Vertex v = touched[i];
     const uint64_t nm = vhot_.s_mask(v);
     do {
       const int l = std::countr_zero(delta);
@@ -209,33 +209,26 @@ void DynamicMatcher::refresh_s_membership_all(
   }
   if (muts.empty()) return;
 
-  // ...and apply them grouped by level. The keys (lvl << 32) | v are
-  // unique (one record per (level, vertex)); sorting the few records by
-  // key makes each level apply in ascending vertex order, whatever order
-  // `touched` came in.
-  std::sort(muts.begin(), muts.end(),
-            [](const SMut& a, const SMut& b) { return a.key() < b.key(); });
-  uint64_t seen_levels = 0;
-  apply_grouped_unique(
-      muts, [](const SMut& m) { return m.key(); },
-      [](uint64_t k) { return k >> 32; },
-      [&seen_levels](uint64_t lvl) {
-        const uint64_t bit = uint64_t{1} << lvl;
-        const bool first = !(seen_levels & bit);
-        seen_levels |= bit;
-        return first;
-      },
-      [&](uint64_t lvl, const SMut* b, const SMut* e) {
-        IndexedSet& s = s_[static_cast<size_t>(lvl)];
-        for (const SMut* m = b; m != e; ++m) {
-          if (m->add) {
-            s.insert(m->v);
-          } else {
-            s.erase(m->v);
-          }
-        }
-      },
-      scratch_.s_groups, &cost_);
+  // ...and apply them in (level, vertex) order. There is one record per
+  // (level, vertex), so every S_l receives its flips in ascending vertex
+  // order, whatever order `touched` came in.
+  std::sort(muts.begin(), muts.end(), [](const SMut& a, const SMut& b) {
+    return a.lvl != b.lvl ? a.lvl < b.lvl : a.v < b.v;
+  });
+  uint64_t levels = 0;
+  for (size_t i = 0; i < muts.size(); ++i) {
+    const SMut& m = muts[i];
+    levels += i == 0 || m.lvl != muts[i - 1].lvl;
+    IndexedSet& s = s_[static_cast<size_t>(m.lvl)];
+    if (m.add) {
+      s.insert(m.v);
+    } else {
+      s.erase(m.v);
+    }
+  }
+  // The EREW rounds: sort the records, then apply each level's as a task.
+  cost_.round(muts.size());
+  cost_.round(levels);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,41 +248,39 @@ void DynamicMatcher::remove_edge_from_structures(EdgeId e) {
 }
 
 void DynamicMatcher::apply_struct_muts(bool insert) {
-  auto& muts = scratch_.struct_muts;
-  auto& live = scratch_.struct_live;
-  pack_values_into(
-      pool_, muts, [&](size_t i) { return muts[i].u != kNoVertex; }, live,
-      scratch_.pack_flags);
-  if (live.empty()) return;
+  // One pass in record order: the records come from ascending ids, so each
+  // vertex's containers receive their edges in ascending order. The flag
+  // lane lists every touched vertex once, in first-seen order.
   auto& flag = vertex_flags();
-  apply_grouped_unique(
-      live, [](const StructMut& m) { return m.key(); },
-      [](uint64_t k) { return k >> 32; },
-      [&flag](uint64_t v) { return !std::exchange(flag[v], uint8_t{1}); },
-      [&](uint64_t key, const StructMut* b, const StructMut* e) {
-        VertexState& vs = verts_[static_cast<Vertex>(key)];
-        for (const StructMut* m = b; m != e; ++m) {
-          if (insert) {
-            if (m->is_owner) {
-              vs.owned.insert(m->e);
-            } else {
-              vs.ensure_a(m->lvl).insert(m->e);
-            }
-          } else {
-            if (m->is_owner) {
-              vs.owned.erase(m->e);
-            } else {
-              vs.erase_a(m->lvl, m->e);
-            }
-          }
-        }
-      },
-      scratch_.struct_groups, &cost_);
-
-  // The applied groups are the touched vertex set, each vertex once —
-  // exactly what the grouped S_l refresh requires.
-  for (uint64_t v : scratch_.struct_groups) flag[v] = 0;
-  refresh_s_membership_all(scratch_.struct_groups);
+  auto& touched = scratch_.touched;
+  touched.clear();
+  uint64_t applied = 0;
+  for (const StructMut& m : scratch_.struct_muts) {
+    if (m.u == kNoVertex) continue;  // empty slot of an edge of rank < r
+    ++applied;
+    VertexState& vs = verts_[m.u];
+    if (insert) {
+      if (m.is_owner) {
+        vs.owned.insert(m.e);
+      } else {
+        vs.ensure_a(m.lvl).insert(m.e);
+      }
+    } else {
+      if (m.is_owner) {
+        vs.owned.erase(m.e);
+      } else {
+        vs.erase_a(m.lvl, m.e);
+      }
+    }
+    if (!std::exchange(flag[m.u], uint8_t{1})) touched.push_back(m.u);
+  }
+  if (touched.empty()) return;
+  // The EREW rounds: sort the records by vertex, then apply each vertex's
+  // records as its own task.
+  cost_.round(applied);
+  cost_.round(touched.size());
+  for (Vertex v : touched) flag[v] = 0;
+  refresh_s_membership_all(touched);
 }
 
 void DynamicMatcher::insert_edges_into_structures(
@@ -297,7 +288,7 @@ void DynamicMatcher::insert_edges_into_structures(
   if (unsorted_ids.empty()) return;
   // The callers' ids (free-list pops, then the reinsertion queue) are in
   // no particular order; ascending ids make each vertex's records ascend
-  // by (u, e) key, as the grouped apply requires.
+  // by edge id, which fixes its containers' member order.
   auto& ids = scratch_.insert_ids;
   ids.assign(unsorted_ids.begin(), unsorted_ids.end());
   parallel_sort_with(pool_, ids, scratch_.sort_buf);
@@ -353,10 +344,10 @@ void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
   if (moves.empty()) return;
   // The S_l refresh below needs every vertex whose mask can have changed,
   // once: the movers, then the vertices with a live container move that
-  // are not movers. Bit 1 of the vertex flag marks a mover, bit 2 a group
-  // of the grouped apply; the touched list names every flagged vertex.
+  // are not movers. Bit 1 of the vertex flag marks a mover, bit 2 a vertex
+  // with a live move; the touched list names every flagged vertex.
   auto& flag = vertex_flags();
-  auto& touched = scratch_.moved_touched;
+  auto& touched = scratch_.touched;
   touched.clear();
   for (const LevelMove& mv : moves) {
     PDMM_ASSERT_MSG(flag[mv.v] == 0, "duplicate vertex in level-move batch");
@@ -444,54 +435,45 @@ void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
   });
   cost_.round(affected.size() * r);
 
-  // Apply the container moves grouped per vertex; the unique (u, e)
-  // keys — ascending within each vertex, `affected` being ascending — pin
-  // the applied order independent of the thread count.
-  auto& live = scratch_.move_live;
-  pack_values_into(
-      pool_, muts,
-      [&](size_t i) {
-        const MoveMut& m = muts[i];
-        if (m.u == kNoVertex) return false;
-        const bool same_container =
-            (m.was_owner && m.now_owner) ||
-            (!m.was_owner && !m.now_owner && m.old_lvl == m.new_lvl);
-        return !same_container;
-      },
-      live, scratch_.pack_flags);
-  apply_grouped_unique(
-      live, [](const MoveMut& m) { return m.key(); },
-      [](uint64_t k) { return k >> 32; },
-      [&flag](uint64_t v) {
-        if (flag[v] & 2) return false;
-        flag[v] |= 2;
-        return true;
-      },
-      [&](uint64_t key, const MoveMut* b, const MoveMut* e) {
-        VertexState& vs = verts_[static_cast<Vertex>(key)];
-        for (const MoveMut* m = b; m != e; ++m) {
-          if (m->was_owner) {
-            vs.owned.erase(m->e);
-          } else {
-            vs.erase_a(m->old_lvl, m->e);
-          }
-          if (m->now_owner) {
-            vs.owned.insert(m->e);
-          } else {
-            vs.ensure_a(m->new_lvl).insert(m->e);
-          }
-        }
-      },
-      scratch_.move_groups, &cost_);
+  // Apply the container moves in one pass in record order: `affected` is
+  // ascending, so each vertex receives its moves in ascending edge order.
+  // A record whose edge stays in the same container is skipped.
+  uint64_t applied = 0, live_vertices = 0;
+  for (const MoveMut& m : muts) {
+    if (m.u == kNoVertex) continue;  // empty slot of an edge of rank < r
+    const bool same_container =
+        (m.was_owner && m.now_owner) ||
+        (!m.was_owner && !m.now_owner && m.old_lvl == m.new_lvl);
+    if (same_container) continue;
+    ++applied;
+    VertexState& vs = verts_[m.u];
+    if (m.was_owner) {
+      vs.owned.erase(m.e);
+    } else {
+      vs.erase_a(m.old_lvl, m.e);
+    }
+    if (m.now_owner) {
+      vs.owned.insert(m.e);
+    } else {
+      vs.ensure_a(m.new_lvl).insert(m.e);
+    }
+    if (!(flag[m.u] & 2)) {
+      flag[m.u] |= 2;
+      ++live_vertices;
+      if (!(flag[m.u] & 1)) touched.push_back(m.u);
+    }
+  }
+  if (applied != 0) {  // the EREW rounds, as in apply_struct_muts
+    cost_.round(applied);
+    cost_.round(live_vertices);
+  }
 
   // Refresh S_l membership of every vertex whose mask can have changed:
   // the movers (their level term changed) and the vertices with a live
   // container move (their per-level counts changed). An affected-edge
   // endpoint with only same-container records kept every count and its
   // level, so its mask is arithmetically unchanged.
-  for (uint64_t v : scratch_.move_groups)
-    if (!(flag[v] & 1)) touched.push_back(v);
-  for (uint64_t v : touched) flag[v] = 0;
+  for (Vertex v : touched) flag[v] = 0;
   refresh_s_membership_all(touched);
 }
 
@@ -607,9 +589,9 @@ void DynamicMatcher::phase_delete_matched(const std::vector<EdgeId>& edges) {
 // The level sweep (§3.3.2)
 // ---------------------------------------------------------------------------
 
-void DynamicMatcher::level_sweep(bool with_step1) {
+void DynamicMatcher::level_sweep() {
   for (Level l = scheme_.top_level(); l >= 0; --l) {
-    if (with_step1) process_level_step1(l);
+    process_level_step1(l);
     grand_random_settle(l);
   }
 }
@@ -712,7 +694,7 @@ size_t DynamicMatcher::total_undecided() const {
 void DynamicMatcher::drain_eager() {
   for (uint32_t it = 0; it < cfg_.max_eager_sweeps; ++it) {
     ++stats_.eager_sweeps;
-    level_sweep(/*with_step1=*/true);
+    level_sweep();
     if (reinsert_queue_.empty() && total_undecided() == 0) {
       // Clean only when no rising set survived either; kicks during the
       // sweep can have re-populated them via reinsertion below.
@@ -872,7 +854,7 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
     reg_.erase(e);
     batch_journal_.emplace_back(e, int8_t{0});
   }
-  level_sweep(/*with_step1=*/true);
+  level_sweep();
 
   // --- group 3: insertions (user + kicked edges + dissolved D sets) ---
   res.inserted_ids.resize(insertions.size(), kNoEdge);

@@ -164,7 +164,6 @@ class DynamicMatcher {
     return v < vhot_.size() ? vhot_.matched(v) : kNoEdge;
   }
   Level edge_level(EdgeId e) const { return elevel_[e]; }
-  Vertex edge_owner(EdgeId e) const { return eowner_[e]; }
 
   // ---- concurrent read path (src/serve) ----
   // Batches processed so far; the epoch stamped onto published MatchViews.
@@ -315,19 +314,15 @@ class DynamicMatcher {
     Level to;
   };
 
-  // One per-vertex container mutation of a batch-parallel structural phase:
-  // add (insert phase) or drop (delete phases) edge e in u's owned set or
-  // A(u, lvl). Keyed by (u << 32) | e — unique per record — so the grouped
-  // application order is a pure function of the record set.
+  // One per-vertex container mutation of a batch structural phase: add
+  // (insert phase) or drop (delete phases) edge e in u's owned set or
+  // A(u, lvl). u == kNoVertex marks the empty slot of an edge of rank
+  // below max_rank.
   struct StructMut {
     Vertex u = kNoVertex;
     EdgeId e = kNoEdge;
     Level lvl = 0;
     uint8_t is_owner = 0;
-
-    uint64_t key() const {
-      return (static_cast<uint64_t>(u) << 32) | e;
-    }
   };
 
   // Mutation record of apply_level_moves: edge e moves between containers
@@ -337,23 +332,15 @@ class DynamicMatcher {
     EdgeId e = kNoEdge;
     Level old_lvl = 0, new_lvl = 0;
     uint8_t was_owner = 0, now_owner = 0;
-
-    uint64_t key() const {
-      return (static_cast<uint64_t>(u) << 32) | e;
-    }
   };
 
-  // One S_l membership flip: vertex v enters (add) or leaves S_lvl. Keyed
-  // by (lvl << 32) | v and grouped by level, so each level applies its
-  // flips in a deterministic (ascending-vertex) order.
+  // One S_l membership flip: vertex v enters (add) or leaves S_lvl. The
+  // flips apply sorted by (lvl, v), so each level receives its flips in
+  // ascending vertex order.
   struct SMut {
     Level lvl = 0;
     Vertex v = kNoVertex;
     uint8_t add = 0;
-
-    uint64_t key() const {
-      return (static_cast<uint64_t>(static_cast<uint32_t>(lvl)) << 32) | v;
-    }
   };
 
   // One edge id's identity in update()'s batch-diff replay.
@@ -383,23 +370,22 @@ class DynamicMatcher {
     std::vector<EdgeId> eager_queue;  // drain_eager's reinsertion batch
     std::vector<DiffTrack> diff_tracks;
     std::vector<uint32_t> diff_slot;  // per edge id: track index, or ~0
-    // Per-vertex flag, |V|-indexed, 0 between uses: the grouped applies'
-    // group dedupe (apply_struct_muts, apply_level_moves) and B membership
-    // in refresh_settle_sets. See vertex_flags().
+    // Per-vertex flag, |V|-indexed, 0 between uses: marks the vertices a
+    // structural apply touched (apply_struct_muts, apply_level_moves) and
+    // B membership in refresh_settle_sets. See vertex_flags().
     std::vector<uint8_t> vflag;
+    // apply_struct_muts / apply_level_moves: the vertices whose S_l mask
+    // can have changed, each once, in first-seen order
+    std::vector<Vertex> touched;
     // apply_level_moves
     std::vector<EdgeId> affected;
-    std::vector<MoveMut> move_muts, move_live;
-    std::vector<uint64_t> moved_touched;
-    std::vector<uint64_t> move_groups;  // vertices with a live move record
+    std::vector<MoveMut> move_muts;
     // insert_edges_into_structures / remove_edges_from_structures
     std::vector<EdgeId> insert_ids;  // the inserted ids, ascending
-    std::vector<StructMut> struct_muts, struct_live;
-    std::vector<uint64_t> struct_groups;  // vertices with a live record
+    std::vector<StructMut> struct_muts;
     // refresh_s_membership_all
     std::vector<uint64_t> s_deltas;
     std::vector<SMut> s_muts;
-    std::vector<uint64_t> s_groups;  // levels whose S_l set changed
     // process_level_step1 / phase_insert / rebuild
     std::vector<Vertex> u_nodes;
     std::vector<EdgeId> candidates, free_edges;
@@ -427,7 +413,7 @@ class DynamicMatcher {
   void phase_delete_unmatched(const std::vector<EdgeId>& edges);
   void phase_delete_temp(const std::vector<EdgeId>& edges);
   void phase_delete_matched(const std::vector<EdgeId>& edges);
-  void level_sweep(bool with_step1);
+  void level_sweep();
   void process_level_step1(Level l);
   void phase_insert(const std::vector<EdgeId>& fresh_ids);
   // Matches within `free_edges` (all endpoints unmatched) by Luby's static
@@ -472,16 +458,18 @@ class DynamicMatcher {
   // `moves` names each vertex at most once (a release assert), in any
   // order; the order reaches no state byte. Callers pass scratch_.moves.
   void apply_level_moves(const std::vector<LevelMove>& moves);
-  // Batch-parallel insertion/removal of many edges: a read-only parallel
-  // pass computes one StructMut per (edge, endpoint), the records apply
-  // grouped per vertex (lock-free EREW), and S_l membership refreshes once
-  // over the touched vertex set. The grouped apply needs the records of
-  // each vertex in ascending edge order: removals take ascending ids,
-  // insertions take ids in any order and sort a copy.
+  // Batch insertion/removal of many edges: a read-only parallel pass
+  // computes one StructMut per (edge, endpoint), one serial pass applies
+  // them in record order, and S_l membership refreshes once over the
+  // touched vertex set. Records built from ascending ids give every
+  // vertex's containers their edges in ascending order, and that order is
+  // state: removals take ascending ids, insertions take ids in any order
+  // and sort a copy.
   void insert_edges_into_structures(const std::vector<EdgeId>& ids);
   void remove_edges_from_structures(const std::vector<EdgeId>& ids);
-  // Shared tail of the two batch phases above: pack the live records of
-  // scratch_.struct_muts, apply them grouped per vertex, refresh S_l.
+  // Shared tail of the two batch phases above: apply the records of
+  // scratch_.struct_muts in order, skipping empty slots, then refresh S_l
+  // over the touched vertices.
   void apply_struct_muts(bool insert);
   void remove_edge_from_structures(EdgeId e);
   std::vector<EdgeId> collect_o_tilde(Vertex v, Level l) const;
@@ -500,14 +488,13 @@ class DynamicMatcher {
   // o~(v, l) profile of v folded into the S_l membership bitmask.
   uint64_t compute_s_mask(Vertex v) const;
   void refresh_s_membership(Vertex v);
-  // Grouped-parallel refresh over a duplicate-free vertex set in any order
-  // (as uint64_t, the type of a grouped apply's group ids): one parallel
+  // Refresh over a duplicate-free vertex set in any order: one parallel
   // pass recomputes the masks (disjoint per-vertex writes), and the rare
   // flips expand into SMut records that are sorted by (level, vertex) and
-  // applied grouped per level. Every S_l thus receives its flips in
-  // ascending vertex order whatever the input order: S_l's member order is
-  // the settle's B, which sequential_settle_fallback walks in order.
-  void refresh_s_membership_all(const std::vector<uint64_t>& touched);
+  // applied in that order. Every S_l thus receives its flips in ascending
+  // vertex order whatever the input order: S_l's member order is the
+  // settle's B, which sequential_settle_fallback walks in order.
+  void refresh_s_membership_all(const std::vector<Vertex>& touched);
   // scratch_.vflag, grown to the vertex bound.
   std::vector<uint8_t>& vertex_flags();
   void grow_vertices(Vertex bound);

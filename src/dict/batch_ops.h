@@ -1,9 +1,15 @@
-// Grouped-mutation application: the EREW discipline used by every phase of
-// the dynamic matcher that mutates per-vertex structures.
+// Grouped-mutation application: the EREW pattern of a phase that mutates
+// per-vertex structures.
 //
 // A parallel phase first *computes* its mutations read-only (one record per
 // (target vertex, payload)), then this helper applies each group of records
 // sharing a target through a callback that touches only that target.
+//
+// No production code calls it: the matcher's structural applies are plain
+// passes in record order (core/matcher.cpp), because this helper had become
+// one too. It is kept, with its tests, as a tested primitive, like
+// parallel/scan.h and parallel/reduce.h. A pooled grouped apply comes back
+// only with a measured crossover where it beats the serial pass.
 //
 // Determinism discipline: phases that care about the order of mutations
 // *within* one group (container iteration order feeds downstream random

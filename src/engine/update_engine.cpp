@@ -265,15 +265,15 @@ void UpdateEngine::record_submit_locked(uint64_t epoch,
 // ---------------------------------------------------------------------------
 
 bool UpdateEngine::submit(Batch batch) {
+  const Clock::time_point t_submit = Clock::now();
   Item it;
   it.batch = std::move(batch);
-  it.t_submit = Clock::now();
   if (!opt_.pipelined) {
     {
       MutexLock lk(mu_);
       if (halted_ || closed_) return false;
       it.epoch = ++next_epoch_;
-      record_submit_locked(it.epoch, it.t_submit);
+      record_submit_locked(it.epoch, t_submit);
     }
     return submit_inline(std::move(it));
   }
@@ -283,7 +283,7 @@ bool UpdateEngine::submit(Batch batch) {
   }
   if (halted_ || closed_) return false;
   it.epoch = ++next_epoch_;
-  record_submit_locked(it.epoch, it.t_submit);
+  record_submit_locked(it.epoch, t_submit);
   ingest_q_.push_back(std::move(it));
   cv_journal_.notify_one();
   return true;

@@ -178,7 +178,6 @@ class UpdateEngine {
   struct Item {
     uint64_t epoch = 0;
     Batch batch;
-    std::chrono::steady_clock::time_point t_submit;
   };
   // The Scratch handoff unit: everything S captures at the epoch barrier
   // for P to push to disk/readers. Retired shells recycle back to S.

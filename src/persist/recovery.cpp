@@ -115,21 +115,28 @@ bool apply_journal_record(DynamicMatcher& m, const JournalRecord& rec,
                   "journal segment)");
   }
   const size_t rank = m.config().max_rank;
+  // The ids validated here are the ones the update applies, so each
+  // deletion costs one registry lookup.
+  std::vector<EdgeId> dels;
+  dels.reserve(rec.batch.deletions.size());
   for (const auto& eps : rec.batch.deletions) {
     // Bound the rank before find_edge — the registry lookup itself
     // asserts on an over-rank endpoint list.
-    if (eps.empty() || eps.size() > rank || m.find_edge(eps) == kNoEdge) {
+    const EdgeId e = (eps.empty() || eps.size() > rank) ? kNoEdge
+                                                        : m.find_edge(eps);
+    if (e == kNoEdge) {
       return refuse(" deletes an edge this state does not contain (the "
                     "journal does not match the checkpoint it replays "
                     "onto)");
     }
+    dels.push_back(e);
   }
   for (const auto& eps : rec.batch.insertions) {
     if (eps.empty() || eps.size() > rank) {
       return refuse(" inserts an edge outside this matcher's rank");
     }
   }
-  m.update_by_endpoints(rec.batch.deletions, rec.batch.insertions);
+  m.update(dels, rec.batch.insertions);
   if (m.batch_epoch() != rec.epoch) {
     return refuse(" diverged the replay: the matcher reached epoch " +
                   std::to_string(m.batch_epoch()));

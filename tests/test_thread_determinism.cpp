@@ -1,10 +1,10 @@
 // Cross-thread-count determinism of the batch-parallel update path.
 //
 // The matcher's contract (matcher.h) promises bit-identical state and
-// counters for a fixed seed regardless of the pool size. The grouped
-// structural phases, the S_l bitmask refresh and the chunk-claim thread
-// pool all lean on that promise — every mutation batch is totally ordered
-// by construction — so this suite drives a seeds x threads(1,2,4,8) matrix
+// counters for a fixed seed regardless of the pool size. The structural
+// phases, the S_l bitmask refresh and the chunk-claim thread pool all lean
+// on that promise — every mutation batch is totally ordered by
+// construction — so this suite drives a seeds x threads(1,2,4,8) matrix
 // over the three scenario streams (churn, power-law hubs, oscillation) and
 // asserts that the full serialized state, the matching, and the work /
 // rounds counters match the single-thread reference exactly, batch by
@@ -169,14 +169,16 @@ TEST_P(ThreadDeterminism, StateAndCountersMatchAcrossThreadCounts) {
 // 2^14 - 2^14 / 10 = 14746 edges are live, so each of the first three
 // 4096-update batches is 4096 insertions: phase_insert's pack and
 // insert_edges_into_structures' record-building loop run over 4096 ids in
-// two chunks, and the pack of its 4096 x r = 8192 records in four. The
-// last two batches mix deletions in at the target.
+// two chunks. The last two batches mix deletions in at the target. The
+// point runs under max_rank 2 and 3: the rank-2 churn under max_rank = 3
+// leaves one record slot in three empty (12,288 slots per 4096-insertion
+// batch), and the structural applies must skip them alike at every size.
 constexpr size_t kWideBatch = 4096;
 
-RunResult run_wide(uint64_t seed, unsigned threads) {
+RunResult run_wide(uint64_t seed, uint32_t max_rank, unsigned threads) {
   ThreadPool pool(threads, /*allow_oversubscribe=*/true);
   Config cfg;
-  cfg.max_rank = 2;
+  cfg.max_rank = max_rank;
   cfg.seed = seed;
   cfg.initial_capacity = 1 << 16;
   cfg.auto_rebuild = false;
@@ -199,21 +201,25 @@ RunResult run_wide(uint64_t seed, unsigned threads) {
 }
 
 TEST(ThreadDeterminismWide, WideBatchesMatchAcrossThreadCounts) {
-  const RunResult ref = run_wide(9, 1);
-  // The first batch's accepted insertions are the id count of its insert
-  // phase's regions; above kDefaultGrain those regions split into chunks.
-  ASSERT_FALSE(ref.per_batch_inserted.empty());
-  ASSERT_GT(ref.per_batch_inserted.front(), kDefaultGrain)
-      << "the wide point no longer runs the insert phase's loops in chunks";
-  EXPECT_GT(ref.matching, 0u);
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    const RunResult got = run_wide(9, threads);
-    EXPECT_EQ(got.per_batch_work, ref.per_batch_work) << threads << " threads";
-    EXPECT_EQ(got.work, ref.work) << threads << " threads";
-    EXPECT_EQ(got.rounds, ref.rounds) << threads << " threads";
-    EXPECT_EQ(got.matching, ref.matching) << threads << " threads";
-    EXPECT_EQ(got.snapshot, ref.snapshot)
-        << "wide churn: state diverged with " << threads << " threads";
+  for (const uint32_t max_rank : {2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "max_rank " << max_rank);
+    const RunResult ref = run_wide(9, max_rank, 1);
+    // The first batch's accepted insertions are the id count of its insert
+    // phase's regions; above kDefaultGrain those regions split into chunks.
+    ASSERT_FALSE(ref.per_batch_inserted.empty());
+    ASSERT_GT(ref.per_batch_inserted.front(), kDefaultGrain)
+        << "the wide point no longer runs the insert phase's loops in chunks";
+    EXPECT_GT(ref.matching, 0u);
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      const RunResult got = run_wide(9, max_rank, threads);
+      EXPECT_EQ(got.per_batch_work, ref.per_batch_work)
+          << threads << " threads";
+      EXPECT_EQ(got.work, ref.work) << threads << " threads";
+      EXPECT_EQ(got.rounds, ref.rounds) << threads << " threads";
+      EXPECT_EQ(got.matching, ref.matching) << threads << " threads";
+      EXPECT_EQ(got.snapshot, ref.snapshot)
+          << "wide churn: state diverged with " << threads << " threads";
+    }
   }
 }
 

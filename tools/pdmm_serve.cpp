@@ -195,8 +195,6 @@ int main(int argc, char** argv) {
   const uint64_t follow_until_epoch = args.get_u64("follow_until_epoch", 0);
   const uint64_t idle_exit_ms = args.get_u64("idle_exit_ms", 0);
   const uint64_t health_every_ms = args.get_u64("health_every_ms", 1000);
-  const uint64_t poll_init_us = args.get_u64("poll_init_us", 500);
-  const uint64_t poll_max_us = args.get_u64("poll_max_us", 50'000);
   args.finish();
   const bool follow_mode = !follow_path.empty();
   if (checkpoint_every != 0 && checkpoint_prefix.empty()) {
@@ -354,6 +352,7 @@ int main(int argc, char** argv) {
   MatchViewService serve(m, sopt);
 
   std::atomic<bool> done{false};
+  const Timer reader_timer;
   std::vector<ReaderStats> stats(readers);
   std::vector<std::thread> reader_threads;
   reader_threads.reserve(readers);
@@ -382,8 +381,8 @@ int main(int argc, char** argv) {
     ropts.journal_path = follow_path;
     ropts.checkpoint_prefix = checkpoint_prefix;
     ropts.expected_stream = stream_fp;
-    ropts.backoff.initial_us = poll_init_us;
-    ropts.backoff.max_us = poll_max_us;
+    // Poll delays grow from Backoff's 500 us default up to 50 ms.
+    ropts.backoff.max_us = 50'000;
     replicate::ReplicaEngine replica(m, &serve, ropts);
     std::string err;
     if (!replica.bootstrap(&err)) return reader_bailout(err);
@@ -515,7 +514,7 @@ int main(int argc, char** argv) {
   // published view happens-before any reader seeing done==true.
   done.store(true, std::memory_order_release);
   for (auto& th : reader_threads) th.join();
-  const double total_secs = t.seconds();
+  const double reader_secs = reader_timer.seconds();
 
   ReaderStats sum;
   bool all_valid = true, all_monotone = true;
@@ -576,9 +575,9 @@ int main(int argc, char** argv) {
     print_hist("retired", retired_us);
   }
   std::cout << "readers: " << readers << " threads, " << sum.queries
-            << " queries in " << total_secs << " s ("
+            << " queries in " << reader_secs << " s ("
             << static_cast<uint64_t>(static_cast<double>(sum.queries) /
-                                     std::max(total_secs, 1e-9))
+                                     std::max(reader_secs, 1e-9))
             << " q/s), " << sum.acquires
             << " acquires, staleness max=" << sum.staleness_max << "\n";
   std::cout << "views: " << ch.published_count() << " published, "

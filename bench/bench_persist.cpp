@@ -73,10 +73,8 @@ void run(Ctx& ctx) {
   ctx.point({p("op", "checkpoint_encode")}, [&] {
     Sample s;
     Timer t;
-    std::ostringstream out;
-    PDMM_ASSERT(persist::write_checkpoint(out, m, nullptr));
+    PDMM_ASSERT(persist::encode_checkpoint(m, ck_bytes, nullptr));
     s.seconds = t.seconds();
-    ck_bytes = std::move(out).str();
     s.metrics = {
         {"bytes", static_cast<double>(ck_bytes.size())},
         {"mb_per_sec", static_cast<double>(ck_bytes.size()) / 1e6 /

@@ -4,12 +4,10 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "core/matcher.h"
-#include "persist/io_util.h"
-#include "util/crc32.h"
+#include "persist/frame.h"
 #include "util/parse_num.h"
 #include "util/sync_point.h"
 
@@ -23,23 +21,19 @@ namespace pdmm::persist {
 
 namespace {
 
+using detail::FrameHeader;
+using detail::PayloadRead;
+using detail::read_line;
+
 constexpr const char* kMagic = "pdmm-checkpoint v1";
 // Sections larger than this are rejected outright; combined with the
-// chunked reader below, a hostile length field cannot force one giant
-// allocation before the stream proves it actually has the bytes.
+// frame's chunked payload read, a hostile length field cannot force one
+// giant allocation before the stream proves it actually has the bytes.
 constexpr uint64_t kMaxSectionBytes = uint64_t{1} << 40;
-
-using detail::read_exact;
 
 bool set_error(std::string* error, std::string msg) {
   if (error) *error = std::move(msg);
   return false;
-}
-
-void write_section(std::ostream& out, const char* name,
-                   const std::string& payload) {
-  out << name << ' ' << payload.size() << ' ' << crc32(payload) << '\n';
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 }
 
 std::string meta_payload(const DynamicMatcher& m,
@@ -108,7 +102,8 @@ bool CheckpointData::config(Config& out) const {
       !meta_u64(meta, "iter_factor", iter) ||
       !meta_u64(meta, "max_repeats", repeats) ||
       !meta_u64(meta, "epoch_stats", stats) || rank == 0 ||
-      rank > UINT32_MAX) {
+      // The 32-bit fields refuse what the casts below would wrap.
+      std::max({rank, sweeps, iter, repeats}) > UINT32_MAX) {
     return false;
   }
   out = Config{};
@@ -124,8 +119,8 @@ bool CheckpointData::config(Config& out) const {
   return true;
 }
 
-bool write_checkpoint(std::ostream& out, const DynamicMatcher& m,
-                      std::string* error, const std::string& stream_fp) {
+bool encode_checkpoint(const DynamicMatcher& m, std::string& out,
+                       std::string* error, const std::string& stream_fp) {
   if (stream_fp.find('\n') != std::string::npos) {
     return set_error(error, "stream fingerprint must be a single line");
   }
@@ -133,15 +128,12 @@ bool write_checkpoint(std::ostream& out, const DynamicMatcher& m,
   if (!m.save(snap)) {
     return set_error(error, "serializing the snapshot failed");
   }
-  out << kMagic << '\n';
-  write_section(out, "meta", meta_payload(m, stream_fp));
-  write_section(out, "snap", std::move(snap).str());
-  out << "end\n";
-  out.flush();
-  if (!out.good()) {
-    return set_error(error,
-                     "checkpoint stream failed (disk full or closed?)");
-  }
+  out.clear();
+  out += kMagic;
+  out += '\n';
+  detail::append_frame(out, "meta", meta_payload(m, stream_fp));
+  detail::append_frame(out, "snap", std::move(snap).str());
+  out += "end\n";
   return true;
 }
 
@@ -154,54 +146,50 @@ bool read_checkpoint_impl(std::istream& in, CheckpointData& out,
                           std::string* error, bool meta_only) {
   out = CheckpointData{};
   std::string line;
-  if (!std::getline(in, line)) {
+  // Unlike the journal, a line missing its newline needs no verdict of its
+  // own here: a cut header still fails its parse or its payload read.
+  bool complete = false;
+  if (!read_line(in, line, complete)) {
     return set_error(error, "empty checkpoint");
   }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
   if (line != kMagic) {
     return set_error(error, "unrecognized checkpoint header '" + line + "'");
   }
   bool saw_meta = false, saw_snap = false, saw_end = false;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  while (read_line(in, line, complete)) {
     if (line == "end") {
       saw_end = true;
       break;
     }
-    std::istringstream hs(line);
-    std::string name, len_tok, crc_tok;
-    if (!(hs >> name >> len_tok >> crc_tok) || (hs >> std::ws, !hs.eof())) {
+    FrameHeader h;
+    if (!detail::parse_frame_header(line, /*has_id=*/false, kMaxSectionBytes,
+                                    h)) {
       return set_error(error, "malformed section header '" + line + "'");
     }
-    uint64_t len = 0, want_crc = 0;
-    if (parse_u64_strict(len_tok, len) != ParseNum::kOk ||
-        parse_u64_strict(crc_tok, want_crc) != ParseNum::kOk ||
-        want_crc > UINT32_MAX || len > kMaxSectionBytes) {
-      return set_error(error, "malformed section header '" + line + "'");
-    }
-    std::string* dest = nullptr;
+    const std::string& name = h.tag;
+    std::string payload;
+    std::string* buf = &payload;  // meta: parsed below from `payload`
     if (name == "meta") {
       if (saw_meta) return set_error(error, "duplicate meta section");
       saw_meta = true;
-      dest = nullptr;  // parsed below from `payload`
     } else if (name == "snap") {
       if (saw_snap) return set_error(error, "duplicate snap section");
       saw_snap = true;
-      dest = &out.snapshot;
+      buf = &out.snapshot;
     } else {
       return set_error(error, "unknown section '" + name + "'");
     }
-    std::string payload;
-    std::string& buf = dest ? *dest : payload;
-    if (!read_exact(in, len, buf)) {
-      return set_error(error, "truncated " + name + " section (declared " +
-                                  std::to_string(len) + " bytes)");
-    }
-    if (crc32(buf) != static_cast<uint32_t>(want_crc)) {
-      return set_error(error, name + " section checksum mismatch");
+    switch (detail::read_frame_payload(in, h, *buf)) {
+      case PayloadRead::kOk:
+        break;
+      case PayloadRead::kTruncated:
+        return set_error(error, "truncated " + name + " section (declared " +
+                                    std::to_string(h.nbytes) + " bytes)");
+      case PayloadRead::kChecksumMismatch:
+        return set_error(error, name + " section checksum mismatch");
     }
     if (name == "meta") {
-      std::istringstream ms(buf);
+      std::istringstream ms(payload);
       std::string mline;
       while (std::getline(ms, mline)) {
         const size_t sp = mline.find(' ');
@@ -227,17 +215,57 @@ bool read_checkpoint(std::istream& in, CheckpointData& out,
   return read_checkpoint_impl(in, out, error, /*meta_only=*/false);
 }
 
-bool encode_checkpoint(const DynamicMatcher& m, std::string& out,
-                       std::string* error, const std::string& stream_fp) {
-  std::ostringstream os;
-  if (!write_checkpoint(os, m, error, stream_fp)) return false;
-  out = std::move(os).str();
+bool read_checkpoint_file(const std::string& path, CheckpointData& out,
+                          std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return set_error(error, "cannot open " + path);
+  if (!read_checkpoint(in, out, error)) {
+    if (error) *error = path + ": " + *error;
+    return false;
+  }
   return true;
 }
 
-bool write_checkpoint_bytes_file(const std::string& path,
-                                 const std::string& bytes, uint64_t epoch,
-                                 std::string* error, bool durable) {
+bool read_checkpoint_meta_file(const std::string& path, CheckpointData& out,
+                               std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return set_error(error, "cannot open " + path);
+  if (!read_checkpoint_impl(in, out, error, /*meta_only=*/true)) {
+    if (error) *error = path + ": " + *error;
+    return false;
+  }
+  return true;
+}
+
+std::vector<std::pair<uint64_t, std::string>> list_checkpoints(
+    const std::string& prefix) {
+  namespace fs = std::filesystem;
+  std::vector<std::pair<uint64_t, std::string>> out;
+  const fs::path p(prefix);
+  const fs::path dir = p.has_parent_path() ? p.parent_path() : fs::path(".");
+  const std::string stem = p.filename().string() + ".";
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.rfind(stem, 0) != 0) continue;
+    uint64_t epoch = 0;
+    if (parse_u64_strict(name.substr(stem.size()), epoch) != ParseNum::kOk) {
+      continue;  // .tmp strays and anything else non-numeric
+    }
+    out.emplace_back(epoch, it->path().string());
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  return out;
+}
+
+namespace {
+
+// The atomic placement of one series file (checkpoint.h,
+// write_checkpoint_series_bytes).
+bool place_checkpoint(const std::string& path, const std::string& bytes,
+                      uint64_t epoch, std::string* error, bool durable) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -294,62 +322,6 @@ bool write_checkpoint_bytes_file(const std::string& path,
   return true;
 }
 
-bool write_checkpoint_file(const std::string& path, const DynamicMatcher& m,
-                           std::string* error, bool durable,
-                           const std::string& stream_fp) {
-  std::string bytes;
-  if (!encode_checkpoint(m, bytes, error, stream_fp)) return false;
-  return write_checkpoint_bytes_file(path, bytes, m.batch_epoch(), error,
-                                     durable);
-}
-
-bool read_checkpoint_file(const std::string& path, CheckpointData& out,
-                          std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return set_error(error, "cannot open " + path);
-  if (!read_checkpoint(in, out, error)) {
-    if (error) *error = path + ": " + *error;
-    return false;
-  }
-  return true;
-}
-
-bool read_checkpoint_meta_file(const std::string& path, CheckpointData& out,
-                               std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return set_error(error, "cannot open " + path);
-  if (!read_checkpoint_impl(in, out, error, /*meta_only=*/true)) {
-    if (error) *error = path + ": " + *error;
-    return false;
-  }
-  return true;
-}
-
-std::vector<std::pair<uint64_t, std::string>> list_checkpoints(
-    const std::string& prefix) {
-  namespace fs = std::filesystem;
-  std::vector<std::pair<uint64_t, std::string>> out;
-  const fs::path p(prefix);
-  const fs::path dir = p.has_parent_path() ? p.parent_path() : fs::path(".");
-  const std::string stem = p.filename().string() + ".";
-  std::error_code ec;
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.rfind(stem, 0) != 0) continue;
-    uint64_t epoch = 0;
-    if (parse_u64_strict(name.substr(stem.size()), epoch) != ParseNum::kOk) {
-      continue;  // .tmp strays and anything else non-numeric
-    }
-    out.emplace_back(epoch, it->path().string());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  return out;
-}
-
-namespace {
-
 // The just-written epoch is the series head: files claiming a *newer*
 // epoch cannot belong to this server's lineage (its epochs only grow
 // through the series writers) — they are strays from a superseded run
@@ -377,22 +349,17 @@ bool write_checkpoint_series(const std::string& prefix,
                              const DynamicMatcher& m, size_t keep,
                              std::string* error, bool durable,
                              const std::string& stream_fp) {
-  const uint64_t epoch = m.batch_epoch();
-  const std::string path = prefix + "." + std::to_string(epoch);
-  if (!write_checkpoint_file(path, m, error, durable, stream_fp)) {
-    return false;
-  }
-  prune_series(prefix, epoch, keep);
-  return true;
+  std::string bytes;
+  return encode_checkpoint(m, bytes, error, stream_fp) &&
+         write_checkpoint_series_bytes(prefix, m.batch_epoch(), bytes, keep,
+                                       error, durable);
 }
 
 bool write_checkpoint_series_bytes(const std::string& prefix, uint64_t epoch,
                                    const std::string& bytes, size_t keep,
                                    std::string* error, bool durable) {
   const std::string path = prefix + "." + std::to_string(epoch);
-  if (!write_checkpoint_bytes_file(path, bytes, epoch, error, durable)) {
-    return false;
-  }
+  if (!place_checkpoint(path, bytes, epoch, error, durable)) return false;
   prune_series(prefix, epoch, keep);
   return true;
 }

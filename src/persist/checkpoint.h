@@ -15,16 +15,21 @@
 //   <snapshot payload: DynamicMatcher::save() bytes>
 //   end
 //
-// Sections are length-prefixed and CRC-32-checksummed, so truncation and
-// bit rot are detected before any payload byte reaches the snapshot
-// loader. The meta section carries the full Config plus the batch epoch,
-// so recovery tooling can construct a compatible matcher from the file
-// alone. File placement is atomic: write to "<path>.tmp", flush, then
-// rename over the final name — a crash mid-checkpoint leaves either the
-// previous complete file or a stray .tmp, never a half-written current
-// one. The series helpers name files "<prefix>.<epoch>" and keep the most
-// recent `keep`, so recovery can fall back to an older checkpoint when
-// the newest one is damaged.
+// Each section is one frame (persist/frame.h, the codec the journal's
+// records share): length-prefixed and CRC-32-checksummed, so truncation
+// and bit rot are detected before any payload byte reaches the snapshot
+// loader. This file keeps only what is checkpoint-specific: the section
+// dispatch, the meta parse and the atomic placement. The meta section
+// carries the full Config plus the batch epoch, so recovery tooling can
+// construct a compatible matcher from the file alone.
+//
+// One write path: encode_checkpoint() builds the container bytes, and
+// write_checkpoint_series_bytes() places them as "<prefix>.<epoch>" —
+// write "<path>.tmp", flush, rename over the final name — then keeps the
+// most recent `keep`. A crash mid-checkpoint leaves either the previous
+// complete file or a stray .tmp, never a half-written current one, and
+// recovery can fall back to an older checkpoint when the newest one is
+// damaged.
 #pragma once
 
 #include <cstdint>
@@ -58,20 +63,14 @@ struct CheckpointData {
   bool config(Config& out) const;
 };
 
-// Serializes matcher state + meta into `out`. False (with *error) when the
-// output stream failed — the written bytes must then be discarded.
+// Encodes the full container (header + meta + snap + end) into `out`.
+// This reads live matcher state, so it must run at the epoch barrier on
+// the thread that owns the matcher; write_checkpoint_series_bytes() below
+// does only file I/O, so a pipeline can ship the bytes to another thread
+// and overlap the write/fsync/rename with the next batch's compute.
 // `stream_fp`, when non-empty, is recorded as the "stream" meta entry (one
-// line; must not contain '\n').
-bool write_checkpoint(std::ostream& out, const DynamicMatcher& m,
-                      std::string* error,
-                      const std::string& stream_fp = "");
-
-// Capture/I-O split for the pipelined engine: encode_checkpoint captures
-// the full container (header + meta + snap + end) into `out` — this reads
-// live matcher state, so it must run at the epoch barrier on the thread
-// that owns the matcher — and the *_bytes variants below do only file
-// I/O, so a pipeline can ship the bytes to another thread and overlap the
-// write/fsync/rename with the next batch's compute.
+// line; must not contain '\n'). False (with *error) when it does, or when
+// the snapshot cannot be serialized; `out` is then unchanged.
 bool encode_checkpoint(const DynamicMatcher& m, std::string& out,
                        std::string* error, const std::string& stream_fp = "");
 
@@ -80,23 +79,6 @@ bool encode_checkpoint(const DynamicMatcher& m, std::string& out,
 bool read_checkpoint(std::istream& in, CheckpointData& out,
                      std::string* error);
 
-// Atomic file variants ("<path>.tmp" + rename). The default durability
-// tier matches the journal's: flushed, so complete once the process is
-// the only thing that died. With durable=true the tmp file is fsync'd
-// before the rename and the directory after it, extending atomicity to
-// OS crashes and power loss (pdmm_serve's --fsync selects this for both
-// journal records and checkpoints).
-bool write_checkpoint_file(const std::string& path, const DynamicMatcher& m,
-                           std::string* error, bool durable = false,
-                           const std::string& stream_fp = "");
-// Pure-I/O variant over pre-encoded container bytes (encode_checkpoint).
-// Same tmp+rename atomic placement; fires the "checkpoint.pre_rename"
-// sync point (with `epoch`) between the completed tmp write and the
-// rename — an injected crash there leaves exactly the .tmp stray a real
-// one would.
-bool write_checkpoint_bytes_file(const std::string& path,
-                                 const std::string& bytes, uint64_t epoch,
-                                 std::string* error, bool durable = false);
 bool read_checkpoint_file(const std::string& path, CheckpointData& out,
                           std::string* error);
 
@@ -108,18 +90,26 @@ bool read_checkpoint_file(const std::string& path, CheckpointData& out,
 bool read_checkpoint_meta_file(const std::string& path, CheckpointData& out,
                                std::string* error);
 
-// Writes "<prefix>.<epoch>" atomically and prunes older series files so at
-// most `keep` remain. False on write failure (pruning best-effort).
+// Places pre-encoded container bytes (encode_checkpoint) as
+// "<prefix>.<epoch>" atomically, then prunes older series files so at most
+// `keep` remain. False on write failure (pruning best-effort). The
+// "checkpoint.pre_rename" sync point fires (with `epoch`) between the
+// completed tmp write and the rename — an injected crash there leaves
+// exactly the .tmp stray a real one would. The default durability tier
+// matches the journal's: flushed, so complete once the process is the only
+// thing that died. With durable=true the tmp file is fsync'd before the
+// rename and the directory after it, extending atomicity to OS crashes and
+// power loss (pdmm_serve's --fsync selects this for both journal records
+// and checkpoints).
+bool write_checkpoint_series_bytes(const std::string& prefix, uint64_t epoch,
+                                   const std::string& bytes, size_t keep,
+                                   std::string* error, bool durable = false);
+// encode_checkpoint(m) at m's batch epoch, then
+// write_checkpoint_series_bytes().
 bool write_checkpoint_series(const std::string& prefix,
                              const DynamicMatcher& m, size_t keep,
                              std::string* error, bool durable = false,
                              const std::string& stream_fp = "");
-// Series placement for pre-encoded bytes (the pipelined engine's
-// checkpoint stage): writes "<prefix>.<epoch>" via
-// write_checkpoint_bytes_file, then the same stray-aware keep-N prune.
-bool write_checkpoint_series_bytes(const std::string& prefix, uint64_t epoch,
-                                   const std::string& bytes, size_t keep,
-                                   std::string* error, bool durable = false);
 
 // All existing "<prefix>.<epoch>" files, newest epoch first. Files whose
 // suffix is not a plain decimal epoch are ignored (including .tmp strays).

@@ -7,9 +7,7 @@
 #include <sstream>
 #include <string_view>
 
-#include "persist/io_util.h"
-#include "util/crc32.h"
-#include "util/parse_num.h"
+#include "persist/frame.h"
 #include "util/sync_point.h"
 #include "workload/trace.h"
 
@@ -22,66 +20,13 @@ namespace pdmm::persist {
 
 namespace {
 
-using detail::read_exact;
+using detail::FrameHeader;
+using detail::PayloadRead;
+using detail::read_line;
 
 constexpr const char* kMagic = "pdmm-journal v1";
 constexpr std::string_view kStreamPrefix = "stream ";
 constexpr uint64_t kMaxRecordBytes = uint64_t{1} << 32;
-
-// One journal record's bytes: header line + trace-encoded batch payload.
-// The header fields are strict decimal (no sign, no leading zeros beyond
-// the number itself, no trailing junk) and the CRC covers the payload
-// only. Note an inherent tail ambiguity no header checksum could remove:
-// for the FINAL record, a rotted byte and a torn write are
-// indistinguishable (both fail validation with nothing after them), so
-// the durability granularity at the tail is one record either way —
-// exactly the bound the flush-per-record model documents.
-void encode_record_into(uint64_t epoch, const Batch& b, std::string& out) {
-  // The payload goes in first (its size and CRC head the record), then
-  // the header is slid in front of it.
-  out.clear();
-  append_batch(out, b);
-  const std::string header = "rec " + std::to_string(epoch) + ' ' +
-                             std::to_string(out.size()) + ' ' +
-                             std::to_string(crc32(out)) + '\n';
-  out.insert(0, header);
-}
-
-// getline that also says whether the line got its newline, with any
-// trailing '\r' stripped. False when nothing at all was left to read.
-bool read_line(std::istream& in, std::string& line, bool& complete) {
-  if (!std::getline(in, line)) return false;
-  complete = !in.eof();
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return true;
-}
-
-struct RecordHeader {
-  uint64_t epoch = 0;
-  uint64_t nbytes = 0;
-  uint32_t crc = 0;
-};
-
-// Parses one "rec <epoch> <nbytes> <crc32>" header line. False on any
-// grammar violation: wrong tag, wrong field count, non-strict numbers,
-// crc out of 32-bit range, or nbytes past the record size bound.
-bool parse_record_header(const std::string& line, RecordHeader& out) {
-  std::istringstream hs(line);
-  std::string tag, epoch_tok, len_tok, crc_tok;
-  if (!(hs >> tag >> epoch_tok >> len_tok >> crc_tok) || tag != "rec" ||
-      (hs >> std::ws, !hs.eof())) {
-    return false;
-  }
-  uint64_t crc = 0;
-  if (parse_u64_strict(epoch_tok, out.epoch) != ParseNum::kOk ||
-      parse_u64_strict(len_tok, out.nbytes) != ParseNum::kOk ||
-      parse_u64_strict(crc_tok, crc) != ParseNum::kOk || crc > UINT32_MAX ||
-      out.nbytes > kMaxRecordBytes) {
-    return false;
-  }
-  out.crc = static_cast<uint32_t>(crc);
-  return true;
-}
 
 enum class ReadOutcome : uint8_t {
   kValid,        // `out` holds the record; the stream is just past it
@@ -90,43 +35,52 @@ enum class ReadOutcome : uint8_t {
   kInvalid,      // complete header line, but the record fails validation
 };
 
-// Reads one record at `in`'s position: header line, payload, CRC, then
-// "parses as exactly one batch" (CRC first: it catches rot and tears
-// before the parser sees a byte). On kInvalid, `why` names the first
-// check that failed and the stream is left just past the header line —
-// where a resync probe must start, since a rotted length field can make
-// the payload read consume every byte to EOF (or overshoot into later
-// records) before failing.
+// Reads one record at `in`'s position: a frame tagged "rec" whose u64 is
+// the epoch, then "the payload parses as exactly one batch" (the frame's
+// CRC first: it catches rot and tears before the parser sees a byte). On
+// kInvalid, `why` names the first check that failed and the stream is left
+// just past the header line — where a resync probe must start, since a
+// rotted length field can make the payload read consume every byte to EOF
+// (or overshoot into later records) before failing. For the FINAL record,
+// a rotted byte and a torn write are indistinguishable (both fail with
+// nothing after them), so the durability granularity at the tail is one
+// record either way — the bound the flush-per-record model documents.
 ReadOutcome read_record(std::istream& in, JournalRecord& out,
                         std::string& why) {
   std::string line;
   bool complete = false;
   if (!read_line(in, line, complete)) return ReadOutcome::kEnd;
   if (!complete) return ReadOutcome::kPartialLine;
-  RecordHeader rh;
-  if (!parse_record_header(line, rh)) {
+  FrameHeader h;
+  if (!detail::parse_frame_header(line, /*has_id=*/true, kMaxRecordBytes,
+                                  h) ||
+      h.tag != "rec") {
     why = "malformed record header '" + line + "'";
     return ReadOutcome::kInvalid;
   }
   const std::streampos after_header = in.tellg();
   const auto invalid = [&](const std::string& what) {
-    why = what + " (epoch " + std::to_string(rh.epoch) + ")";
+    why = what + " (epoch " + std::to_string(h.id) + ")";
     in.clear();  // a short payload read set eof/failbit
     in.seekg(after_header);
     return ReadOutcome::kInvalid;
   };
   std::string payload;
-  if (!read_exact(in, rh.nbytes, payload)) {
-    return invalid("record payload truncated");
+  switch (detail::read_frame_payload(in, h, payload)) {
+    case PayloadRead::kOk:
+      break;
+    case PayloadRead::kTruncated:
+      return invalid("record payload truncated");
+    case PayloadRead::kChecksumMismatch:
+      return invalid("record checksum mismatch");
   }
-  if (crc32(payload) != rh.crc) return invalid("record checksum mismatch");
   std::istringstream ps(payload);
   std::vector<Batch> batches;
   std::string perr;
   if (!read_trace(ps, batches, &perr) || batches.size() != 1) {
     return invalid("record payload does not parse as one batch: " + perr);
   }
-  out.epoch = rh.epoch;
+  out.epoch = h.id;
   out.batch = std::move(batches.front());
   return ReadOutcome::kValid;
 }
@@ -426,7 +380,10 @@ bool Journal::append_buffered(uint64_t epoch, const Batch& b,
     }
     return false;
   }
-  encode_record_into(epoch, b, enc_buf_);
+  payload_buf_.clear();
+  append_batch(payload_buf_, b);
+  enc_buf_.clear();
+  detail::append_frame(enc_buf_, "rec " + std::to_string(epoch), payload_buf_);
   if (std::fwrite(enc_buf_.data(), 1, enc_buf_.size(), f_) !=
       enc_buf_.size()) {
     if (error) {

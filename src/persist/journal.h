@@ -10,6 +10,12 @@
 //   <payload: the batch in trace op encoding (append_batch), nbytes bytes>
 //   rec ...
 //
+// Each record is one frame (persist/frame.h, the codec checkpoint sections
+// share) tagged "rec" with the epoch as its u64. This file keeps only what
+// is journal-specific: the magic and `stream` header lines, epoch order,
+// the "payload parses as exactly one batch" check, and the resync probe
+// that tells a torn tail from rot.
+//
 // The optional `stream` line names the update stream this log was recorded
 // from (a trace-file hash or the generator's parameters). Re-opening for
 // append with a different fingerprint is refused, and recovery refuses to
@@ -340,8 +346,10 @@ class Journal {
   uint64_t last_epoch_ PDMM_GUARDED_BY(appender_role_);
   uint64_t committed_epoch_ PDMM_GUARDED_BY(appender_role_);
   uint64_t appended_ PDMM_GUARDED_BY(appender_role_) = 0;
-  // Reused encode buffer: append_buffered() serializes every record into
-  // the same string so the steady-state append path stops allocating.
+  // Reused encode buffers (the batch payload, then its frame):
+  // append_buffered() serializes every record into the same strings so the
+  // steady-state append path stops allocating.
+  std::string payload_buf_ PDMM_GUARDED_BY(appender_role_);
   std::string enc_buf_ PDMM_GUARDED_BY(appender_role_);
   Options opt_;
 };

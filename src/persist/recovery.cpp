@@ -195,11 +195,7 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
       rep.error = sink_error.empty() ? scan.error : sink_error;
       return rep;
     }
-    rep.journal_tail_truncated = scan.truncated_tail;
-    rep.journal_scanned = true;
-    rep.journal_valid_bytes = scan.valid_bytes;
-    rep.journal_last_epoch = scan.last_epoch;
-    rep.journal_stream = scan.stream;
+    rep.journal = scan;
     if (rep.checkpoint_path.empty() && rep.skipped_checkpoints > 0 &&
         scan.record_count == 0) {
       // Every checkpoint is damaged and the journal holds nothing: an
@@ -230,18 +226,12 @@ std::unique_ptr<Journal> open_journal_after_recovery(
   // any torn tail is its own crashed append (recover() already refused
   // mid-file rot); grant the truncate permission on its behalf.
   opt.repair = true;
-  if (report.journal_scanned) {
+  if (report.journal.ok) {
     // Recovery already validated the whole log; reuse its durable
     // frontier instead of paying a second full scan. recover() has
     // already refused every journal/checkpoint shape whose append would
     // not continue contiguously from the recovered epoch.
-    JournalScan scan;
-    scan.ok = true;
-    scan.valid_bytes = report.journal_valid_bytes;
-    scan.last_epoch = report.journal_last_epoch;
-    scan.truncated_tail = report.journal_tail_truncated;
-    scan.stream = report.journal_stream;
-    return Journal::open_scanned(path, opt, scan, error);
+    return Journal::open_scanned(path, opt, report.journal, error);
   }
   return Journal::open(path, opt, error);
 }

@@ -56,14 +56,11 @@ struct RecoveryReport {
   uint64_t final_epoch = 0;
   size_t replayed_batches = 0;
   size_t skipped_checkpoints = 0;  // damaged/mismatched ones passed over
-  bool journal_tail_truncated = false;
-  // Durable-frontier facts from the journal scan, so a caller that wants
-  // to keep appending can Journal::open_scanned() without re-reading the
-  // whole log (meaningful only when journal_scanned).
-  bool journal_scanned = false;
-  uint64_t journal_valid_bytes = 0;
-  uint64_t journal_last_epoch = 0;
-  std::string journal_stream;  // fingerprint from the journal header
+  // The journal scan recovery replayed (streamed: no records retained).
+  // ok only when a journal was scanned without error; a caller that wants
+  // to keep appending hands it to Journal::open_scanned() instead of
+  // re-reading the whole log.
+  JournalScan journal;
 };
 
 // What select_checkpoint() restored, or why it stopped.

@@ -419,10 +419,11 @@ TEST_F(EngineTest, CheckpointRenameFaultsCleanUpOrLeaveRealisticStray) {
                                                        : SyncPoints::kProceed;
     });
     std::string err;
-    EXPECT_FALSE(persist::write_checkpoint_file(path("ck.fail"), m, &err));
+    EXPECT_FALSE(
+        persist::write_checkpoint_series(path("ck.fail"), m, 2, &err));
     EXPECT_NE(err.find("rename"), std::string::npos) << err;
-    EXPECT_FALSE(fs::exists(path("ck.fail")));
-    EXPECT_FALSE(fs::exists(path("ck.fail.tmp")));
+    EXPECT_FALSE(fs::exists(path("ck.fail.4")));
+    EXPECT_FALSE(fs::exists(path("ck.fail.4.tmp")));
   }
 
   // kCrash: dies between tmp completion and rename — the stray .tmp a
@@ -440,8 +441,8 @@ TEST_F(EngineTest, CheckpointRenameFaultsCleanUpOrLeaveRealisticStray) {
     });
     std::string bytes;
     ASSERT_TRUE(persist::encode_checkpoint(m, bytes, &err)) << err;
-    EXPECT_FALSE(persist::write_checkpoint_bytes_file(path("ck.9"), bytes, 9,
-                                                      &err));
+    EXPECT_FALSE(persist::write_checkpoint_series_bytes(path("ck"), 9, bytes,
+                                                        2, &err));
     EXPECT_TRUE(fs::exists(path("ck.9.tmp")));
     EXPECT_FALSE(fs::exists(path("ck.9")));
     SyncPoints::clear();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -117,10 +118,8 @@ TEST_F(PersistTest, CheckpointRoundTrips) {
     m.update_by_endpoints(b.deletions, b.insertions);
   }
 
-  std::ostringstream out;
-  std::string err;
-  ASSERT_TRUE(persist::write_checkpoint(out, m, &err)) << err;
-  const std::string bytes = std::move(out).str();
+  std::string bytes, err;
+  ASSERT_TRUE(persist::encode_checkpoint(m, bytes, &err)) << err;
 
   CheckpointData ck;
   std::istringstream in(bytes);
@@ -151,18 +150,37 @@ TEST_F(PersistTest, CheckpointRoundTrips) {
   EXPECT_TRUE(meta_only.snapshot.empty());
 }
 
+// The 32-bit Config fields refuse a meta value past UINT32_MAX instead of
+// wrapping it: "max_repeats 4294967296" must not read as 0.
+TEST_F(PersistTest, CheckpointConfigRejectsOutOfRangeMeta) {
+  ThreadPool pool(1);
+  DynamicMatcher m(persist_config(), pool);
+  std::string bytes, err;
+  ASSERT_TRUE(persist::encode_checkpoint(m, bytes, &err)) << err;
+  CheckpointData ck;
+  std::istringstream in(bytes);
+  ASSERT_TRUE(persist::read_checkpoint(in, ck, &err)) << err;
+  Config cfg;
+  ASSERT_TRUE(ck.config(cfg));
+  for (const char* key : {"rank", "max_eager", "iter_factor", "max_repeats"}) {
+    SCOPED_TRACE(key);
+    CheckpointData bad = ck;
+    bad.meta[key] = "4294967296";
+    EXPECT_FALSE(bad.config(cfg));
+    bad.meta[key] = "4294967295";
+    EXPECT_TRUE(bad.config(cfg));
+  }
+}
+
 TEST_F(PersistTest, CheckpointWriteFailureIsReported) {
   ThreadPool pool(1);
   DynamicMatcher m(persist_config(), pool);
-  std::ostringstream out;
-  out.setstate(std::ios::badbit);
   std::string err;
-  EXPECT_FALSE(persist::write_checkpoint(out, m, &err));
-  EXPECT_FALSE(err.empty());
   // Unwritable file path: the atomic writer reports instead of leaving a
   // half-written checkpoint behind.
-  EXPECT_FALSE(persist::write_checkpoint_file(
-      (dir_ / "no_such_dir" / "ck").string(), m, &err));
+  EXPECT_FALSE(persist::write_checkpoint_series(
+      (dir_ / "no_such_dir" / "ck").string(), m, 2, &err));
+  EXPECT_FALSE(err.empty());
 }
 
 TEST_F(PersistTest, CheckpointRejectsCorruptionAndTruncation) {
@@ -173,10 +191,8 @@ TEST_F(PersistTest, CheckpointRejectsCorruptionAndTruncation) {
   for (const Batch& b : run.batches) {
     m.update_by_endpoints(b.deletions, b.insertions);
   }
-  std::ostringstream out;
-  std::string err;
-  ASSERT_TRUE(persist::write_checkpoint(out, m, &err)) << err;
-  const std::string bytes = std::move(out).str();
+  std::string bytes, err;
+  ASSERT_TRUE(persist::encode_checkpoint(m, bytes, &err)) << err;
 
   // Truncation at a spread of offsets.
   for (size_t cut = 0; cut + 1 < bytes.size(); cut += 53) {
@@ -611,7 +627,7 @@ TEST_F(PersistTest, RecoveryIsByteIdenticalAtEveryCut) {
     const RecoveryReport rep = persist::recover(recovered, opt);
     ASSERT_TRUE(rep.ok) << rep.error;
     EXPECT_EQ(rep.final_epoch, durable);
-    EXPECT_EQ(rep.journal_tail_truncated, scan.truncated_tail);
+    EXPECT_EQ(rep.journal.truncated_tail, scan.truncated_tail);
     MatchingChecker::check(recovered);
     EXPECT_EQ(save_str(recovered),
               run.reference[static_cast<size_t>(durable)])
@@ -1062,7 +1078,7 @@ TEST_F(PersistTest, RecoveryEnforcesStreamFingerprints) {
     const RecoveryReport rep = persist::recover(recovered, opt);
     ASSERT_TRUE(rep.ok) << rep.error;
     EXPECT_EQ(rep.final_epoch, 6u);
-    EXPECT_EQ(rep.journal_stream, fpA);
+    EXPECT_EQ(rep.journal.stream, fpA);
     EXPECT_EQ(save_str(recovered), run.reference.back());
   }
 
@@ -1135,6 +1151,79 @@ TEST_F(PersistTest, RecoveryEnforcesStreamFingerprints) {
     ASSERT_TRUE(rep.ok) << rep.error;
     EXPECT_EQ(save_str(recovered), run.reference.back());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Committed v1 files (tests/fixtures/persist_v1/): a journal and a
+// checkpoint written by an earlier build pin the bytes on disk. Every other
+// test here writes and reads with one build, so a codec that changed its
+// bytes consistently would pass them all. Regenerate deliberately with
+// PDMM_UPDATE_FIXTURES=1 when a format change is intended.
+// ---------------------------------------------------------------------------
+
+TEST_F(PersistTest, CommittedV1FilesAreReproducedByteExact) {
+  ThreadPool pool(1);
+  const Config cfg = persist_config();
+  ChurnStream::Options so;
+  so.n = 16;
+  so.target_edges = 10;
+  so.seed = 2101;
+  ChurnStream stream(so);
+  const std::string fp = "churn n=16 target=10 seed=2101";
+
+  // The writer: rank 2, one journal record per batch, checkpoint at 2.
+  DynamicMatcher m(cfg, pool);
+  std::string ck_bytes, err;
+  Journal::Options jopt;
+  jopt.stream = fp;
+  {
+    auto j = Journal::open(path("wal.log"), jopt, &err);
+    ASSERT_NE(j, nullptr) << err;
+    j->appender_role().assert_held();  // single-threaded test driver
+    for (int i = 0; i < 3; ++i) {
+      const Batch b = stream.next(8);
+      m.update_by_endpoints(b.deletions, b.insertions);
+      ASSERT_TRUE(j->append(m.batch_epoch(), b, &err)) << err;
+      if (m.batch_epoch() == 2) {
+        ASSERT_TRUE(persist::encode_checkpoint(m, ck_bytes, &err, fp)) << err;
+      }
+    }
+  }
+  const std::string replayed = save_str(m);
+
+  const std::string dir = std::string(PDMM_FIXTURE_DIR) + "/persist_v1";
+  if (std::getenv("PDMM_UPDATE_FIXTURES")) {
+    fs::create_directories(dir);
+    write_file(dir + "/wal.log", file_str(path("wal.log")));
+    write_file(dir + "/ck.2", ck_bytes);
+    GTEST_SKIP() << "fixtures regenerated under " << dir;
+  }
+  ASSERT_TRUE(fs::exists(dir + "/wal.log") && fs::exists(dir + "/ck.2"))
+      << "missing fixtures under " << dir
+      << " (regenerate with PDMM_UPDATE_FIXTURES=1)";
+  const std::string want_wal = file_str(dir + "/wal.log");
+  const std::string want_ck = file_str(dir + "/ck.2");
+  EXPECT_EQ(file_str(path("wal.log")), want_wal)
+      << "journal bytes diverged from the committed fixture";
+  EXPECT_EQ(ck_bytes, want_ck)
+      << "checkpoint bytes diverged from the committed fixture";
+
+  // The committed files recover, from the checkpoint plus one record, to
+  // the bytes a fresh replay of the same batches produces.
+  write_file(path("ck.2"), want_ck);
+  write_file(path("old.log"), want_wal);
+  DynamicMatcher recovered(cfg, pool);
+  RecoveryOptions opt;
+  opt.checkpoint_prefix = path("ck");
+  opt.journal_path = path("old.log");
+  opt.expected_stream = fp;
+  const RecoveryReport rep = persist::recover(recovered, opt);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.checkpoint_epoch, 2u);
+  EXPECT_EQ(rep.skipped_checkpoints, 0u);
+  EXPECT_EQ(rep.replayed_batches, 1u);
+  EXPECT_EQ(rep.final_epoch, 3u);
+  EXPECT_EQ(save_str(recovered), replayed);
 }
 
 }  // namespace

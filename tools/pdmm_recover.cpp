@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
     std::cout << ", " << rep.skipped_checkpoints << " damaged skipped";
   }
   std::cout << "\njournal: " << rep.replayed_batches << " batches replayed"
-            << (rep.journal_tail_truncated ? ", torn tail dropped" : "")
+            << (rep.journal.truncated_tail ? ", torn tail dropped" : "")
             << "\n";
   std::cout << "final epoch " << rep.final_epoch
             << ", |M|=" << m.matching_size() << ", edges "

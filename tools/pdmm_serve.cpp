@@ -299,7 +299,7 @@ int main(int argc, char** argv) {
                                               : rep.checkpoint_path)
               << " @ " << rep.checkpoint_epoch << " + "
               << rep.replayed_batches << " journal batches"
-              << (rep.journal_tail_truncated ? ", torn tail dropped" : "")
+              << (rep.journal.truncated_tail ? ", torn tail dropped" : "")
               << (rep.skipped_checkpoints
                       ? ", " + std::to_string(rep.skipped_checkpoints) +
                             " damaged checkpoint(s) skipped"

@@ -27,7 +27,6 @@
 #include "engine/update_engine.h"
 #include "persist/journal.h"
 #include "replicate/replica_engine.h"
-#include "util/backoff.h"
 #include "util/stats.h"
 
 namespace pdmm::bench {
@@ -95,36 +94,23 @@ void run(Ctx& ctx) {
             DynamicMatcher fm(cfg, fpool);
             replicate::ReplicaOptions ropt;
             ropt.journal_path = wal;
+            ropt.backoff.initial_us = 50;
+            ropt.backoff.max_us = 2000;
+            ropt.backoff.seed = ctx.seed(19) + 2;
             replicate::ReplicaEngine rep(fm, nullptr, ropt);
             if (!rep.bootstrap(&ferr)) return;
-            util::Backoff::Options bo;
-            bo.initial_us = 50;
-            bo.max_us = 2000;
-            bo.seed = ctx.seed(19) + 2;
-            util::Backoff poll(bo);
             uint64_t applied = 0;
-            const auto deadline = Clock::now() + std::chrono::seconds(60);
-            while (applied < batches) {
-              const replicate::TailStatus s = rep.step();
-              if (s == replicate::TailStatus::kFailed) {
-                ferr = rep.error();
-                return;
-              }
-              if (s == replicate::TailStatus::kRecord) {
-                const auto now = Clock::now();
-                for (uint64_t e = applied + 1; e <= rep.applied_epoch();
-                     ++e) {
-                  applied_at[e] = now;
-                }
-                applied = rep.applied_epoch();
-                poll.reset();
-              } else {
-                if (Clock::now() > deadline) {
-                  ferr = "follower timed out behind the primary";
-                  return;
-                }
-                poll.sleep();
-              }
+            rep.follow({.until_epoch = batches, .idle_ms = 60'000},
+                       [&](replicate::TailStatus) {
+                         const auto now = Clock::now();
+                         for (; applied < rep.applied_epoch(); ++applied) {
+                           applied_at[applied + 1] = now;
+                         }
+                       });
+            if (rep.failed()) {
+              ferr = rep.error();
+            } else if (applied < batches) {
+              ferr = "follower timed out behind the primary";
             }
             follower_polls = rep.health().polls;
           });
@@ -160,11 +146,6 @@ void run(Ctx& ctx) {
 
           Sample s;
           uint64_t updates = 0;
-          util::Backoff::Options po;
-          po.initial_us = pt.pace_us;
-          po.multiplier = 1.0;  // constant pacing schedule
-          po.jitter = 0.0;
-          util::Backoff pace(po);
           Timer t;
           {
             engine::UpdateEngine eng(m, nullptr, journal.get(), eopt);
@@ -172,7 +153,13 @@ void run(Ctx& ctx) {
               const Batch b = stream.next(batch_size);
               updates += b.deletions.size() + b.insertions.size();
               if (!eng.submit(b)) std::abort();
-              if (pt.pace_us) pace.sleep();
+              if (pt.pace_us) {
+                // lint:allow(raw-sleep) fixed pace_us pause between
+                // submits, not a retry wait — there is no condition to
+                // back off on
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(pt.pace_us));
+              }
             }
             if (!eng.stop()) std::abort();
           }

@@ -23,13 +23,13 @@ using namespace pdmm;
 int main(int argc, char** argv) {
   ArgParse args(argc, argv);
   const uint64_t sets = args.get_u64("sets", 500);
-  const uint64_t freq = args.get_u64("freq", 3);  // f: sets per element
+  const uint32_t freq = args.get_u32("freq", 3);  // f: sets per element
   const uint64_t elements = args.get_u64("elements", 4000);
   const uint64_t rounds = args.get_u64("rounds", 30);
   args.finish();
 
   Config cfg;
-  cfg.max_rank = static_cast<uint32_t>(freq);
+  cfg.max_rank = freq;
   cfg.seed = 9;
   cfg.initial_capacity = 1 << 18;
   ThreadPool pool;

@@ -17,7 +17,7 @@ using namespace pdmm;
 
 int main(int argc, char** argv) {
   ArgParse args(argc, argv);
-  const uint64_t users = args.get_u64("users", 1 << 14);
+  const Vertex users = args.get_u32("users", 1 << 14);
   const uint64_t window = args.get_u64("window", 1 << 14);
   const uint64_t bursts = args.get_u64("bursts", 64);
   const uint64_t burst_size = args.get_u64("burst_size", 1 << 11);
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   DynamicMatcher m(cfg, pool);
 
   SlidingWindowStream::Options so;
-  so.n = static_cast<Vertex>(users);
+  so.n = users;
   so.window = window;
   so.seed = 99;
   SlidingWindowStream stream(so);

@@ -137,13 +137,8 @@ bool encode_checkpoint(const DynamicMatcher& m, std::string& out,
   return true;
 }
 
-namespace {
-
-// Shared reader: with meta_only, returns as soon as the meta section has
-// been parsed and CRC-validated (the writer puts meta first, so this
-// reads a few hundred bytes instead of the whole snapshot).
-bool read_checkpoint_impl(std::istream& in, CheckpointData& out,
-                          std::string* error, bool meta_only) {
+bool read_checkpoint(std::istream& in, CheckpointData& out,
+                     std::string* error) {
   out = CheckpointData{};
   std::string line;
   // Unlike the journal, a line missing its newline needs no verdict of its
@@ -198,7 +193,6 @@ bool read_checkpoint_impl(std::istream& in, CheckpointData& out,
         }
         out.meta[mline.substr(0, sp)] = mline.substr(sp + 1);
       }
-      if (meta_only) return true;
     }
   }
   if (!saw_end) return set_error(error, "truncated checkpoint: missing end");
@@ -208,29 +202,11 @@ bool read_checkpoint_impl(std::istream& in, CheckpointData& out,
   return true;
 }
 
-}  // namespace
-
-bool read_checkpoint(std::istream& in, CheckpointData& out,
-                     std::string* error) {
-  return read_checkpoint_impl(in, out, error, /*meta_only=*/false);
-}
-
 bool read_checkpoint_file(const std::string& path, CheckpointData& out,
                           std::string* error) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return set_error(error, "cannot open " + path);
   if (!read_checkpoint(in, out, error)) {
-    if (error) *error = path + ": " + *error;
-    return false;
-  }
-  return true;
-}
-
-bool read_checkpoint_meta_file(const std::string& path, CheckpointData& out,
-                               std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return set_error(error, "cannot open " + path);
-  if (!read_checkpoint_impl(in, out, error, /*meta_only=*/true)) {
     if (error) *error = path + ": " + *error;
     return false;
   }

@@ -82,14 +82,6 @@ bool read_checkpoint(std::istream& in, CheckpointData& out,
 bool read_checkpoint_file(const std::string& path, CheckpointData& out,
                           std::string* error);
 
-// Reads and CRC-validates only the meta section (out.snapshot stays
-// empty), stopping before the snapshot payload — for callers that need
-// the Config/epoch without paying for the dominant section twice
-// (pdmm_recover reads meta first to construct the matcher, then recover()
-// re-reads the file in full).
-bool read_checkpoint_meta_file(const std::string& path, CheckpointData& out,
-                               std::string* error);
-
 // Places pre-encoded container bytes (encode_checkpoint) as
 // "<prefix>.<epoch>" atomically, then prunes older series files so at most
 // `keep` remain. False on write failure (pruning best-effort). The

@@ -6,12 +6,17 @@
 #include "persist/checkpoint.h"
 #include "persist/recovery.h"
 #include "util/sync_point.h"
+#include "util/timer.h"
 
 namespace pdmm::replicate {
 
 namespace {
 
 std::string u64s(uint64_t v) { return std::to_string(v); }
+
+// promote()'s stop rule: a torn tail that stays byte-stable for this
+// many polls is the dead primary's in-flight record.
+constexpr uint64_t kPromoteQuietPolls = 3;
 
 }  // namespace
 
@@ -179,6 +184,36 @@ TailStatus ReplicaEngine::step() {
   return s;
 }
 
+TailStatus ReplicaEngine::follow(
+    const FollowStop& stop, const std::function<void(TailStatus)>& on_poll) {
+  util::Backoff backoff(opt_.backoff);
+  Timer since_progress;
+  uint64_t quiet = 0;
+  uint64_t seen_size = tailer_.file_size();
+  for (;;) {
+    const TailStatus s = step();
+    if (on_poll) on_poll(s);
+    if (s == TailStatus::kFailed) return s;
+    const bool progress =
+        s == TailStatus::kRecord || tailer_.file_size() != seen_size;
+    if (progress) {
+      seen_size = tailer_.file_size();
+      since_progress.reset();
+      quiet = 0;
+      backoff.reset();
+    } else {
+      ++quiet;
+    }
+    if ((stop.until_epoch != 0 && applied_epoch() >= stop.until_epoch) ||
+        (stop.idle_ms != 0 &&
+         since_progress.millis() >= static_cast<double>(stop.idle_ms)) ||
+        (stop.quiet_polls != 0 && quiet >= stop.quiet_polls)) {
+      return s;
+    }
+    if (!progress) backoff.sleep();
+  }
+}
+
 bool ReplicaEngine::promote(const PromoteOptions& popt,
                             std::unique_ptr<persist::Journal>& out_journal,
                             std::string* error) {
@@ -213,26 +248,13 @@ bool ReplicaEngine::promote(const PromoteOptions& popt,
                   "journal (" + opt_.journal_path + ")");
   }
 
-  // Drain: follow the tail until it is byte-stable for the configured
-  // number of polls. A stable PENDING tail is the dead primary's torn
-  // in-flight record — never durable under the process-kill model, so
-  // dropping it loses nothing a client could have observed.
-  util::Backoff backoff(opt_.backoff);
-  uint64_t stable = 0;
-  uint64_t seen_size = tailer_.file_size();
-  while (stable < opt_.promote_stable_polls) {
-    const TailStatus s = step();
-    if (s == TailStatus::kFailed) {
-      if (error) *error = error_;
-      return false;
-    }
-    if (s == TailStatus::kRecord || tailer_.file_size() != seen_size) {
-      stable = 0;
-      seen_size = tailer_.file_size();
-      backoff.reset();
-      continue;
-    }
-    if (++stable < opt_.promote_stable_polls) backoff.sleep();
+  // Drain: follow the tail until it is byte-stable. A stable PENDING tail
+  // is the dead primary's torn in-flight record — never durable under the
+  // process-kill model, so dropping it loses nothing a client could have
+  // observed.
+  if (follow({.quiet_polls = kPromoteQuietPolls}) == TailStatus::kFailed) {
+    if (error) *error = error_;
+    return false;
   }
 
   const uint64_t applied = matcher_.batch_epoch();

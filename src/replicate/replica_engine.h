@@ -30,15 +30,15 @@
 //               stale-but-honest views is recoverable, serving diverged
 //               views is not.
 //
-//   promotion   On primary death, the follower drains the tail (a stable
-//               torn record is the primary's non-durable in-flight write
-//               and is correctly dropped), verifies its applied epoch is
-//               the durable watermark, writes a promotion checkpoint at
-//               that epoch into the series, and opens a FRESH journal
-//               segment. The checkpoint is the lineage link: recovery
-//               accepts checkpoint@E + a journal starting at E+1, so the
-//               promoted node's artifacts chain onto the dead primary's
-//               without rewriting anything.
+//   promotion   On primary death, the follower follows the tail until it
+//               is quiet (a stable torn record is the primary's
+//               non-durable in-flight write and is correctly dropped),
+//               verifies its applied epoch is the durable watermark,
+//               writes a promotion checkpoint at that epoch into the
+//               series, and opens a FRESH journal segment. The checkpoint
+//               is the lineage link: recovery accepts checkpoint@E + a
+//               journal starting at E+1, so the promoted node's artifacts
+//               chain onto the dead primary's without rewriting anything.
 //
 // Threading: the entire engine runs on the thread that owns the matcher
 // (the follower's updater thread). Readers see state only through the
@@ -47,6 +47,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -73,14 +74,9 @@ struct ReplicaOptions {
   // header and checkpoint meta when non-empty. Empty: the journal header
   // must still agree with the bootstrap checkpoint's recorded stream.
   std::string expected_stream;
-  // Retry schedule for promote()'s drain loop (the steady-state follow
-  // loop's pacing belongs to the caller, which owns the poll cadence).
+  // follow()'s wait after a poll without progress; progress resets it
+  // to initial_us. promote() follows with the same schedule.
   util::Backoff::Options backoff;
-  // Consecutive no-progress polls promote() requires before it treats the
-  // tail as drained. A pending (torn) tail that stays byte-stable this
-  // long is the dead primary's in-flight record: never durable, safe to
-  // leave behind.
-  uint64_t promote_stable_polls = 3;
 };
 
 struct ReplicaHealth {
@@ -117,16 +113,33 @@ class ReplicaEngine {
   // One tail poll: applies every newly-durable record in order, then
   // publishes one view of the result. kFailed is terminal and sticky;
   // error() says why. kPending/kIdle mean "nothing new — poll again
-  // after a backoff of the caller's choosing".
+  // later"; follow() is the loop that does.
   TailStatus step();
 
-  // Failover. Drains the tail to a stable frontier, verifies the applied
-  // epoch IS the durable watermark, cross-checks divergence one last
-  // time, writes a promotion checkpoint at the applied epoch into the
-  // series, and opens `journal_path` as a fresh segment (refused if it
-  // exists non-empty) recording the same stream fingerprint. On success
-  // the matcher is the new primary's state and `out_journal` its WAL;
-  // wiring both into an UpdateEngine makes the promotion complete.
+  // When follow() stops. A zero field turns its rule off; with every
+  // field zero, follow() runs until a step fails. Progress means a poll
+  // delivered a record or saw the journal's size change.
+  struct FollowStop {
+    uint64_t until_epoch = 0;  // applied_epoch() reached this epoch
+    uint64_t idle_ms = 0;      // this long without progress
+    uint64_t quiet_polls = 0;  // this many polls in a row without progress
+  };
+  // Calls step() until a stop rule holds or a step fails, and runs
+  // `on_poll` with each poll's status. After a poll without progress it
+  // sleeps opt.backoff; progress resets the backoff. Returns the last
+  // poll's status: kFailed exactly when a step failed.
+  TailStatus follow(const FollowStop& stop,
+                    const std::function<void(TailStatus)>& on_poll = {});
+
+  // Failover. Follows the tail until three polls in a row show no
+  // progress (a torn record still unfinished then is the dead primary's
+  // in-flight write: never durable, safe to leave behind), verifies the
+  // applied epoch IS the durable watermark, cross-checks divergence one
+  // last time, writes a promotion checkpoint at the applied epoch into
+  // the series, and opens `journal_path` as a fresh segment (refused if
+  // it exists non-empty) recording the same stream fingerprint. On
+  // success the matcher is the new primary's state and `out_journal` its
+  // WAL; wiring both into an UpdateEngine makes the promotion complete.
   struct PromoteOptions {
     std::string journal_path;   // fresh segment target (required)
     size_t checkpoint_keep = 4;
@@ -141,10 +154,6 @@ class ReplicaEngine {
   const JournalTailer& tailer() const { return tailer_; }
   const std::string& error() const { return error_; }
   bool failed() const { return failed_; }
-  // Stream fingerprint governing the lineage: expected_stream, else the
-  // bootstrap checkpoint's, else the journal header's (the tailer refuses
-  // a header that disagrees with the first two).
-  const std::string& stream() const { return stream_; }
 
  private:
   bool apply_record(persist::JournalRecord&& rec);
@@ -158,6 +167,8 @@ class ReplicaEngine {
   MatchViewService* service_;
   const ReplicaOptions opt_;
   JournalTailer tailer_;
+  // The lineage's stream: expected_stream, else the bootstrap
+  // checkpoint's, else the journal header's.
   std::string stream_;
   std::string apply_error_;  // set inside the sink, surfaced by step()
   std::string error_;

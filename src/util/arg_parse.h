@@ -41,20 +41,15 @@ class ArgParse {
 
   // Each get_* registers the flag for usage() and consumes it.
   uint64_t get_u64(const std::string& name, uint64_t def) {
-    note(name, std::to_string(def));
-    auto it = args_.find(name);
-    if (it == args_.end()) return def;
-    uint64_t v = 0;
-    switch (parse_u64_strict(it->second, v)) {
-      case ParseNum::kMalformed:
-        bad_value(name, it->second, "expected an unsigned integer");
-      case ParseNum::kOutOfRange:
-        bad_value(name, it->second,
-                  "out of range for a 64-bit unsigned integer");
-      case ParseNum::kOk: break;
-    }
-    consumed_.insert({name, true});
-    return v;
+    return get_uint(name, def, UINT64_MAX,
+                    "out of range for a 64-bit unsigned integer");
+  }
+
+  // For a flag the program keeps in 32 bits (a vertex count, a rank, a
+  // thread count): a value past 2^32 - 1 is refused, not wrapped.
+  uint32_t get_u32(const std::string& name, uint32_t def) {
+    return static_cast<uint32_t>(get_uint(
+        name, def, UINT32_MAX, "out of range for a 32-bit unsigned integer"));
   }
 
   double get_double(const std::string& name, double def) {
@@ -105,6 +100,23 @@ class ArgParse {
   }
 
  private:
+  uint64_t get_uint(const std::string& name, uint64_t def, uint64_t max,
+                    const char* out_of_range) {
+    note(name, std::to_string(def));
+    auto it = args_.find(name);
+    if (it == args_.end()) return def;
+    uint64_t v = 0;
+    const ParseNum r = parse_u64_strict(it->second, v);
+    if (r == ParseNum::kMalformed) {
+      bad_value(name, it->second, "expected an unsigned integer");
+    }
+    if (r == ParseNum::kOutOfRange || v > max) {
+      bad_value(name, it->second, out_of_range);
+    }
+    consumed_.insert({name, true});
+    return v;
+  }
+
   void note(const std::string& name, const std::string& def) {
     known_.emplace(name, def);
     if (args_.count(name)) consumed_.insert({name, true});

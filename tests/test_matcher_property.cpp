@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 
 #include "core/checker.h"
 #include "core/matcher.h"
@@ -17,15 +18,20 @@
 namespace pdmm {
 namespace {
 
+// gtest prints this struct's raw bytes in each test name, so it must have
+// no padding: a padding byte holds leftover stack data that varies the
+// names from run to run.
 struct FuzzParams {
   Vertex n;
   uint32_t rank;
   size_t target_edges;
   size_t batch;
   uint64_t seed;
-  bool eager;
+  uint32_t eager;  // bool
   unsigned threads;
 };
+static_assert(std::has_unique_object_representations_v<FuzzParams>,
+              "padding bytes would make the test names nondeterministic");
 
 std::string param_name(const testing::TestParamInfo<FuzzParams>& info) {
   const FuzzParams& p = info.param;
@@ -43,7 +49,7 @@ TEST_P(MatcherFuzz, ChurnStreamKeepsAllInvariants) {
   cfg.max_rank = p.rank;
   cfg.seed = p.seed * 7919 + 13;
   cfg.check_invariants = true;
-  cfg.settle_after_insertions = p.eager;
+  cfg.settle_after_insertions = p.eager != 0;
   cfg.initial_capacity = 256;
   DynamicMatcher m(cfg, pool);
 

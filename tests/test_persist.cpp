@@ -19,6 +19,7 @@
 #include "persist/recovery.h"
 #include "util/crc32.h"
 #include "workload/generators.h"
+#include "workload/trace.h"
 
 namespace pdmm {
 namespace {
@@ -105,6 +106,29 @@ RefRun drive_reference(const Config& cfg, ThreadPool& pool, size_t batches) {
   return run;
 }
 
+// Rewrites the last digit of the first vertex id in record `epoch`'s
+// payload, making it another id of the same width, and leaves the
+// header's nbytes and crc32 as they are. The payload still parses as one
+// batch, so only the CRC can tell that the record changed.
+std::string rewrite_vertex_id(const std::string& bytes, uint64_t epoch) {
+  const size_t head = bytes.find("rec " + std::to_string(epoch) + " ");
+  EXPECT_NE(head, std::string::npos);
+  const size_t payload = bytes.find('\n', head) + 1;
+  const size_t next = bytes.find("\nrec ", payload);
+  const size_t end = next == std::string::npos ? bytes.size() : next + 1;
+  const size_t digit = bytes.find(' ', payload + 2) - 1;  // "i <id> ..."
+  for (char c = '0'; c <= '9'; ++c) {
+    if (c == bytes[digit]) continue;
+    std::string out = bytes;
+    out[digit] = c;
+    std::istringstream in(out.substr(payload, end - payload));
+    std::vector<Batch> parsed;
+    if (read_trace(in, parsed, nullptr) && parsed.size() == 1) return out;
+  }
+  ADD_FAILURE() << "no rewrite of record " << epoch << " parses";
+  return bytes;
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint container
 // ---------------------------------------------------------------------------
@@ -139,15 +163,6 @@ TEST_F(PersistTest, CheckpointRoundTrips) {
   ASSERT_TRUE(serr.ok()) << serr.to_string();
   MatchingChecker::check(fresh);
   EXPECT_EQ(save_str(fresh), run.reference.back());
-
-  // Meta-only read: same meta, snapshot left unread.
-  write_file(path("ck.file"), bytes);
-  CheckpointData meta_only;
-  ASSERT_TRUE(
-      persist::read_checkpoint_meta_file(path("ck.file"), meta_only, &err))
-      << err;
-  EXPECT_EQ(meta_only.meta, ck.meta);
-  EXPECT_TRUE(meta_only.snapshot.empty());
 }
 
 // The 32-bit Config fields refuse a meta value past UINT32_MAX instead of
@@ -523,23 +538,36 @@ TEST_F(PersistTest, JournalRefusesMidFileRot) {
       ASSERT_TRUE(j->append(i + 1, run.batches[i], &err)) << err;
     }
   }
-  std::string bytes = file_str(path("rot"));
-  const size_t rec3 = bytes.find("rec 3 ");
+  const std::string clean = file_str(path("rot"));
+  const size_t rec3 = clean.find("rec 3 ");
   ASSERT_NE(rec3, std::string::npos);
-  const size_t flip = bytes.find('\n', rec3) + 2;  // inside record 3's payload
-  bytes[flip] ^= 0x01;
-  write_file(path("rot"), bytes);
-  const JournalScan scan = persist::scan_journal(path("rot"));
-  EXPECT_FALSE(scan.ok);
-  EXPECT_NE(scan.error.find("mid-file"), std::string::npos) << scan.error;
-  // And reopening for append must refuse too (no silent truncation).
-  EXPECT_EQ(Journal::open(path("rot"), {}, &err), nullptr);
+  const size_t flip = clean.find('\n', rec3) + 2;  // inside record 3's payload
+  std::string flipped = clean;
+  flipped[flip] ^= 0x01;
+  // Record 3 with a flipped payload byte, and with a rewritten vertex id
+  // that still parses (only the CRC can refuse that one).
+  for (const std::string& bytes : {flipped, rewrite_vertex_id(clean, 3)}) {
+    SCOPED_TRACE(bytes == flipped ? "flipped byte" : "rewritten id");
+    write_file(path("rot"), bytes);
+    const JournalScan scan = persist::scan_journal(path("rot"));
+    EXPECT_FALSE(scan.ok);
+    EXPECT_NE(scan.error.find("mid-file"), std::string::npos) << scan.error;
+    // And reopening for append must refuse too (no silent truncation).
+    EXPECT_EQ(Journal::open(path("rot"), {}, &err), nullptr);
+    // Recovery and a live reader refuse the same bytes.
+    DynamicMatcher m(persist_config(), pool);
+    RecoveryOptions opt;
+    opt.journal_path = path("rot");
+    EXPECT_FALSE(persist::recover(m, opt).ok);
+    persist::JournalTailer tailer(path("rot"), {});
+    EXPECT_EQ(tailer.poll([](persist::JournalRecord&&) { return true; }),
+              persist::TailStatus::kFailed);
+  }
   // Length-field rot: an enlarged nbytes makes the payload read swallow
   // the records after it (possibly to EOF) before failing — the resync
   // probe must still find them and refuse the file.
   {
-    std::string lb = file_str(path("rot"));
-    lb[flip] ^= 0x01;  // restore record 3's payload
+    std::string lb = clean;
     const size_t r3 = lb.find("rec 3 ");
     const size_t len_start = lb.find(' ', r3 + 4) + 1;
     const size_t len_end = lb.find(' ', len_start);
@@ -551,17 +579,21 @@ TEST_F(PersistTest, JournalRefusesMidFileRot) {
     EXPECT_NE(lscan.error.find("mid-file"), std::string::npos)
         << lscan.error;
   }
-  // Damage in the LAST record, by contrast, is a legitimate torn tail.
-  std::string tail_bytes = file_str(path("rot"));
-  tail_bytes[flip] ^= 0x01;  // restore record 3
-  const size_t rec6 = tail_bytes.find("rec 6 ");
+  // Damage in the LAST record, by contrast, is a legitimate torn tail,
+  // the parsing rewrite included.
+  std::string tail_flip = clean;
+  const size_t rec6 = tail_flip.find("rec 6 ");
   ASSERT_NE(rec6, std::string::npos);
-  tail_bytes[tail_bytes.find('\n', rec6) + 2] ^= 0x01;
-  write_file(path("rot"), tail_bytes);
-  const JournalScan tail_scan = persist::scan_journal(path("rot"));
-  EXPECT_TRUE(tail_scan.ok) << tail_scan.error;
-  EXPECT_TRUE(tail_scan.truncated_tail);
-  EXPECT_EQ(tail_scan.last_epoch, 5u);
+  tail_flip[tail_flip.find('\n', rec6) + 2] ^= 0x01;
+  for (const std::string& tail_bytes :
+       {tail_flip, rewrite_vertex_id(clean, 6)}) {
+    SCOPED_TRACE(tail_bytes == tail_flip ? "flipped byte" : "rewritten id");
+    write_file(path("rot"), tail_bytes);
+    const JournalScan tail_scan = persist::scan_journal(path("rot"));
+    EXPECT_TRUE(tail_scan.ok) << tail_scan.error;
+    EXPECT_TRUE(tail_scan.truncated_tail);
+    EXPECT_EQ(tail_scan.last_epoch, 5u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1063,7 +1095,7 @@ TEST_F(PersistTest, RecoveryEnforcesStreamFingerprints) {
   const auto cks = persist::list_checkpoints(path("ck"));
   ASSERT_EQ(cks.size(), 1u);
   CheckpointData ck;
-  ASSERT_TRUE(persist::read_checkpoint_meta_file(cks[0].second, ck, &err))
+  ASSERT_TRUE(persist::read_checkpoint_file(cks[0].second, ck, &err))
       << err;
   EXPECT_EQ(ck.stream(), fpA);
 

@@ -29,6 +29,7 @@
 #include "serve/view_service.h"
 #include "util/backoff.h"
 #include "util/sync_point.h"
+#include "util/timer.h"
 #include "workload/generators.h"
 
 namespace pdmm {
@@ -400,7 +401,6 @@ TEST_F(ReplicateTest, MidFileRotHaltsWithLineNumberedError) {
     ropt.checkpoint_prefix = cpath + ".ck";
     ropt.backoff.initial_us = 50;
     ropt.backoff.max_us = 500;
-    ropt.promote_stable_polls = 2;
     ReplicaEngine rep(fm, nullptr, ropt);
     std::string perr;
     ASSERT_TRUE(rep.bootstrap(&perr)) << perr;
@@ -511,9 +511,9 @@ TEST_F(ReplicateTest, MissingFileIsIdleUntilSeenThenTerminal) {
 
 // The acceptance matrix: a follower tailing a LIVE journal while the
 // primary appends under group_commit {1,3} and settles with {1,2,4}
-// threads converges to byte-identical state. The follower runs in its own
-// thread with its own pool, polling with backoff — the real deployment
-// shape in miniature.
+// threads converges to byte-identical state. The follower runs follow()
+// in its own thread with its own pool — the real deployment shape in
+// miniature.
 TEST_F(ReplicateTest, LiveFollowEquivalenceAcrossGroupCommitAndThreads) {
   const Config cfg = replicate_config();
   constexpr size_t kEpochs = 16;
@@ -541,28 +541,19 @@ TEST_F(ReplicateTest, LiveFollowEquivalenceAcrossGroupCommitAndThreads) {
         ropt.journal_path = wal;
         ropt.checkpoint_prefix = ck;
         ropt.expected_stream = kStreamFp;
+        ropt.backoff = {50, 2000, 2.0, 0.2, 1};
         ReplicaEngine rep(fm, nullptr, ropt);
         const bool booted = rep.bootstrap(&follower_err);
         follower_booted.set_value();
         if (!booted) return;
-        util::Backoff poll(util::Backoff::Options{50, 2000, 2.0, 0.2, 1});
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(30);
-        while (rep.applied_epoch() < kEpochs) {
-          const TailStatus s = rep.step();
-          if (s == TailStatus::kFailed) {
-            follower_err = rep.error();
-            return;
-          }
-          if (s == TailStatus::kRecord) {
-            poll.reset();
-          } else {
-            if (std::chrono::steady_clock::now() > deadline) {
-              follower_err = "timed out behind the primary";
-              return;
-            }
-            poll.sleep();
-          }
+        if (rep.follow({.until_epoch = kEpochs, .idle_ms = 30'000}) ==
+            TailStatus::kFailed) {
+          follower_err = rep.error();
+          return;
+        }
+        if (rep.applied_epoch() < kEpochs) {
+          follower_err = "timed out behind the primary";
+          return;
         }
         follower_health = rep.health();
         follower_state = save_str(fm);
@@ -601,6 +592,75 @@ TEST_F(ReplicateTest, LiveFollowEquivalenceAcrossGroupCommitAndThreads) {
       EXPECT_EQ(follower_health.records_applied, kEpochs) << tag;
     }
   }
+}
+
+// follow()'s stop rules, each on a frontier the test controls. A quiet
+// poll delivers no record and sees no size change, so a torn record that
+// grows between polls is progress; idle_ms waits out wall time without
+// progress; with no rule set, only a failed step ends the loop.
+TEST_F(ReplicateTest, FollowStopsOnQuietPollsIdleTimeEpochAndFailure) {
+  ThreadPool pool(1);
+  const Config cfg = replicate_config();
+  const RefRun ref = drive_reference(cfg, pool, 4);
+  const SplitJournal split =
+      split_journal(write_journal(path("full.log"), ref.batches));
+  const std::string wal = path("wal.log");
+  write_file(wal, split.header + split.records[0] + split.records[1] +
+                      split.records[2]);
+
+  DynamicMatcher fm(cfg, pool);
+  ReplicaOptions ropt;
+  ropt.journal_path = wal;
+  ropt.backoff.initial_us = 50;
+  ropt.backoff.max_us = 500;
+  ReplicaEngine rep(fm, nullptr, ropt);
+  std::string err;
+  ASSERT_TRUE(rep.bootstrap(&err)) << err;
+  std::vector<TailStatus> seen;
+  const auto record = [&](TailStatus s) { seen.push_back(s); };
+  using S = TailStatus;
+
+  // One poll applies epochs 1..3, then three quiet polls.
+  EXPECT_EQ(rep.follow({.quiet_polls = 3}, record), S::kIdle);
+  EXPECT_EQ(seen, (std::vector<S>{S::kRecord, S::kIdle, S::kIdle, S::kIdle}));
+  EXPECT_EQ(rep.applied_epoch(), 3u);
+
+  // Polls 2-4 each see one more byte of record 4; polls 5 and 6 see none.
+  const std::string& rec4 = split.records[3];
+  size_t torn = 0;
+  seen.clear();
+  EXPECT_EQ(rep.follow({.quiet_polls = 2},
+                       [&](TailStatus s) {
+                         seen.push_back(s);
+                         if (torn < 3) append_file(wal, rec4.substr(torn++, 1));
+                       }),
+            S::kPending);
+  EXPECT_EQ(seen, (std::vector<S>{S::kIdle, S::kPending, S::kPending,
+                                  S::kPending, S::kPending, S::kPending}));
+
+  seen.clear();
+  const Timer idle;
+  EXPECT_EQ(rep.follow({.idle_ms = 20}, record), S::kPending);
+  EXPECT_GE(idle.millis(), 20.0);
+  EXPECT_GT(seen.size(), 1u);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), S::kPending),
+            static_cast<std::ptrdiff_t>(seen.size()));
+
+  append_file(wal, rec4.substr(torn));
+  EXPECT_EQ(rep.follow({.until_epoch = 4}), S::kRecord);
+  EXPECT_EQ(save_str(fm), ref.reference[4]);
+
+  // Two quiet polls, then the journal is cut below the cursor.
+  seen.clear();
+  EXPECT_EQ(rep.follow({},
+                       [&](TailStatus s) {
+                         seen.push_back(s);
+                         if (seen.size() == 2) write_file(wal, split.header);
+                       }),
+            S::kFailed);
+  EXPECT_EQ(seen, (std::vector<S>{S::kIdle, S::kIdle, S::kFailed}));
+  EXPECT_TRUE(rep.failed());
+  EXPECT_NE(rep.error().find("shrank"), std::string::npos) << rep.error();
 }
 
 // Bootstrap restores the newest valid checkpoint and tails only the
@@ -1015,7 +1075,6 @@ TEST_F(ReplicateTest, PromotionChainsLineageByteIdentically) {
   ropt.expected_stream = kStreamFp;
   ropt.backoff.initial_us = 50;
   ropt.backoff.max_us = 500;
-  ropt.promote_stable_polls = 2;
   ReplicaEngine rep(fm, nullptr, ropt);
   std::string err;
   ASSERT_TRUE(rep.bootstrap(&err)) << err;

@@ -449,6 +449,9 @@ TEST(ArgParse, ParsesWellFormedValues) {
   EXPECT_EQ(with_args({"--n=18446744073709551615"},
                       [](ArgParse& a) { return a.get_u64("n", 7); }),
             ~uint64_t{0});
+  EXPECT_EQ(with_args({"--n=4294967295"},
+                      [](ArgParse& a) { return a.get_u32("n", 7); }),
+            ~uint32_t{0});
   EXPECT_DOUBLE_EQ(with_args({"--x=-2.5e2"},
                              [](ArgParse& a) { return a.get_double("x", 1); }),
                    -250.0);
@@ -480,6 +483,12 @@ TEST(ArgParseDeath, RejectsMalformedU64) {
               testing::ExitedWithCode(2), "out of range");
   EXPECT_EXIT(with_args({"--n=1.5"}, get_n), testing::ExitedWithCode(2),
               "invalid value for --n");
+  // A 32-bit flag refuses what a cast would wrap: 2^32 + 2 is not rank 2.
+  EXPECT_EXIT(with_args({"--n=4294967298"},
+                        [](ArgParse& a) { return a.get_u32("n", 7); }),
+              testing::ExitedWithCode(2),
+              "invalid value for --n: '4294967298' \\(out of range for a "
+              "32-bit");
 }
 
 TEST(ArgParseDeath, RejectsMalformedDouble) {

@@ -41,7 +41,7 @@ namespace {
 
 Config config_from_flags(ArgParse& args) {
   Config cfg;
-  cfg.max_rank = static_cast<uint32_t>(args.get_u64("rank", 2));
+  cfg.max_rank = args.get_u32("rank", 2);
   cfg.seed = args.get_u64("matcher_seed", 2);
   cfg.initial_capacity = args.get_u64("initial_capacity", 1 << 20);
   return cfg;
@@ -109,11 +109,11 @@ int main(int argc, char** argv) {
   const bool check = args.get_bool("check", false);
   const std::string verify_ck = args.get_string("verify_checkpoint", "");
   const std::string out_path = args.get_string("out", "");
-  const uint64_t threads = args.get_u64("threads", 0);
+  const uint32_t threads = args.get_u32("threads", 0);
   Config flag_cfg = config_from_flags(args);
   args.finish();
 
-  ThreadPool pool(static_cast<unsigned>(threads));
+  ThreadPool pool(threads);
 
   if (!replay_trace.empty()) {
     // Reference mode: deterministic uninterrupted replay to --epoch.
@@ -148,7 +148,8 @@ int main(int argc, char** argv) {
   }
 
   // Recovery mode: Config from the newest readable checkpoint, flags as
-  // the journal-only fallback.
+  // the journal-only fallback. This walk is not select_checkpoint's: it
+  // runs before a matcher exists, which that walk restores into.
   Config cfg = flag_cfg;
   bool cfg_from_checkpoint = false;
   if (!checkpoint_prefix.empty()) {
@@ -156,7 +157,7 @@ int main(int argc, char** argv) {
          persist::list_checkpoints(checkpoint_prefix)) {
       persist::CheckpointData ck;
       std::string err;
-      if (!persist::read_checkpoint_meta_file(path, ck, &err)) continue;
+      if (!persist::read_checkpoint_file(path, ck, &err)) continue;
       if (ck.config(cfg)) {
         cfg_from_checkpoint = true;
         break;

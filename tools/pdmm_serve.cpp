@@ -74,7 +74,6 @@
 #include "replicate/replica_engine.h"
 #include "serve/view_service.h"
 #include "util/arg_parse.h"
-#include "util/backoff.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -170,15 +169,15 @@ void reader_loop(MatchViewService& serve, const std::atomic<bool>& done,
 
 int main(int argc, char** argv) {
   ArgParse args(argc, argv);
-  const uint64_t n = args.get_u64("n", 1 << 12);
-  const uint64_t rank = args.get_u64("rank", 2);
-  const uint64_t target = args.get_u64("target_edges", 2 * n);
+  const Vertex n = args.get_u32("n", 1 << 12);
+  const uint32_t rank = args.get_u32("rank", 2);
+  const uint64_t target = args.get_u64("target_edges", 2 * uint64_t{n});
   const uint64_t batches = args.get_u64("batches", 500);
   const uint64_t batch_size = args.get_u64("batch_size", 256);
   const uint64_t readers = args.get_u64("readers", 4);
   const uint64_t queries_per_view = args.get_u64("queries_per_view", 256);
   const uint64_t seed = args.get_u64("seed", 1);
-  const uint64_t threads = args.get_u64("threads", 0);
+  const uint32_t threads = args.get_u32("threads", 0);
   const bool validate = args.get_bool("validate", false);
   const std::string trace_path = args.get_string("trace", "");
   const std::string journal_path = args.get_string("journal", "");
@@ -261,8 +260,8 @@ int main(int argc, char** argv) {
     }
   } else {
     ChurnStream::Options so;
-    so.n = static_cast<Vertex>(n);
-    so.rank = static_cast<uint32_t>(rank);
+    so.n = n;
+    so.rank = rank;
     so.target_edges = target;
     so.seed = seed;
     ChurnStream stream(so);
@@ -273,9 +272,9 @@ int main(int argc, char** argv) {
                 std::to_string(seed);
   }
 
-  ThreadPool pool(static_cast<unsigned>(threads));
+  ThreadPool pool(threads);
   Config cfg;
-  cfg.max_rank = static_cast<uint32_t>(rank);
+  cfg.max_rank = rank;
   cfg.seed = seed + 1;
   cfg.initial_capacity = 1 << 20;
   DynamicMatcher m(cfg, pool);
@@ -389,37 +388,19 @@ int main(int argc, char** argv) {
     std::cout << "follower: bootstrapped at epoch " << m.batch_epoch()
               << ", tailing " << follow_path << "\n";
 
-    using Clock = std::chrono::steady_clock;
-    const auto ms_since = [](Clock::time_point t) {
-      return static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              Clock::now() - t)
-              .count());
+    Timer since_health;
+    const auto print_health = [&](replicate::TailStatus) {
+      if (health_every_ms == 0 ||
+          since_health.millis() < static_cast<double>(health_every_ms)) {
+        return;
+      }
+      std::cout << "follow: " << replica.health().format() << "\n";
+      since_health.reset();
     };
-    util::Backoff poll_backoff(ropts.backoff);
-    auto last_progress = Clock::now();
-    auto last_health = Clock::now();
-    for (;;) {
-      const replicate::TailStatus s = replica.step();
-      if (s == replicate::TailStatus::kFailed) {
-        return reader_bailout(replica.error());
-      }
-      if (s == replicate::TailStatus::kRecord) {
-        last_progress = Clock::now();
-        poll_backoff.reset();
-      }
-      if (health_every_ms != 0 && ms_since(last_health) >= health_every_ms) {
-        std::cout << "follow: " << replica.health().format() << "\n";
-        last_health = Clock::now();
-      }
-      if (follow_until_epoch != 0 &&
-          m.batch_epoch() >= follow_until_epoch) {
-        break;
-      }
-      if (idle_exit_ms != 0 && ms_since(last_progress) >= idle_exit_ms) {
-        break;
-      }
-      if (s != replicate::TailStatus::kRecord) poll_backoff.sleep();
+    if (replica.follow({.until_epoch = follow_until_epoch,
+                        .idle_ms = idle_exit_ms},
+                       print_health) == replicate::TailStatus::kFailed) {
+      return reader_bailout(replica.error());
     }
     follow_health = replica.health();
     std::cout << "follow: " << follow_health.format() << "\n";

@@ -26,9 +26,9 @@ using namespace pdmm;
 namespace {
 
 int generate(ArgParse& args) {
-  const uint64_t n = args.get_u64("n", 1 << 12);
-  const uint64_t rank = args.get_u64("rank", 2);
-  const uint64_t target = args.get_u64("target_edges", 2 * n);
+  const Vertex n = args.get_u32("n", 1 << 12);
+  const uint32_t rank = args.get_u32("rank", 2);
+  const uint64_t target = args.get_u64("target_edges", 2 * uint64_t{n});
   const uint64_t batches = args.get_u64("batches", 100);
   const uint64_t batch_size = args.get_u64("batch_size", 256);
   const uint64_t seed = args.get_u64("seed", 1);
@@ -40,16 +40,16 @@ int generate(ArgParse& args) {
   std::vector<Batch> trace;
   if (window) {
     SlidingWindowStream::Options so;
-    so.n = static_cast<Vertex>(n);
-    so.rank = static_cast<uint32_t>(rank);
+    so.n = n;
+    so.rank = rank;
     so.window = target;
     so.seed = seed;
     SlidingWindowStream s(so);
     trace = record_stream(s, batches, batch_size);
   } else {
     ChurnStream::Options so;
-    so.n = static_cast<Vertex>(n);
-    so.rank = static_cast<uint32_t>(rank);
+    so.n = n;
+    so.rank = rank;
     so.target_edges = target;
     so.zipf_s = zipf_s;
     so.seed = seed;
@@ -62,7 +62,7 @@ int generate(ArgParse& args) {
 }
 
 int replay(ArgParse& args, const std::string& impl) {
-  const uint64_t rank = args.get_u64("rank", 2);
+  const uint32_t rank = args.get_u32("rank", 2);
   const uint64_t seed = args.get_u64("seed", 42);
   const bool quiet = args.get_bool("quiet", false);
   args.finish();
@@ -77,21 +77,20 @@ int replay(ArgParse& args, const std::string& impl) {
   std::unique_ptr<MatcherBase> m;
   if (impl == "pdmm") {
     Config cfg;
-    cfg.max_rank = static_cast<uint32_t>(rank);
+    cfg.max_rank = rank;
     cfg.seed = seed;
     cfg.initial_capacity = 1 << 20;
     m = std::make_unique<PdmmAdapter>(cfg, pool);
   } else if (impl == "sequential") {
     SequentialDynamicMatcher::Options opt;
-    opt.max_rank = static_cast<uint32_t>(rank);
+    opt.max_rank = rank;
     opt.seed = seed;
     opt.initial_capacity = 1 << 20;
     m = std::make_unique<SequentialDynamicMatcher>(opt);
   } else if (impl == "greedy") {
-    m = std::make_unique<GreedyDynamicMatcher>(static_cast<uint32_t>(rank));
+    m = std::make_unique<GreedyDynamicMatcher>(rank);
   } else if (impl == "static") {
-    m = std::make_unique<StaticRecomputeMatcher>(
-        static_cast<uint32_t>(rank), seed, pool);
+    m = std::make_unique<StaticRecomputeMatcher>(rank, seed, pool);
   } else {
     std::cerr << "unknown --impl (pdmm|sequential|greedy|static)\n";
     return 2;

@@ -57,5 +57,3 @@ void run(Ctx& ctx) {
 
 }  // namespace
 }  // namespace pdmm::bench
-
-PDMM_BENCH_MAIN("rank_scaling")

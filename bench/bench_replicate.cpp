@@ -235,5 +235,3 @@ void run(Ctx& ctx) {
 
 }  // namespace
 }  // namespace pdmm::bench
-
-PDMM_BENCH_MAIN("replicate")

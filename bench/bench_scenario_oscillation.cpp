@@ -85,5 +85,3 @@ void run(Ctx& ctx) {
 
 }  // namespace
 }  // namespace pdmm::bench
-
-PDMM_BENCH_MAIN("scenario_oscillation")

@@ -54,5 +54,3 @@ void run(Ctx& ctx) {
 
 }  // namespace
 }  // namespace pdmm::bench
-
-PDMM_BENCH_MAIN("scenario_window_churn")

@@ -65,5 +65,3 @@ void run(Ctx& ctx) {
 
 }  // namespace
 }  // namespace pdmm::bench
-
-PDMM_BENCH_MAIN("work_scaling")

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "util/arg_parse.h"
 #include "util/assert.h"
 #include "util/parse_num.h"
 #include "util/rng.h"
@@ -146,97 +147,44 @@ void write_json_report(
 struct Cli {
   RunOptions opt;
   bool list = false;
+  bool help = false;
   std::string match = ".*";
   std::string json_path;
   std::string compare_path;
   double compare_tolerance = 0.15;
-  bool bad = false;
 };
 
-// The global flags are fixed; any other --key=value becomes a per-benchmark
-// parameter override, validated after the run (each harness reports which
-// overrides it consumed).
-Cli parse_cli(int argc, char** argv, bool allow_match) {
+// The global flags are fixed and default to the fields above; any other
+// --key=value becomes a per-benchmark parameter override, validated after
+// the run (each harness reports which overrides it consumed). A malformed
+// or out-of-range global flag value exits 2 in ArgParse::rest().
+Cli parse_cli(int argc, char** argv) {
+  ArgParse args(argc, argv);
   Cli cli;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected positional argument: %s\n", a.c_str());
-      cli.bad = true;
-      return cli;
-    }
-    a = a.substr(2);
-    std::string key = a, value = "1";
-    const size_t eq = a.find('=');
-    if (eq != std::string::npos) {
-      key = a.substr(0, eq);
-      value = a.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      value = argv[++i];
-    }
-    // Reject malformed numeric flag values instead of silently reading a
-    // prefix (strtoull-style) — a typo'd --reps=1O would otherwise run the
-    // whole suite with reps=1.
-    auto need_u64 = [&](uint64_t& out) {
-      if (parse_u64_strict(value, out) != ParseNum::kOk) {
-        std::fprintf(stderr, "invalid --%s value: %s\n", key.c_str(),
-                     value.c_str());
-        cli.bad = true;
-      }
-    };
-    auto need_f64 = [&](double& out) {
-      if (parse_f64_strict(value, out) != ParseNum::kOk) {
-        std::fprintf(stderr, "invalid --%s value: %s\n", key.c_str(),
-                     value.c_str());
-        cli.bad = true;
-      }
-    };
-    if (key == "reps") {
-      uint64_t reps = 0;
-      need_u64(reps);
-      cli.opt.reps = std::max<size_t>(1, static_cast<size_t>(reps));
-    } else if (key == "warmup") {
-      need_f64(cli.opt.warmup);
-    } else if (key == "threads") {
-      uint64_t threads = 0;
-      need_u64(threads);
-      cli.opt.threads = static_cast<unsigned>(threads);
-    } else if (key == "seed") {
-      need_u64(cli.opt.seed);
-    } else if (key == "smoke") {
-      cli.opt.smoke = value != "0" && value != "false";
-    } else if (key == "json") {
-      cli.json_path = value;
-    } else if (key == "compare") {
-      cli.compare_path = value;
-    } else if (key == "compare-tolerance") {
-      need_f64(cli.compare_tolerance);
-    } else if (key == "list") {
-      cli.list = value != "0" && value != "false";
-    } else if (key == "match") {
-      if (!allow_match) {
-        std::fprintf(stderr,
-                     "--match is only available on pdmm_bench (this binary "
-                     "holds a single benchmark)\n");
-        cli.bad = true;
-        return cli;
-      }
-      cli.match = value;
-    } else if (key == "help") {
-      cli.bad = true;
-    } else {
-      cli.opt.overrides[key] = value;
-    }
-  }
+  RunOptions& opt = cli.opt;
+  opt.reps = std::max<size_t>(1, args.get_u64("reps", opt.reps));
+  opt.warmup = args.get_double("warmup", opt.warmup);
+  opt.threads = args.get_u32("threads", opt.threads);
+  opt.seed = args.get_u64("seed", opt.seed);
+  opt.smoke = args.get_bool("smoke", opt.smoke);
+  cli.json_path = args.get_string("json", cli.json_path);
+  cli.compare_path = args.get_string("compare", cli.compare_path);
+  cli.compare_tolerance =
+      args.get_double("compare-tolerance", cli.compare_tolerance);
+  cli.list = args.get_bool("list", cli.list);
+  cli.match = args.get_string("match", cli.match);
+  cli.help = args.get_bool("help", cli.help);
+  opt.overrides = args.rest();
   return cli;
 }
 
-void usage(const char* prog, bool allow_match) {
+void usage(const char* prog) {
   std::fprintf(
       stderr,
       "usage: %s [--reps=N] [--warmup=X] [--threads=T] [--seed=S]\n"
       "          [--smoke] [--json=PATH] [--compare=BASELINE.json]\n"
-      "          [--compare-tolerance=X] [--list]%s [--<param>=<value> ...]\n"
+      "          [--compare-tolerance=X] [--list] [--match=REGEX]"
+      " [--<param>=<value> ...]\n"
       "  --reps     repetitions per sweep point (default 3)\n"
       "  --warmup   scale factor on warm phases (default 1.0)\n"
       "  --threads  override every harness's thread count (default: keep)\n"
@@ -248,7 +196,7 @@ void usage(const char* prog, bool allow_match) {
       "             when any bench's geomean regresses past the tolerance\n"
       "  --compare-tolerance  allowed median-seconds regression (default 0.15)\n"
       "  other --key=value flags override per-benchmark sweep parameters\n",
-      prog, allow_match ? " [--match=REGEX]" : "");
+      prog);
 }
 
 // ---- --compare: the perf ratchet ----
@@ -587,12 +535,12 @@ std::vector<std::string> Ctx::consumed_overrides() const {
   return out;
 }
 
-// ---- drivers ----
+// ---- the pdmm_bench command line ----
 
 int bench_main(int argc, char** argv) {
-  const Cli cli = parse_cli(argc, argv, /*allow_match=*/true);
-  if (cli.bad) {
-    usage(argv[0], true);
+  const Cli cli = parse_cli(argc, argv);
+  if (cli.help) {
+    usage(argv[0]);
     return 2;
   }
   const auto& benches = all_benchmarks();
@@ -619,25 +567,6 @@ int bench_main(int argc, char** argv) {
     return 2;
   }
   return run_benchmarks(cli, subset);
-}
-
-int standalone_main(const char* name, int argc, char** argv) {
-  const Cli cli = parse_cli(argc, argv, /*allow_match=*/false);
-  if (cli.bad) {
-    usage(argv[0], false);
-    return 2;
-  }
-  for (const Benchmark& b : all_benchmarks()) {
-    if (std::string_view(b.name) == name) {
-      if (cli.list) {
-        std::printf("%-24s %-6s %s\n", b.name, b.experiment, b.claim);
-        return 0;
-      }
-      return run_benchmarks(cli, {&b});
-    }
-  }
-  std::fprintf(stderr, "benchmark %s is not linked into this binary\n", name);
-  return 2;
 }
 
 }  // namespace pdmm::bench

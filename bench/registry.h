@@ -1,16 +1,11 @@
 // Benchmark registry and orchestration — the pdmm_bench subsystem.
 //
 // Every experiment harness in bench/ registers itself here (registry name,
-// experiment id, the paper claim it probes, entry point). Two drivers share
-// the registry:
-//
-//  * tools/pdmm_bench links every bench_*.cpp translation unit and runs any
-//    subset by name/regex with shared --reps / --warmup / --threads /
-//    --seed / --smoke / --json handling (bench_main).
-//  * each bench_*.cpp also builds standalone (compiled with
-//    -DPDMM_BENCH_STANDALONE, which makes PDMM_BENCH_MAIN expand to a thin
-//    main forwarding to standalone_main), so `build/bench/bench_throughput`
-//    keeps working and accepts the same flags.
+// experiment id, the paper claim it probes, entry point). tools/pdmm_bench
+// links every bench_*.cpp translation unit and runs any subset by
+// name/regex with shared --reps / --warmup / --threads / --seed / --smoke /
+// --json handling (bench_main); `pdmm_bench --match='^throughput$'` runs
+// one harness.
 //
 // Results are structured SweepPoints, not printf rows: one point per sweep
 // configuration, carrying machine-independent counters (element work,
@@ -32,15 +27,16 @@
 
 namespace pdmm::bench {
 
-// Shared run options, set by the CLI drivers.
+// Shared run options, set by the pdmm_bench command line.
 struct RunOptions {
   size_t reps = 3;      // repetitions per sweep point (wall-clock stats)
   double warmup = 1.0;  // scale factor applied to each harness's warm phase
   unsigned threads = 0;  // overrides each harness's ThreadPool size (0: keep)
   uint64_t seed = 0;     // remixes matcher/stream seeds (0: keep defaults)
   bool smoke = false;    // tiny problem sizes: exercise every path quickly
-  // Per-benchmark parameter overrides from the CLI (e.g. --n=8192). Keys a
-  // run never consumed are reported as warnings at exit.
+  // Per-benchmark parameter overrides: the flags ArgParse::rest() leaves
+  // (e.g. --n=8192). A key no selected benchmark consumed is reported
+  // after the run, which then exits 2.
   std::map<std::string, std::string> overrides;
 };
 
@@ -166,23 +162,7 @@ struct Registrar {
   }
 };
 
-// Drivers. bench_main implements the pdmm_bench CLI over every registered
-// benchmark; standalone_main runs exactly one (the single benchmark linked
-// into a standalone harness binary) with the same flags minus --list/--match.
+// The pdmm_bench CLI over every registered benchmark.
 int bench_main(int argc, char** argv);
-int standalone_main(const char* name, int argc, char** argv);
 
 }  // namespace pdmm::bench
-
-// Thin standalone entry point, emitted only when the TU is compiled as a
-// standalone harness (bench/CMakeLists.txt sets PDMM_BENCH_STANDALONE for
-// the bench_* executables; the combined pdmm_bench build leaves it unset so
-// linking every harness together yields exactly one main).
-#ifdef PDMM_BENCH_STANDALONE
-#define PDMM_BENCH_MAIN(name)                         \
-  int main(int argc, char** argv) {                   \
-    return ::pdmm::bench::standalone_main(name, argc, argv); \
-  }
-#else
-#define PDMM_BENCH_MAIN(name)
-#endif

@@ -1,9 +1,11 @@
-// Minimal command-line flag parser for the benchmark and example binaries.
-// Flags look like: --name=value or --name value. Unknown flags abort with
-// the usage string so typos never silently fall back to defaults — and the
+// Minimal command-line flag parser for the tools and the examples. Flags
+// look like: --name=value or --name value. Unknown flags exit 2 with the
+// usage string so typos never silently fall back to defaults — and the
 // same contract holds for *values*: a numeric flag given an empty,
-// non-numeric, trailing-garbage or out-of-range value aborts with a
-// message and the usage string instead of silently parsing as 0.
+// non-numeric, trailing-garbage or out-of-range value exits 2 with a
+// message and the usage string instead of silently parsing as 0. Both
+// exits happen in finish() (a bad value also in rest()), once every flag
+// is registered, so the usage lists them all.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,9 @@ class ArgParse {
     }
   }
 
-  // Each get_* registers the flag for usage() and consumes it.
+  // Each get_* registers the flag for usage() and claims it. A bad value is
+  // recorded (the first one wins) and the default returned in its place;
+  // rest() and finish() report it.
   uint64_t get_u64(const std::string& name, uint64_t def) {
     return get_uint(name, def, UINT64_MAX,
                     "out of range for a 64-bit unsigned integer");
@@ -53,81 +57,84 @@ class ArgParse {
   }
 
   double get_double(const std::string& name, double def) {
-    note(name, std::to_string(def));
-    auto it = args_.find(name);
-    if (it == args_.end()) return def;
+    const std::string* value = claim(name, std::to_string(def));
+    if (!value) return def;
     double v = 0.0;
-    switch (parse_f64_strict(it->second, v)) {
-      case ParseNum::kMalformed:
-        bad_value(name, it->second, "expected a number");
-      case ParseNum::kOutOfRange:
-        bad_value(name, it->second, "out of range for a double");
-      case ParseNum::kOk: break;
-    }
-    consumed_.insert({name, true});
-    return v;
+    const ParseNum r = parse_f64_strict(*value, v);
+    if (r == ParseNum::kOk) return v;
+    bad_value(name, *value,
+              r == ParseNum::kMalformed ? "expected a number"
+                                        : "out of range for a double");
+    return def;
   }
 
   std::string get_string(const std::string& name, const std::string& def) {
-    note(name, def);
-    auto it = args_.find(name);
-    if (it == args_.end()) return def;
-    consumed_.insert({name, true});
-    return it->second;
+    const std::string* value = claim(name, def);
+    return value ? *value : def;
   }
 
   bool get_bool(const std::string& name, bool def) {
-    note(name, def ? "1" : "0");
-    auto it = args_.find(name);
-    if (it == args_.end()) return def;
-    consumed_.insert({name, true});
-    return it->second != "0" && it->second != "false";
+    const std::string* value = claim(name, def ? "1" : "0");
+    if (!value) return def;
+    return *value != "0" && *value != "false";
   }
 
-  // Call after all get_* registrations: aborts on unknown flags.
-  void finish() {
-    bool bad = false;
-    for (const auto& [k, v] : args_) {
-      if (!consumed_.count(k) && !known_.count(k)) {
-        std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
-        bad = true;
-      }
-    }
-    if (bad) {
+  // Call after all get_* registrations. Returns the flags no get_* claimed
+  // (name -> value), for a program that gives them a meaning of its own.
+  // Exits 2 with the usage if a get_* saw a bad value.
+  std::map<std::string, std::string> rest() const {
+    if (!error_.empty()) {
+      std::fprintf(stderr, "%s\n", error_.c_str());
       usage();
       std::exit(2);
     }
+    std::map<std::string, std::string> out;
+    for (const auto& [k, v] : args_) {
+      if (!known_.count(k)) out.emplace(k, v);
+    }
+    return out;
+  }
+
+  // Call after all get_* registrations: exits 2 with the usage on a bad
+  // value or an unknown flag.
+  void finish() const {
+    const auto unknown = rest();
+    if (unknown.empty()) return;
+    for (const auto& [k, v] : unknown) {
+      std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
+    }
+    usage();
+    std::exit(2);
   }
 
  private:
   uint64_t get_uint(const std::string& name, uint64_t def, uint64_t max,
                     const char* out_of_range) {
-    note(name, std::to_string(def));
-    auto it = args_.find(name);
-    if (it == args_.end()) return def;
+    const std::string* value = claim(name, std::to_string(def));
+    if (!value) return def;
     uint64_t v = 0;
-    const ParseNum r = parse_u64_strict(it->second, v);
-    if (r == ParseNum::kMalformed) {
-      bad_value(name, it->second, "expected an unsigned integer");
-    }
-    if (r == ParseNum::kOutOfRange || v > max) {
-      bad_value(name, it->second, out_of_range);
-    }
-    consumed_.insert({name, true});
-    return v;
+    const ParseNum r = parse_u64_strict(*value, v);
+    if (r == ParseNum::kOk && v <= max) return v;
+    bad_value(name, *value,
+              r == ParseNum::kMalformed ? "expected an unsigned integer"
+                                        : out_of_range);
+    return def;
   }
 
-  void note(const std::string& name, const std::string& def) {
+  // Registers the flag and its default for usage(); returns the given
+  // value, or null when the flag is absent.
+  const std::string* claim(const std::string& name, const std::string& def) {
     known_.emplace(name, def);
-    if (args_.count(name)) consumed_.insert({name, true});
+    const auto it = args_.find(name);
+    return it == args_.end() ? nullptr : &it->second;
   }
 
-  [[noreturn]] void bad_value(const std::string& name, const std::string& value,
-                              const char* why) {
-    std::fprintf(stderr, "invalid value for --%s: '%s' (%s)\n", name.c_str(),
-                 value.c_str(), why);
-    usage();
-    std::exit(2);
+  void bad_value(const std::string& name, const std::string& value,
+                 const char* why) {
+    if (error_.empty()) {
+      error_ = "invalid value for --" + name + ": '" + value + "' (" + why +
+               ")";
+    }
   }
 
   void usage() const {
@@ -140,7 +147,7 @@ class ArgParse {
   std::string prog_;
   std::map<std::string, std::string> args_;
   std::map<std::string, std::string> known_;
-  std::map<std::string, bool> consumed_;
+  std::string error_;  // the first bad value, reported by rest()
 };
 
 }  // namespace pdmm

@@ -26,10 +26,6 @@ class PDMM_CAPABILITY("mutex") Mutex {
 
   void lock() PDMM_ACQUIRE() { mu_.lock(); }
   void unlock() PDMM_RELEASE() { mu_.unlock(); }
-  bool try_lock() PDMM_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  // For the rare caller that must interoperate with std:: machinery.
-  std::mutex& native() { return mu_; }
 
  private:
   friend class CondVar;

@@ -68,11 +68,6 @@ void LiveSet::erase_exact(std::span<const Vertex> eps) {
   mirror_.erase(id);
 }
 
-std::vector<Vertex> LiveSet::endpoints_at(size_t i) const {
-  const EdgeId id = live_.at(i);
-  return {mirror_.endpoints(id).begin(), mirror_.endpoints(id).end()};
-}
-
 namespace {
 
 // Shared bounded-walk skeleton of ChurnStream and PowerLawStream: always

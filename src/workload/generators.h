@@ -59,9 +59,6 @@ class LiveSet {
   EdgeId find(std::span<const Vertex> eps) const { return mirror_.find(eps); }
   // Removes a specific live edge (by endpoints); asserts it is live.
   void erase_exact(std::span<const Vertex> eps);
-  // Endpoints of the i-th live edge (insertion-order-ish, for FIFO models).
-  std::vector<Vertex> endpoints_at(size_t i) const;
-  EdgeId id_at(size_t i) const { return live_.at(i); }
 
  private:
   HyperedgeRegistry mirror_;

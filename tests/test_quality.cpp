@@ -4,6 +4,8 @@
 // small random instances, across ranks and densities.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/matcher.h"
 #include "param_name.h"
 #include "static_mm/exact.h"
@@ -13,12 +15,17 @@
 namespace pdmm {
 namespace {
 
+// gtest prints this struct's raw bytes in each test name, so every field
+// is eight bytes wide: a padding byte would hold leftover stack data that
+// varies the names from run to run.
 struct QualityParams {
-  Vertex n;
+  uint64_t n;
   size_t m;
-  uint32_t r;
+  uint64_t r;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<QualityParams>,
+              "padding bytes would make the test names nondeterministic");
 
 class Quality : public testing::TestWithParam<QualityParams> {};
 

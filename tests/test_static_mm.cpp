@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "core/checker.h"
 #include "param_name.h"
@@ -32,13 +33,18 @@ void verify_mm(const HyperedgeRegistry& reg,
   MatchingChecker::check_maximal_matching(reg, matched);
 }
 
+// gtest prints this struct's raw bytes in each test name, so every field
+// is eight bytes wide: a padding byte would hold leftover stack data that
+// varies the names from run to run.
 struct MMParams {
-  Vertex n;
+  uint64_t n;
   size_t m;
-  uint32_t r;
+  uint64_t r;
   uint64_t seed;
-  unsigned threads;
+  uint64_t threads;
 };
+static_assert(std::has_unique_object_representations_v<MMParams>,
+              "padding bytes would make the test names nondeterministic");
 
 class StaticMM : public testing::TestWithParam<MMParams> {};
 

@@ -17,6 +17,7 @@
 
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/checker.h"
@@ -37,7 +38,7 @@ struct RunResult {
   std::vector<size_t> per_batch_inserted;  // accepted insertions per batch
 };
 
-enum class StreamKind { kChurn, kPowerLaw, kOscillation };
+enum class StreamKind : uint64_t { kChurn, kPowerLaw, kOscillation };
 
 const char* stream_name(StreamKind k) {
   switch (k) {
@@ -124,10 +125,14 @@ RunResult run_stream(StreamKind kind, uint64_t seed, unsigned threads) {
   return out;
 }
 
+// gtest prints this struct's raw bytes in each test name; StreamKind is
+// eight bytes wide so no padding byte (leftover stack data) varies them.
 struct MatrixParams {
   StreamKind stream;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<MatrixParams>,
+              "padding bytes would make the test names nondeterministic");
 
 std::string matrix_name(const testing::TestParamInfo<MatrixParams>& info) {
   return testing_util::name_cat(stream_name(info.param.stream), "_s",

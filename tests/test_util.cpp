@@ -464,11 +464,41 @@ TEST(ArgParse, ParsesWellFormedValues) {
                         [](ArgParse& a) { return a.get_bool("flag", false); }));
 }
 
+TEST(ArgParse, RestReturnsUnclaimedFlags) {
+  using argparse_test::with_args;
+  const auto rest = with_args({"--n=3", "--k=8", "--name", "x", "--flag"},
+                              [](ArgParse& a) {
+                                EXPECT_EQ(a.get_u64("n", 7), 3u);
+                                return a.rest();
+                              });
+  const std::map<std::string, std::string> want = {
+      {"flag", "1"}, {"k", "8"}, {"name", "x"}};
+  EXPECT_EQ(rest, want);
+}
+
 using ArgParseDeath = ::testing::Test;
+
+TEST(ArgParseDeath, FinishRefusesUnclaimedFlags) {
+  using argparse_test::with_args;
+  EXPECT_EXIT(with_args({"--n=3", "--k=8"},
+                        [](ArgParse& a) {
+                          a.get_u64("n", 7);
+                          a.rest();  // hands --k back without refusing it
+                          a.finish();
+                          return 0;
+                        }),
+              testing::ExitedWithCode(2),
+              "unknown flag --k\n.*usage: .*--n=7");
+}
 
 TEST(ArgParseDeath, RejectsMalformedU64) {
   using argparse_test::with_args;
-  const auto get_n = [](ArgParse& a) { return a.get_u64("n", 7); };
+  // A bad value is reported by finish(), once every flag is registered.
+  const auto get_n = [](ArgParse& a) {
+    const uint64_t n = a.get_u64("n", 7);
+    a.finish();
+    return n;
+  };
   // The historical bug: --n=abc silently parsed as 0. Now every malformed
   // value exits 2 with the usage message, same as an unknown flag.
   EXPECT_EXIT(with_args({"--n=abc"}, get_n), testing::ExitedWithCode(2),
@@ -485,7 +515,11 @@ TEST(ArgParseDeath, RejectsMalformedU64) {
               "invalid value for --n");
   // A 32-bit flag refuses what a cast would wrap: 2^32 + 2 is not rank 2.
   EXPECT_EXIT(with_args({"--n=4294967298"},
-                        [](ArgParse& a) { return a.get_u32("n", 7); }),
+                        [](ArgParse& a) {
+                          const uint32_t n = a.get_u32("n", 7);
+                          a.finish();
+                          return n;
+                        }),
               testing::ExitedWithCode(2),
               "invalid value for --n: '4294967298' \\(out of range for a "
               "32-bit");
@@ -493,7 +527,11 @@ TEST(ArgParseDeath, RejectsMalformedU64) {
 
 TEST(ArgParseDeath, RejectsMalformedDouble) {
   using argparse_test::with_args;
-  const auto get_x = [](ArgParse& a) { return a.get_double("x", 1.0); };
+  const auto get_x = [](ArgParse& a) {
+    const double x = a.get_double("x", 1.0);
+    a.finish();
+    return x;
+  };
   EXPECT_EXIT(with_args({"--x=abc"}, get_x), testing::ExitedWithCode(2),
               "invalid value for --x: 'abc'");
   EXPECT_EXIT(with_args({"--x=1.5garbage"}, get_x),
@@ -506,12 +544,31 @@ TEST(ArgParseDeath, RejectsMalformedDouble) {
 
 TEST(ArgParseDeath, UsageListsKnownFlagsOnBadValue) {
   using argparse_test::with_args;
-  EXPECT_EXIT(with_args({"--n=abc"},
+  // The usage lists the flags registered before and after the bad one, and
+  // the first bad value is the one reported.
+  EXPECT_EXIT(with_args({"--n=abc", "--z=x"},
                         [](ArgParse& a) {
                           a.get_u64("other", 1);  // registered before n
-                          return a.get_u64("n", 7);
+                          const uint64_t n = a.get_u64("n", 7);
+                          a.get_u64("z", 9);  // registered after n, also bad
+                          a.finish();
+                          return n;
                         }),
-              testing::ExitedWithCode(2), "usage: .*--n=7.*--other=1");
+              testing::ExitedWithCode(2),
+              "invalid value for --n: 'abc'.*\n"
+              "usage: .*--n=7.*--other=1.*--z=9");
+}
+
+TEST(ArgParseDeath, RestReportsBadValue) {
+  using argparse_test::with_args;
+  EXPECT_EXIT(with_args({"--n=abc", "--k=8"},
+                        [](ArgParse& a) {
+                          a.get_u64("n", 7);
+                          return a.rest();
+                        }),
+              testing::ExitedWithCode(2),
+              "invalid value for --n: 'abc'.*\n"
+              "usage: .*--n=7");
 }
 
 TEST(SmallVector, InlineThenSpill) {

@@ -4,6 +4,7 @@
 // handling:
 //
 //   pdmm_bench --list                      # registered benchmarks
+//   pdmm_bench --match='^throughput$'      # one harness
 //   pdmm_bench --match='scenario_.*'       # run a subset
 //   pdmm_bench --smoke --json=out.json     # tiny sizes, full JSON report
 //   pdmm_bench --reps=5 --json=BENCH_pdmm.json   # the committed baseline

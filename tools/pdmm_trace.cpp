@@ -61,7 +61,8 @@ int generate(ArgParse& args) {
   return 0;
 }
 
-int replay(ArgParse& args, const std::string& impl) {
+int replay(ArgParse& args) {
+  const std::string impl = args.get_string("impl", "pdmm");
   const uint32_t rank = args.get_u32("rank", 2);
   const uint64_t seed = args.get_u64("seed", 42);
   const bool quiet = args.get_bool("quiet", false);
@@ -125,7 +126,8 @@ int replay(ArgParse& args, const std::string& impl) {
 int main(int argc, char** argv) {
   ArgParse args(argc, argv);
   const std::string mode = args.get_string("mode", "replay");
-  const std::string impl = args.get_string("impl", "pdmm");
   if (mode == "generate") return generate(args);
-  return replay(args, impl);
+  if (mode == "replay") return replay(args);
+  std::cerr << "unknown --mode=" << mode << " (generate|replay)\n";
+  return 2;
 }

@@ -11,7 +11,7 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 12, 1 << 9);
+  const Vertex n = ctx.u32("n", 1 << 12, 1 << 9);
   const uint64_t batches = ctx.u64("batches", 60, 6);
 
   struct Knobs {
@@ -37,7 +37,7 @@ void run(Ctx& ctx) {
           DynamicMatcher m(cfg, pool);
 
           ChurnStream::Options so;
-          so.n = static_cast<Vertex>(n);
+          so.n = n;
           so.target_edges = 3 * static_cast<size_t>(n);
           so.zipf_s = 0.7;  // skew creates rising work for settle machinery
           so.seed = ctx.seed(55);

@@ -10,7 +10,7 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 12, 1 << 9);
+  const Vertex n = ctx.u32("n", 1 << 12, 1 << 9);
   const uint64_t rounds = ctx.u64("rounds", 100, 10);
   const uint64_t cap = 1ull << (ctx.smoke() ? 15 : 22);
 
@@ -23,8 +23,8 @@ void run(Ctx& ctx) {
     cfg.auto_rebuild = false;
     DynamicMatcher m(cfg, pool);
     ChurnStream::Options so;
-    so.n = static_cast<Vertex>(n);
-    so.target_edges = 3 * n;
+    so.n = n;
+    so.target_edges = 3ull * n;
     so.seed = ctx.seed(37);
     ChurnStream stream(so);
     warm(m, stream, ctx.warm(3 * so.target_edges), 1024);
@@ -45,11 +45,13 @@ void run(Ctx& ctx) {
     cfg.auto_rebuild = false;
     PdmmAdapter m(cfg, pool);
     AdversarialMatchedDeleter::Options ao;
-    ao.n = static_cast<Vertex>(n);
+    ao.n = n;
     ao.seed = ctx.seed(38);
     AdversarialMatchedDeleter adv(ao);
     // Grow.
-    for (uint64_t i = 0; i < 3 * n / 64; ++i) apply_batch(m, adv.next(m, 64));
+    for (uint64_t i = 0; i < 3ull * n / 64; ++i) {
+      apply_batch(m, adv.next(m, 64));
+    }
     const auto before = m.total_cost();
     uint64_t updates = 0;
     Timer t;

@@ -10,14 +10,14 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 13, 1 << 9);
+  const Vertex n = ctx.u32("n", 1 << 13, 1 << 9);
   const uint64_t max_k = ctx.u64("max_k", 1 << 12, 1 << 6);
   const uint64_t batches = ctx.u64("batches", 20, 4);
-  const size_t warm_updates = ctx.warm(4 * n);
+  const size_t warm_updates = ctx.warm(4ull * n);
 
   SlidingWindowStream::Options so;
-  so.n = static_cast<Vertex>(n);
-  so.window = 2 * n;
+  so.n = n;
+  so.window = 2ull * n;
   so.seed = ctx.seed(5);
 
   for (size_t k = 1; k <= max_k; k *= 4) {

@@ -22,14 +22,14 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 13, 1 << 9);
-  const uint64_t target = ctx.u64("target_edges", 2 * n, 2 * n);
+  const Vertex n = ctx.u32("n", 1 << 13, 1 << 9);
+  const uint64_t target = ctx.u64("target_edges", 2ull * n, 2ull * n);
   const uint64_t batches = ctx.u64("batches", 60, 6);
   const uint64_t batch_size = ctx.u64("batch_size", 256, 64);
   const size_t warm_updates = ctx.warm(2 * target);
 
   ChurnStream::Options so;
-  so.n = static_cast<Vertex>(n);
+  so.n = n;
   so.target_edges = target;
   so.seed = ctx.seed(17);
 

@@ -10,7 +10,7 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 12, 1 << 9);
+  const Vertex n = ctx.u32("n", 1 << 12, 1 << 9);
   const uint64_t total_updates = ctx.u64("updates", 1 << 19, 1 << 13);
 
   EpochStats epochs(0);
@@ -26,8 +26,8 @@ void run(Ctx& ctx) {
     DynamicMatcher m(cfg, pool);
 
     ChurnStream::Options so;
-    so.n = static_cast<Vertex>(n);
-    so.target_edges = 4 * n;
+    so.n = n;
+    so.target_edges = 4ull * n;
     so.zipf_s = 0.8;
     so.seed = ctx.seed(23);
     ChurnStream stream(so);

@@ -31,8 +31,8 @@ namespace {
 namespace fs = std::filesystem;
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 13, 1 << 9);
-  const uint64_t target = ctx.u64("target_edges", 2 * n, 2 * n);
+  const Vertex n = ctx.u32("n", 1 << 13, 1 << 9);
+  const uint64_t target = ctx.u64("target_edges", 2ull * n, 2ull * n);
   const uint64_t warm_batches = ctx.u64("warm_batches", 64, 8);
   const uint64_t tail = ctx.u64("tail_batches", 64, 8);
   const uint64_t batch_size = ctx.u64("batch_size", 256, 64);
@@ -47,7 +47,7 @@ void run(Ctx& ctx) {
   // One steady-state matcher + a recorded journal tail shared by every
   // point (recorded once so all reps and ops see identical state).
   ChurnStream::Options so;
-  so.n = static_cast<Vertex>(n);
+  so.n = n;
   so.target_edges = target;
   so.zipf_s = 0.4;
   so.seed = ctx.seed(91);

@@ -12,9 +12,9 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t nl = ctx.u64("n_left", 1 << 12, 1 << 9);
-  const uint64_t nr = ctx.u64("n_right", 1 << 12, 1 << 9);
-  const uint64_t target = ctx.u64("target_edges", 3 * nl, 3 * nl);
+  const Vertex nl = ctx.u32("n_left", 1 << 12, 1 << 9);
+  const Vertex nr = ctx.u32("n_right", 1 << 12, 1 << 9);
+  const uint64_t target = ctx.u64("target_edges", 3ull * nl, 3ull * nl);
   const uint64_t checkpoints = ctx.u64("checkpoints", 12, 3);
 
   struct Checkpoint {
@@ -71,7 +71,7 @@ void run(Ctx& ctx) {
       s.max_batch_rounds = std::max(s.max_batch_rounds, res.rounds);
 
       const size_t opt = hopcroft_karp_max_matching_split(
-          m.graph(), m.graph().all_edges(), static_cast<Vertex>(nl));
+          m.graph(), m.graph().all_edges(), nl);
       const double ratio = static_cast<double>(m.matching_size()) /
                            static_cast<double>(std::max<size_t>(opt, 1));
       ratios.add(ratio);

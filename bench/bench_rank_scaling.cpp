@@ -7,7 +7,7 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 12, 1 << 9);
+  const Vertex n = ctx.u32("n", 1 << 12, 1 << 9);
   const uint64_t updates_per_point = ctx.u64("updates", 1 << 15, 1 << 11);
   const uint64_t max_rank = ctx.u64("max_rank", 8, 4);
 
@@ -22,9 +22,9 @@ void run(Ctx& ctx) {
       DynamicMatcher m(cfg, pool);
 
       ChurnStream::Options so;
-      so.n = static_cast<Vertex>(n);
+      so.n = n;
       so.rank = r;
-      so.target_edges = 2 * n;
+      so.target_edges = 2ull * n;
       so.seed = ctx.seed(29);
       ChurnStream stream(so);
       warm(m, stream, ctx.warm(3 * so.target_edges), 1024);

@@ -9,7 +9,7 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 14, 1 << 10);
+  const Vertex n = ctx.u32("n", 1 << 14, 1 << 10);
   const uint64_t windows = ctx.u64("windows", 24, 6);
   const uint64_t window_updates = ctx.u64("window_updates", 1 << 13, 1 << 9);
 
@@ -33,7 +33,7 @@ void run(Ctx& ctx) {
     DynamicMatcher m(cfg, pool);
 
     ChurnStream::Options so;
-    so.n = static_cast<Vertex>(n);
+    so.n = n;
     so.target_edges = 1ull << 30;  // effectively insert-only
     so.seed = ctx.seed(47);
     ChurnStream stream(so);

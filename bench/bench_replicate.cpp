@@ -39,8 +39,8 @@ double us_between(Clock::time_point a, Clock::time_point b) {
 }
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 12, 1 << 9);
-  const uint64_t target = ctx.u64("target_edges", 2 * n, 2 * n);
+  const Vertex n = ctx.u32("n", 1 << 12, 1 << 9);
+  const uint64_t target = ctx.u64("target_edges", 2ull * n, 2ull * n);
   const uint64_t batches = ctx.u64("batches", 120, 16);
   const uint64_t batch_size = ctx.u64("batch_size", 128, 32);
 
@@ -71,7 +71,7 @@ void run(Ctx& ctx) {
           cfg.auto_rebuild = false;
 
           ChurnStream::Options so;
-          so.n = static_cast<Vertex>(n);
+          so.n = n;
           so.target_edges = target;
           so.seed = ctx.seed(19) + 1;
           ChurnStream stream(so);

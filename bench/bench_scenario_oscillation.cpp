@@ -12,8 +12,8 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 13, 1 << 9);
-  const uint64_t background = ctx.u64("background_edges", 2 * n, 2 * n);
+  const Vertex n = ctx.u32("n", 1 << 13, 1 << 9);
+  const uint64_t background = ctx.u64("background_edges", 2ull * n, 2ull * n);
   const uint64_t cycles = ctx.u64("cycles", 30, 4);
 
   for (const uint64_t core_shift : {3u, 1u}) {  // core = background >> shift
@@ -25,7 +25,7 @@ void run(Ctx& ctx) {
         static_cast<size_t>(cycles) * batches_per_cycle;
 
     OscillationStream::Options so;
-    so.n = static_cast<Vertex>(n);
+    so.n = n;
     so.core_edges = core;
     so.background_edges = background;
 

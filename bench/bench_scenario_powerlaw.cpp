@@ -10,8 +10,8 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 13, 1 << 9);
-  const uint64_t target = ctx.u64("target_edges", 3 * n, 3 * n);
+  const Vertex n = ctx.u32("n", 1 << 13, 1 << 9);
+  const uint64_t target = ctx.u64("target_edges", 3ull * n, 3ull * n);
   const uint64_t batches = ctx.u64("batches", 60, 6);
 
   for (const double s_exp : {0.8, 1.1, 1.4}) {
@@ -25,7 +25,7 @@ void run(Ctx& ctx) {
       DynamicMatcher m(cfg, pool);
 
       PowerLawStream::Options so;
-      so.n = static_cast<Vertex>(n);
+      so.n = n;
       so.target_edges = target;
       so.s = s_exp;
       so.seed = ctx.seed(73);
@@ -36,7 +36,7 @@ void run(Ctx& ctx) {
       const auto& st = m.stats();
       // Hub pressure: the deepest level any vertex reached.
       int max_level = 0;
-      for (Vertex v = 0; v < static_cast<Vertex>(n); ++v) {
+      for (Vertex v = 0; v < n; ++v) {
         max_level = std::max(max_level, m.vertex_level(v));
       }
       Sample s = to_sample(r);

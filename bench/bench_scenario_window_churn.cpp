@@ -10,8 +10,8 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 13, 1 << 9);
-  const uint64_t window = ctx.u64("window", 2 * n, 2 * n);
+  const Vertex n = ctx.u32("n", 1 << 13, 1 << 9);
+  const uint64_t window = ctx.u64("window", 2ull * n, 2ull * n);
   const uint64_t batches = ctx.u64("batches", 60, 6);
 
   for (const double churn : {0.0, 0.25, 0.5}) {
@@ -25,7 +25,7 @@ void run(Ctx& ctx) {
       DynamicMatcher m(cfg, pool);
 
       WindowChurnStream::Options so;
-      so.n = static_cast<Vertex>(n);
+      so.n = n;
       so.window = window;
       so.churn = churn;
       so.seed = ctx.seed(67);

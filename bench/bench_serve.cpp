@@ -26,8 +26,8 @@ struct alignas(64) ReaderCounters {
 };
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 13, 1 << 9);
-  const uint64_t target = ctx.u64("target_edges", 2 * n, 2 * n);
+  const Vertex n = ctx.u32("n", 1 << 13, 1 << 9);
+  const uint64_t target = ctx.u64("target_edges", 2ull * n, 2ull * n);
   const uint64_t batches = ctx.u64("batches", 60, 6);
   const uint64_t batch_size = ctx.u64("batch_size", 256, 64);
   const uint64_t queries_per_view = ctx.u64("queries_per_view", 256, 64);
@@ -38,7 +38,7 @@ void run(Ctx& ctx) {
                   : std::vector<uint64_t>{1, 2, 4, 8};
 
   ChurnStream::Options so;
-  so.n = static_cast<Vertex>(n);
+  so.n = n;
   so.target_edges = target;
   so.seed = ctx.seed(17);
 

@@ -9,7 +9,7 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 12, 1 << 9);
+  const Vertex n = ctx.u32("n", 1 << 12, 1 << 9);
   const uint64_t rounds = ctx.u64("rounds", 300, 20);
 
   ctx.point({p("n", n)}, [&] {
@@ -22,8 +22,8 @@ void run(Ctx& ctx) {
     DynamicMatcher m(cfg, pool);
 
     ChurnStream::Options so;
-    so.n = static_cast<Vertex>(n);
-    so.target_edges = 4 * n;
+    so.n = n;
+    so.target_edges = 4ull * n;
     so.zipf_s = 0.9;  // hubs own many edges => frequent rising
     so.seed = ctx.seed(17);
     ChurnStream stream(so);

@@ -17,7 +17,7 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 13, 1 << 9);
+  const Vertex n = ctx.u32("n", 1 << 13, 1 << 9);
   const uint64_t batches = ctx.u64("batches", 30, 4);
   const std::vector<uint64_t> batch_sizes =
       ctx.smoke() ? std::vector<uint64_t>{256}
@@ -37,8 +37,8 @@ void run(Ctx& ctx) {
             cfg.auto_rebuild = false;
             DynamicMatcher m(cfg, pool);
             ChurnStream::Options so;
-            so.n = static_cast<Vertex>(n);
-            so.target_edges = 2 * n;
+            so.n = n;
+            so.target_edges = 2ull * n;
             so.seed = ctx.seed(43);
             ChurnStream stream(so);
             warm(m, stream, ctx.warm(3 * so.target_edges), batch);

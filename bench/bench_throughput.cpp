@@ -13,13 +13,13 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t n = ctx.u64("n", 1 << 13, 1 << 9);
-  const uint64_t target = ctx.u64("target_edges", 2 * n, 2 * n);
+  const Vertex n = ctx.u32("n", 1 << 13, 1 << 9);
+  const uint64_t target = ctx.u64("target_edges", 2ull * n, 2ull * n);
   const uint64_t batches = ctx.u64("batches", 30, 4);
   const size_t warm_updates = ctx.warm(3 * target);
 
   ChurnStream::Options so;
-  so.n = static_cast<Vertex>(n);
+  so.n = n;
   so.target_edges = target;
   so.seed = ctx.seed(21);
 

@@ -2,20 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <regex>
-#include <sstream>
 #include <thread>
 
 #include "util/arg_parse.h"
-#include "util/assert.h"
-#include "util/parse_num.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/json.h"
 
 namespace pdmm::bench {
 
@@ -150,14 +147,13 @@ struct Cli {
   bool help = false;
   std::string match = ".*";
   std::string json_path;
-  std::string compare_path;
-  double compare_tolerance = 0.15;
 };
 
 // The global flags are fixed and default to the fields above; any other
-// --key=value becomes a per-benchmark parameter override, validated after
-// the run (each harness reports which overrides it consumed). A malformed
-// or out-of-range global flag value exits 2 in ArgParse::rest().
+// --key=value becomes a per-benchmark parameter override. A malformed or
+// out-of-range global flag value exits 2 in ArgParse::rest(), a bad
+// override value when a harness reads it (Ctx::u64), and an override no
+// selected harness reads after the run.
 Cli parse_cli(int argc, char** argv) {
   ArgParse args(argc, argv);
   Cli cli;
@@ -168,9 +164,6 @@ Cli parse_cli(int argc, char** argv) {
   opt.seed = args.get_u64("seed", opt.seed);
   opt.smoke = args.get_bool("smoke", opt.smoke);
   cli.json_path = args.get_string("json", cli.json_path);
-  cli.compare_path = args.get_string("compare", cli.compare_path);
-  cli.compare_tolerance =
-      args.get_double("compare-tolerance", cli.compare_tolerance);
   cli.list = args.get_bool("list", cli.list);
   cli.match = args.get_string("match", cli.match);
   cli.help = args.get_bool("help", cli.help);
@@ -182,168 +175,17 @@ void usage(const char* prog) {
   std::fprintf(
       stderr,
       "usage: %s [--reps=N] [--warmup=X] [--threads=T] [--seed=S]\n"
-      "          [--smoke] [--json=PATH] [--compare=BASELINE.json]\n"
-      "          [--compare-tolerance=X] [--list] [--match=REGEX]"
+      "          [--smoke] [--json=PATH] [--list] [--match=REGEX]"
       " [--<param>=<value> ...]\n"
       "  --reps     repetitions per sweep point (default 3)\n"
       "  --warmup   scale factor on warm phases (default 1.0)\n"
       "  --threads  override every harness's thread count (default: keep)\n"
       "  --seed     remix all matcher/stream seeds (default: keep)\n"
       "  --smoke    tiny problem sizes; exercises every benchmark quickly\n"
-      "  --json     write the BENCH_pdmm.json report to PATH\n"
-      "  --compare  diff this run against a committed pdmm-bench-v1 report:\n"
-      "             prints per-bench wall-clock ratio summaries and exits 3\n"
-      "             when any bench's geomean regresses past the tolerance\n"
-      "  --compare-tolerance  allowed median-seconds regression (default 0.15)\n"
+      "  --json     write the pdmm-bench-v1 report to PATH; compare two\n"
+      "             reports with tools/bench_compare.py\n"
       "  other --key=value flags override per-benchmark sweep parameters\n",
       prog);
-}
-
-// ---- --compare: the perf ratchet ----
-
-// Points match on (bench, full param list). Sub-millisecond points are
-// reported but never fail the ratchet: at that scale the medians are
-// scheduler noise, not signal.
-constexpr double kCompareNoiseFloorSeconds = 1e-3;
-
-std::string point_key(const std::string& bench, const Ctx::Params& params) {
-  std::string key = bench;
-  for (const auto& [k, v] : params) key += '|' + k + '=' + v;
-  return key;
-}
-
-struct BaselinePoint {
-  double seconds_median = 0.0;
-  uint64_t work = 0;
-  uint64_t rounds = 0;
-};
-
-bool load_baseline(const std::string& path,
-                   std::map<std::string, BaselinePoint>& out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open baseline %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  JsonValue doc;
-  std::string err;
-  if (!json_parse(buf.str(), doc, &err)) {
-    std::fprintf(stderr, "baseline %s: %s\n", path.c_str(), err.c_str());
-    return false;
-  }
-  const JsonValue* schema = doc.get("schema");
-  if (!schema || schema->str_or("") != "pdmm-bench-v1") {
-    std::fprintf(stderr, "baseline %s: not a pdmm-bench-v1 report\n",
-                 path.c_str());
-    return false;
-  }
-  const JsonValue* results = doc.get("results");
-  if (!results || !results->is_array()) {
-    std::fprintf(stderr, "baseline %s: missing results array\n", path.c_str());
-    return false;
-  }
-  for (const JsonValue& r : results->array) {
-    const JsonValue* bench = r.get("bench");
-    const JsonValue* params = r.get("params");
-    const JsonValue* seconds = r.get("seconds");
-    if (!bench || !params || !params->is_object()) continue;
-    Ctx::Params plist;
-    for (const auto& [k, v] : params->object) {
-      plist.emplace_back(k, std::string(v.str_or("")));
-    }
-    // The JSON object iterates key-sorted; normalize the live side the same
-    // way at lookup time (compare_runs sorts its param copies).
-    BaselinePoint bp;
-    if (seconds) {
-      if (const JsonValue* med = seconds->get("median"))
-        bp.seconds_median = med->num_or(0.0);
-    }
-    if (const JsonValue* w = r.get("work"))
-      bp.work = static_cast<uint64_t>(w->num_or(0.0));
-    if (const JsonValue* rd = r.get("rounds"))
-      bp.rounds = static_cast<uint64_t>(rd->num_or(0.0));
-    out[point_key(std::string(bench->str_or("")), plist)] = bp;
-  }
-  return true;
-}
-
-// Diffs the fresh runs against the baseline report. The gate is per
-// *bench*: a bench regresses when the geometric mean of its matched
-// above-noise-floor wall-clock ratios exceeds the tolerance — individual
-// points swing with scheduler noise (and are printed as diagnostics when
-// they breach the tolerance), but a real regression shifts the whole
-// bench. Returns the number of regressed benches. Counter drift is
-// reported as information: counters change legitimately when the
-// algorithm changes, and the committed baseline is re-generated alongside
-// such changes.
-int compare_runs(
-    const std::vector<std::pair<const Benchmark*, std::vector<SweepPoint>>>&
-        runs,
-    const std::string& path, double tolerance) {
-  std::map<std::string, BaselinePoint> base;
-  if (!load_baseline(path, base)) return -1;
-
-  std::printf("=== compare vs %s (tolerance %.0f%%) ===\n", path.c_str(),
-              tolerance * 100.0);
-  int regressions = 0;
-  size_t matched = 0, counter_drift = 0;
-  for (const auto& [bench, points] : runs) {
-    double ratio_log_sum = 0.0;
-    size_t ratio_count = 0;
-    double worst_ratio = 0.0;
-    std::string worst_params;
-    for (const SweepPoint& sp : points) {
-      Ctx::Params sorted_params = sp.params;
-      std::sort(sorted_params.begin(), sorted_params.end());
-      const auto it = base.find(point_key(bench->name, sorted_params));
-      if (it == base.end()) continue;
-      ++matched;
-      const BaselinePoint& bp = it->second;
-      if (bp.work != sp.sample.work || bp.rounds != sp.sample.rounds) {
-        ++counter_drift;
-      }
-      if (bp.seconds_median <= 0.0 || sp.seconds_median <= 0.0) continue;
-      const bool above_floor =
-          std::max(bp.seconds_median, sp.seconds_median) >=
-          kCompareNoiseFloorSeconds;
-      if (!above_floor) continue;
-      const double ratio = sp.seconds_median / bp.seconds_median;
-      ratio_log_sum += std::log(ratio);
-      ++ratio_count;
-      if (ratio > worst_ratio) {
-        worst_ratio = ratio;
-        worst_params = format_params(sp.params);
-      }
-      if (ratio > 1.0 + tolerance) {
-        std::printf("  point over tolerance: %s [%s] %.3fx (%s -> %s)\n",
-                    bench->name, format_params(sp.params).c_str(), ratio,
-                    format_seconds(bp.seconds_median).c_str(),
-                    format_seconds(sp.seconds_median).c_str());
-      }
-    }
-    if (ratio_count > 0) {
-      const double geomean =
-          std::exp(ratio_log_sum / static_cast<double>(ratio_count));
-      const bool regressed = geomean > 1.0 + tolerance;
-      if (regressed) ++regressions;
-      std::printf(
-          "  %s%-24s geomean %.3fx over %zu points; worst %.3fx [%s]\n",
-          regressed ? "REGRESSION " : "", bench->name, geomean, ratio_count,
-          worst_ratio, worst_params.c_str());
-    }
-  }
-  std::printf(
-      "# compared %zu points (%zu with counter drift), %d bench "
-      "regression%s\n",
-      matched, counter_drift, regressions, regressions == 1 ? "" : "s");
-  if (matched == 0) {
-    std::fprintf(stderr,
-                 "warning: --compare matched no sweep points (different "
-                 "params or benchmarks?)\n");
-  }
-  return regressions;
 }
 
 int run_benchmarks(const Cli& cli, const std::vector<const Benchmark*>& subset) {
@@ -381,18 +223,15 @@ int run_benchmarks(const Cli& cli, const std::vector<const Benchmark*>& subset) 
       return 1;
     }
     write_json_report(out, cli.opt, runs);
+    out.flush();
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
+      return 1;
+    }
     size_t total = 0;
     for (const auto& [bench, points] : runs) total += points.size();
     std::printf("# wrote %zu sweep points to %s\n", total,
                 cli.json_path.c_str());
-  }
-  if (!cli.compare_path.empty()) {
-    const int regressions =
-        compare_runs(runs, cli.compare_path, cli.compare_tolerance);
-    // A baseline that cannot be loaded is an I/O/usage failure (exit 1),
-    // distinct from a genuine perf regression (exit 3).
-    if (regressions < 0) return 1;
-    if (regressions > 0) return 3;
   }
   return dangling ? 2 : 0;
 }
@@ -417,28 +256,26 @@ const std::vector<Benchmark>& all_benchmarks() {
 Ctx::Ctx(const Benchmark& bench, const RunOptions& opt)
     : bench_(bench), opt_(opt) {}
 
-uint64_t Ctx::u64(const std::string& name, uint64_t full, uint64_t smoke) {
+uint64_t Ctx::uint_param(const std::string& name, uint64_t full,
+                         uint64_t smoke, unsigned bits) {
   const auto it = opt_.overrides.find(name);
-  if (it != opt_.overrides.end()) {
-    consumed_[name] = true;
-    uint64_t v = 0;
-    PDMM_ASSERT_MSG(parse_u64_strict(it->second, v) == ParseNum::kOk,
-                    "malformed benchmark override value");
-    return v;
+  if (it == opt_.overrides.end()) return opt_.smoke ? smoke : full;
+  consumed_[name] = true;
+  uint64_t v = 0;
+  const std::string error = ArgParse::parse_uint(name, it->second, bits, v);
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    std::exit(2);
   }
-  return opt_.smoke ? smoke : full;
+  return v;
 }
 
-double Ctx::f64(const std::string& name, double full, double smoke) {
-  const auto it = opt_.overrides.find(name);
-  if (it != opt_.overrides.end()) {
-    consumed_[name] = true;
-    double v = 0;
-    PDMM_ASSERT_MSG(parse_f64_strict(it->second, v) == ParseNum::kOk,
-                    "malformed benchmark override value");
-    return v;
-  }
-  return opt_.smoke ? smoke : full;
+uint64_t Ctx::u64(const std::string& name, uint64_t full, uint64_t smoke) {
+  return uint_param(name, full, smoke, 64);
+}
+
+uint32_t Ctx::u32(const std::string& name, uint32_t full, uint32_t smoke) {
+  return static_cast<uint32_t>(uint_param(name, full, smoke, 32));
 }
 
 unsigned Ctx::threads(unsigned def) const {
@@ -466,7 +303,8 @@ SweepPoint Ctx::point(Params params, const std::function<Sample()>& body) {
     secs.push_back(s.seconds);
     if (rep > 0 &&
         (s.work != sp.sample.work || s.rounds != sp.sample.rounds ||
-         s.updates != sp.sample.updates)) {
+         s.updates != sp.sample.updates ||
+         s.max_batch_rounds != sp.sample.max_batch_rounds)) {
       deterministic = false;
     }
     sp.sample = std::move(s);

@@ -14,7 +14,8 @@
 // matcher and stream from fixed seeds, so the counters must be identical
 // across repetitions — the registry prints a determinism warning when they
 // are not. Points stream to stdout as aligned text and, with --json, into
-// one BENCH_pdmm.json document (schema documented in README.md).
+// one BENCH_pdmm.json document (schema documented in README.md), which
+// tools/bench_compare.py compares against a baseline.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +88,9 @@ inline std::pair<std::string, std::string> p(std::string name,
 inline std::pair<std::string, std::string> p(std::string name, uint64_t v) {
   return {std::move(name), std::to_string(v)};
 }
+inline std::pair<std::string, std::string> p(std::string name, uint32_t v) {
+  return {std::move(name), std::to_string(v)};
+}
 inline std::pair<std::string, std::string> p(std::string name, int v) {
   return {std::move(name), std::to_string(v)};
 }
@@ -106,9 +110,12 @@ class Ctx {
 
   // Sweep parameter with full-run and smoke-run defaults. A CLI override
   // (--name=value) always wins, then the smoke default in --smoke mode,
-  // then the full default.
+  // then the full default. A malformed or out-of-range override prints
+  // ArgParse's message and exits 2, so a harness reads its parameters
+  // before it runs a point. u32 is for values kept in 32 bits (vertex
+  // counts): past 2^32 - 1 is out of range, not wrapped.
   uint64_t u64(const std::string& name, uint64_t full, uint64_t smoke);
-  double f64(const std::string& name, double full, double smoke);
+  uint32_t u32(const std::string& name, uint32_t full, uint32_t smoke);
 
   // ThreadPool size: the --threads override, else the harness default.
   unsigned threads(unsigned def) const;
@@ -142,6 +149,8 @@ class Ctx {
   std::vector<std::string> consumed_overrides() const;
 
  private:
+  uint64_t uint_param(const std::string& name, uint64_t full, uint64_t smoke,
+                      unsigned bits);
   SweepPoint finish_point(SweepPoint sp);
 
   const Benchmark& bench_;

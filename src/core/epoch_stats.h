@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "graph/types.h"
-#include "util/stats.h"
 
 namespace pdmm {
 

@@ -45,15 +45,34 @@ class ArgParse {
   // recorded (the first one wins) and the default returned in its place;
   // rest() and finish() report it.
   uint64_t get_u64(const std::string& name, uint64_t def) {
-    return get_uint(name, def, UINT64_MAX,
-                    "out of range for a 64-bit unsigned integer");
+    return get_uint(name, def, 64);
   }
 
   // For a flag the program keeps in 32 bits (a vertex count, a rank, a
   // thread count): a value past 2^32 - 1 is refused, not wrapped.
   uint32_t get_u32(const std::string& name, uint32_t def) {
-    return static_cast<uint32_t>(get_uint(
-        name, def, UINT32_MAX, "out of range for a 32-bit unsigned integer"));
+    return static_cast<uint32_t>(get_uint(name, def, 32));
+  }
+
+  // The value check behind get_u64 (bits = 64) and get_u32 (bits = 32),
+  // for a flag the program reads from rest() itself: stores the value and
+  // returns "", or returns the message a bad value gets, e.g.
+  // "invalid value for --n: 'abc' (expected an unsigned integer)".
+  static std::string parse_uint(const std::string& name,
+                                const std::string& value, unsigned bits,
+                                uint64_t& out) {
+    const uint64_t max = bits == 32 ? UINT32_MAX : UINT64_MAX;
+    uint64_t v = 0;
+    const ParseNum r = parse_u64_strict(value, v);
+    if (r == ParseNum::kOk && v <= max) {
+      out = v;
+      return "";
+    }
+    return invalid(name, value,
+                   r == ParseNum::kMalformed
+                       ? "expected an unsigned integer"
+                       : "out of range for a " + std::to_string(bits) +
+                             "-bit unsigned integer");
   }
 
   double get_double(const std::string& name, double def) {
@@ -62,9 +81,9 @@ class ArgParse {
     double v = 0.0;
     const ParseNum r = parse_f64_strict(*value, v);
     if (r == ParseNum::kOk) return v;
-    bad_value(name, *value,
-              r == ParseNum::kMalformed ? "expected a number"
-                                        : "out of range for a double");
+    bad_value(invalid(name, *value,
+                      r == ParseNum::kMalformed ? "expected a number"
+                                                : "out of range for a double"));
     return def;
   }
 
@@ -108,17 +127,12 @@ class ArgParse {
   }
 
  private:
-  uint64_t get_uint(const std::string& name, uint64_t def, uint64_t max,
-                    const char* out_of_range) {
+  uint64_t get_uint(const std::string& name, uint64_t def, unsigned bits) {
     const std::string* value = claim(name, std::to_string(def));
     if (!value) return def;
-    uint64_t v = 0;
-    const ParseNum r = parse_u64_strict(*value, v);
-    if (r == ParseNum::kOk && v <= max) return v;
-    bad_value(name, *value,
-              r == ParseNum::kMalformed ? "expected an unsigned integer"
-                                        : out_of_range);
-    return def;
+    uint64_t v = def;  // parse_uint stores only a good value
+    bad_value(parse_uint(name, *value, bits, v));
+    return v;
   }
 
   // Registers the flag and its default for usage(); returns the given
@@ -129,12 +143,15 @@ class ArgParse {
     return it == args_.end() ? nullptr : &it->second;
   }
 
-  void bad_value(const std::string& name, const std::string& value,
-                 const char* why) {
-    if (error_.empty()) {
-      error_ = "invalid value for --" + name + ": '" + value + "' (" + why +
-               ")";
-    }
+  static std::string invalid(const std::string& name,
+                             const std::string& value,
+                             const std::string& why) {
+    return "invalid value for --" + name + ": '" + value + "' (" + why + ")";
+  }
+
+  // Records the first bad value's message ("" is no error).
+  void bad_value(const std::string& error) {
+    if (error_.empty()) error_ = error;
   }
 
   void usage() const {

@@ -1,24 +1,21 @@
-// Minimal JSON support for the benchmark reports (BENCH_pdmm.json).
+// JSON writer for the benchmark reports (BENCH_pdmm.json).
 //
 // JsonWriter emits one JSON document to an ostream with explicit begin/end
 // nesting; the writer tracks the container stack, so commas and indentation
 // are automatic and the output is always syntactically valid as long as
 // begin/end calls are balanced. Doubles are written with shortest
 // round-trip formatting (std::to_chars); NaN and infinities become null
-// (JSON has no spelling for them).
+// (JSON has no spelling for them). Integers are written exactly, all 64
+// bits of them.
 //
-// JsonValue/json_parse is the matching reader: a small recursive-descent
-// parser over the full JSON grammar. \uXXXX escapes decode to UTF-8,
-// including surrogate pairs (so any JSON string round-trips); lone or
-// mismatched surrogates are a parse error.
+// There is no C++ reader: the reports are read by Python's json module
+// (tools/bench_compare.py, the CI checks), which keeps integers exact.
 #pragma once
 
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -152,270 +149,5 @@ class JsonWriter {
   bool have_key_ = false;
   std::vector<Frame> stack_;
 };
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-// A parsed JSON value. Objects preserve no duplicate keys (last wins) and
-// are looked up by string; numbers are doubles (the reports never need
-// integers beyond 2^53).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-
-  // Member lookup; nullptr when absent or not an object.
-  const JsonValue* get(std::string_view k) const {
-    if (kind != Kind::kObject) return nullptr;
-    const auto it = object.find(std::string(k));
-    return it == object.end() ? nullptr : &it->second;
-  }
-
-  double num_or(double fallback) const {
-    return kind == Kind::kNumber ? number : fallback;
-  }
-  std::string_view str_or(std::string_view fallback) const {
-    return kind == Kind::kString ? std::string_view(string) : fallback;
-  }
-};
-
-// Parses one JSON document. Returns false (and fills *error with a
-// position-tagged message) on malformed input.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  bool parse(JsonValue& out, std::string* error) {
-    out = JsonValue{};  // a reused output value must not keep old contents
-    const bool ok = value(out) && (skip_ws(), pos_ == text_.size());
-    if (!ok && error) {
-      *error = "JSON parse error at offset " + std::to_string(pos_);
-    }
-    return ok;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  bool literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    // Recursive descent: bound the depth so corrupt input produces a parse
-    // error instead of stack exhaustion.
-    if (depth_ >= kMaxDepth) return false;
-    switch (text_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
-      case '"':
-        out.kind = JsonValue::Kind::kString;
-        return string(out.string);
-      case 't':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = true;
-        return literal("true");
-      case 'f':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = false;
-        return literal("false");
-      case 'n':
-        out.kind = JsonValue::Kind::kNull;
-        return literal("null");
-      default: return number(out);
-    }
-  }
-
-  bool object(JsonValue& out) {
-    out.kind = JsonValue::Kind::kObject;
-    ++depth_;
-    const bool ok = object_body(out);
-    --depth_;
-    return ok;
-  }
-
-  bool object_body(JsonValue& out) {
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!string(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      JsonValue v;
-      if (!value(v)) return false;
-      out.object[std::move(key)] = std::move(v);
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool array(JsonValue& out) {
-    out.kind = JsonValue::Kind::kArray;
-    ++depth_;
-    const bool ok = array_body(out);
-    --depth_;
-    return ok;
-  }
-
-  bool array_body(JsonValue& out) {
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue v;
-      if (!value(v)) return false;
-      out.array.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool string(std::string& out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          unsigned code = 0;
-          if (!hex4(code)) return false;
-          // UTF-16 escapes: a high surrogate must be followed by an
-          // escaped low surrogate; together they name one supplementary
-          // code point. Lone or inverted surrogates are malformed.
-          if (code >= 0xD800 && code <= 0xDBFF) {
-            if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
-                text_[pos_ + 1] != 'u') {
-              return false;
-            }
-            pos_ += 2;
-            unsigned low = 0;
-            if (!hex4(low)) return false;
-            if (low < 0xDC00 || low > 0xDFFF) return false;
-            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-          } else if (code >= 0xDC00 && code <= 0xDFFF) {
-            return false;  // low surrogate with no preceding high
-          }
-          append_utf8(out, code);
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;
-  }
-
-  // Reads exactly four hex digits at pos_ into `code`.
-  bool hex4(unsigned& code) {
-    if (pos_ + 4 > text_.size()) return false;
-    const auto res = std::from_chars(text_.data() + pos_,
-                                     text_.data() + pos_ + 4, code, 16);
-    if (res.ptr != text_.data() + pos_ + 4) return false;
-    pos_ += 4;
-    return true;
-  }
-
-  // Encodes one Unicode scalar value (<= 0x10FFFF, never a surrogate by
-  // the time we get here) as UTF-8.
-  static void append_utf8(std::string& out, unsigned code) {
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xC0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else if (code < 0x10000) {
-      out += static_cast<char>(0xE0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    }
-  }
-
-  bool number(JsonValue& out) {
-    out.kind = JsonValue::Kind::kNumber;
-    const char* begin = text_.data() + pos_;
-    const char* end = text_.data() + text_.size();
-    const auto res = std::from_chars(begin, end, out.number);
-    if (res.ec != std::errc{} || res.ptr == begin) return false;
-    pos_ += static_cast<size_t>(res.ptr - begin);
-    return true;
-  }
-
-  static constexpr size_t kMaxDepth = 256;
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  size_t depth_ = 0;
-};
-
-inline bool json_parse(std::string_view text, JsonValue& out,
-                       std::string* error = nullptr) {
-  return JsonParser(text).parse(out, error);
-}
 
 }  // namespace pdmm

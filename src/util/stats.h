@@ -1,47 +1,13 @@
-// Streaming statistics accumulators used by the benchmark harnesses.
+// Sample statistics for the benchmark harnesses and pdmm_serve's report.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <limits>
+#include <cstddef>
 #include <vector>
 
 #include "util/assert.h"
 
 namespace pdmm {
-
-// Welford running mean/variance plus min/max.
-class RunningStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-    sum_ += x;
-  }
-
-  uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double sum() const { return sum_; }
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // Stores all samples; exact percentiles for benchmark reports.
 class PercentileStats {
@@ -99,30 +65,5 @@ inline MinMedMax min_med_max(std::vector<double> xs) {
       (n % 2) ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
   return {xs.front(), med, xs.back()};
 }
-
-// Fixed-bucket histogram over non-negative integers (e.g. level indices,
-// settle repeat counts). Out-of-range values clamp to the last bucket.
-class Histogram {
- public:
-  explicit Histogram(size_t buckets) : counts_(buckets, 0) {
-    PDMM_ASSERT(buckets > 0);
-  }
-
-  void add(size_t bucket, uint64_t weight = 1) {
-    counts_[std::min(bucket, counts_.size() - 1)] += weight;
-  }
-
-  uint64_t at(size_t bucket) const { return counts_.at(bucket); }
-  size_t buckets() const { return counts_.size(); }
-  uint64_t total() const {
-    uint64_t t = 0;
-    for (auto c : counts_) t += c;
-    return t;
-  }
-  const std::vector<uint64_t>& counts() const { return counts_; }
-
- private:
-  std::vector<uint64_t> counts_;
-};
 
 }  // namespace pdmm

@@ -7,10 +7,12 @@
 //   pdmm_bench --match='^throughput$'      # one harness
 //   pdmm_bench --match='scenario_.*'       # run a subset
 //   pdmm_bench --smoke --json=out.json     # tiny sizes, full JSON report
-//   pdmm_bench --reps=5 --json=BENCH_pdmm.json   # the committed baseline
+//   pdmm_bench --json=BENCH_pdmm.json      # the committed baseline (reps 3)
 //
-// The JSON schema (pdmm-bench-v1) is documented in README.md; per-harness
-// methodology lives in docs/EXPERIMENTS.md.
+// tools/bench_compare.py compares two reports: the counters of every
+// matched point must be equal. The JSON schema (pdmm-bench-v1) is
+// documented in README.md; per-harness methodology lives in
+// docs/EXPERIMENTS.md.
 #include "../bench/registry.h"
 
 int main(int argc, char** argv) {

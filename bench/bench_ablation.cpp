@@ -21,35 +21,32 @@ void run(Ctx& ctx) {
   const std::vector<Knobs> configs = {
       {true, 2}, {false, 2}, {true, 1}, {true, 4}, {false, 1}};
 
+  ChurnStream::Options so;
+  so.n = n;
+  so.target_edges = 3 * static_cast<size_t>(n);
+  so.zipf_s = 0.7;  // skew creates rising work for settle machinery
+  so.seed = ctx.seed(55);
+  require(ctx, ChurnStream::check(so, 1024));
+
   for (const Knobs knobs : configs) {
     ctx.point(
         {p("settling", knobs.eager ? "eager" : "lazy"),
          p("iter_factor", static_cast<uint64_t>(knobs.iter_factor))},
         [&] {
           ThreadPool pool(ctx.threads(1));
-          Config cfg;
-          cfg.max_rank = 2;
-          cfg.seed = ctx.seed(123);
-          cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-          cfg.auto_rebuild = false;
+          Config cfg = bench_config(ctx, 123);
           cfg.settle_after_insertions = knobs.eager;
           cfg.subsettle_iter_factor = knobs.iter_factor;
           DynamicMatcher m(cfg, pool);
 
-          ChurnStream::Options so;
-          so.n = n;
-          so.target_edges = 3 * static_cast<size_t>(n);
-          so.zipf_s = 0.7;  // skew creates rising work for settle machinery
-          so.seed = ctx.seed(55);
           ChurnStream stream(so);
           warm(m, stream, ctx.warm(3 * so.target_edges), 1024);
 
-          const DriveResult r = drive(m, stream, batches, 256);
+          Sample s = drive(m, stream, batches, 256);
           const auto& st = m.stats();
-          Sample s = to_sample(r);
           s.metrics = {
-              {"work_per_update", per_update(r.work, r.updates)},
-              {"rounds_per_batch", per_batch(r.rounds, batches)},
+              {"work_per_update", per_update(s.work, s.updates)},
+              {"rounds_per_batch", per_batch(s.rounds, batches)},
               {"settles", static_cast<double>(st.settles)},
               {"subsubsettles", static_cast<double>(st.subsubsettles)},
               {"temp_deleted", static_cast<double>(st.temp_deleted)},

@@ -12,62 +12,43 @@ namespace {
 void run(Ctx& ctx) {
   const Vertex n = ctx.u32("n", 1 << 12, 1 << 9);
   const uint64_t rounds = ctx.u64("rounds", 100, 10);
-  const uint64_t cap = 1ull << (ctx.smoke() ? 15 : 22);
+
+  ChurnStream::Options so;
+  so.n = n;
+  so.target_edges = 3ull * n;
+  so.seed = ctx.seed(37);
+  require(ctx, ChurnStream::check(so, 1024));
+  AdversarialMatchedDeleter::Options ao;
+  ao.n = n;
+  ao.seed = ctx.seed(38);
+  const uint64_t grow = 3ull * n / 64;
+  require(ctx, AdversarialMatchedDeleter::check(ao, 64, (grow + rounds) * 64));
 
   ctx.point({p("adversary", "oblivious-uniform")}, [&] {
     ThreadPool pool(ctx.threads(1));
-    Config cfg;
-    cfg.max_rank = 2;
-    cfg.seed = ctx.seed(71);
-    cfg.initial_capacity = cap;
-    cfg.auto_rebuild = false;
-    DynamicMatcher m(cfg, pool);
-    ChurnStream::Options so;
-    so.n = n;
-    so.target_edges = 3ull * n;
-    so.seed = ctx.seed(37);
+    DynamicMatcher m(bench_config(ctx, 71), pool);
     ChurnStream stream(so);
     warm(m, stream, ctx.warm(3 * so.target_edges), 1024);
-    const DriveResult r = drive(m, stream, rounds, 128);
-    Sample s = to_sample(r);
-    s.metrics = {{"work_per_update", per_update(r.work, r.updates)},
-                 {"us_per_update", us_per_update(r.seconds, r.updates)},
+    Sample s = drive(m, stream, rounds, 128);
+    s.metrics = {{"work_per_update", per_update(s.work, s.updates)},
+                 {"us_per_update", us_per_update(s.seconds, s.updates)},
                  {"matching", static_cast<double>(m.matching_size())}};
     return s;
   });
 
   ctx.point({p("adversary", "adaptive-matched")}, [&] {
     ThreadPool pool(ctx.threads(1));
-    Config cfg;
-    cfg.max_rank = 2;
-    cfg.seed = ctx.seed(72);
-    cfg.initial_capacity = cap;
-    cfg.auto_rebuild = false;
-    PdmmAdapter m(cfg, pool);
-    AdversarialMatchedDeleter::Options ao;
-    ao.n = n;
-    ao.seed = ctx.seed(38);
-    AdversarialMatchedDeleter adv(ao);
-    // Grow.
-    for (uint64_t i = 0; i < 3ull * n / 64; ++i) {
-      apply_batch(m, adv.next(m, 64));
-    }
-    const auto before = m.total_cost();
-    uint64_t updates = 0;
-    Timer t;
-    for (uint64_t i = 0; i < rounds; ++i) {
-      const Batch b = adv.next(m, 64);
-      updates += b.deletions.size() + b.insertions.size();
-      apply_batch(m, b);
-    }
-    const auto after = m.total_cost();
-    Sample s;
-    s.seconds = t.seconds();
-    s.work = after.work - before.work;
-    s.rounds = after.rounds - before.rounds;
-    s.updates = updates;
-    s.metrics = {{"work_per_update", per_update(s.work, updates)},
-                 {"us_per_update", us_per_update(s.seconds, updates)},
+    PdmmAdapter m(bench_config(ctx, 72), pool);
+    // The adversary reads the matcher it attacks.
+    struct {
+      AdversarialMatchedDeleter adv;
+      const MatcherBase& m;
+      Batch next(size_t k) { return adv.next(m, k); }
+    } stream{AdversarialMatchedDeleter(ao), m};
+    for (uint64_t i = 0; i < grow; ++i) apply_batch(m, stream.next(64));
+    Sample s = drive_base(m, stream, rounds, 64);
+    s.metrics = {{"work_per_update", per_update(s.work, s.updates)},
+                 {"us_per_update", us_per_update(s.seconds, s.updates)},
                  {"matching", static_cast<double>(m.matching_size())}};
     return s;
   });

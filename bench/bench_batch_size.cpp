@@ -4,7 +4,6 @@
 // its operations). The quantity compared is depth per *batch*; work per
 // update stays comparable (both polylog).
 #include "bench_common.h"
-#include "baselines/sequential_dynamic.h"
 
 namespace pdmm::bench {
 namespace {
@@ -19,38 +18,30 @@ void run(Ctx& ctx) {
   so.n = n;
   so.window = 2ull * n;
   so.seed = ctx.seed(5);
+  require(ctx, SlidingWindowStream::check(so, std::max<size_t>(1024, max_k)));
+  const uint64_t capacity = 64ull * n + (1ull << 16);
 
   for (size_t k = 1; k <= max_k; k *= 4) {
     ctx.point({p("k", k)}, [&] {
       // pdmm
       ThreadPool pool(ctx.threads(1));
-      Config cfg;
-      cfg.max_rank = 2;
-      cfg.seed = ctx.seed(11);
-      cfg.initial_capacity = 64ull * n + (1ull << 16);
-      cfg.auto_rebuild = false;
-      DynamicMatcher m(cfg, pool);
+      DynamicMatcher m(bench_config(ctx, 11, capacity), pool);
       SlidingWindowStream stream(so);
       warm(m, stream, warm_updates, 1024);
-      const DriveResult rp = drive(m, stream, batches, k);
+      Sample s = drive(m, stream, batches, k);
 
       // sequential baseline over an identical stream state
-      SequentialDynamicMatcher::Options sopt;
-      sopt.max_rank = 2;
-      sopt.seed = ctx.seed(12);
-      sopt.initial_capacity = 64ull * n + (1ull << 16);
-      sopt.auto_rebuild = false;
-      SequentialDynamicMatcher seq(sopt);
+      SequentialDynamicMatcher seq(
+          sequential_options(bench_config(ctx, 12, capacity)));
       SlidingWindowStream stream2(so);
       warm_base(seq, stream2, warm_updates, 1024);
-      const DriveResult rs = drive_base(seq, stream2, batches, k);
+      const Sample rs = drive_base(seq, stream2, batches, k);
 
-      const double pdmm_rounds = per_batch(rp.rounds, batches);
+      const double pdmm_rounds = per_batch(s.rounds, batches);
       const double seq_rounds = per_batch(rs.rounds, batches);
-      Sample s = to_sample(rp);
       s.metrics = {
           {"pdmm_rounds_per_batch", pdmm_rounds},
-          {"pdmm_work_per_update", per_update(rp.work, rp.updates)},
+          {"pdmm_work_per_update", per_update(s.work, s.updates)},
           {"seq_depth_per_batch", seq_rounds},
           {"seq_work_per_update", per_update(rs.work, rs.updates)},
           {"depth_ratio", seq_rounds / std::max(pdmm_rounds, 1.0)}};

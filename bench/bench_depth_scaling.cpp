@@ -15,12 +15,8 @@ namespace {
 void sweep_point(Ctx& ctx, Vertex n, size_t k, size_t measure_batches) {
   ctx.point({p("n", static_cast<uint64_t>(n)), p("k", k)}, [&, n, k] {
     ThreadPool pool(ctx.threads(1));
-    Config cfg;
-    cfg.max_rank = 2;
-    cfg.seed = ctx.seed(1234);
-    cfg.initial_capacity = 64ull * n + (1ull << 16);
-    cfg.auto_rebuild = false;  // keep L fixed within a sweep point
-    DynamicMatcher m(cfg, pool);
+    DynamicMatcher m(bench_config(ctx, 1234, 64ull * n + (1ull << 16)),
+                     pool);
 
     ChurnStream::Options so;
     so.n = n;
@@ -29,28 +25,29 @@ void sweep_point(Ctx& ctx, Vertex n, size_t k, size_t measure_batches) {
     ChurnStream stream(so);
     warm(m, stream, ctx.warm(3 * so.target_edges), 512);
 
-    const DriveResult r = drive(m, stream, measure_batches, k);
+    Sample s = drive(m, stream, measure_batches, k);
     const double l = static_cast<double>(m.scheme().top_level());
     const double log_n = std::log2(static_cast<double>(m.scheme().n_bound()));
-    const double mean = per_batch(r.rounds, measure_batches);
-    Sample s = to_sample(r);
+    const double mean = per_batch(s.rounds, measure_batches);
     s.metrics = {{"L", l},
                  {"log2_N", log_n},
                  {"rounds_per_batch", mean},
-                 {"rounds_max", static_cast<double>(r.max_batch_rounds)},
+                 {"rounds_max", static_cast<double>(s.max_batch_rounds)},
                  {"rounds_normalized", mean / (l * log_n)}};
     return s;
   });
 }
 
 void run(Ctx& ctx) {
-  const uint64_t max_n = ctx.u64("max_n", 1 << 16, 1 << 11);
+  // Vertex counts are kept in 32 bits; the loop runs in 64 so that n *= 4
+  // cannot wrap past a max_n near 2^32.
+  const uint64_t max_n = ctx.u32("max_n", 1 << 16, 1 << 11);
   const uint64_t batches = ctx.u64("batches", 40, 5);
 
   // Sweep 1: n grows, k fixed. rounds/batch should grow ~polylog (the
   // normalized metric stays near-constant).
-  for (Vertex n = 1 << 10; n <= max_n; n *= 4) {
-    sweep_point(ctx, n, 256, batches);
+  for (uint64_t n = 1 << 10; n <= max_n; n *= 4) {
+    sweep_point(ctx, static_cast<Vertex>(n), 256, batches);
   }
   // Sweep 2: k grows, n fixed. Theorem 4.4 is an upper bound: tiny batches
   // finish in a handful of rounds (settle loops terminate as soon as the

@@ -7,10 +7,7 @@
 // submit-to-published latency percentiles show where the fsync cost went.
 // (Split out of the E17 serve bench, which had been double-booking the
 // experiment id for both the reader sweep and the engine sweep.)
-#include <unistd.h>
-
 #include <cstdio>
-#include <filesystem>
 
 #include "bench_common.h"
 #include "engine/update_engine.h"
@@ -32,6 +29,7 @@ void run(Ctx& ctx) {
   so.n = n;
   so.target_edges = target;
   so.seed = ctx.seed(17);
+  require(ctx, ChurnStream::check(so, std::max<size_t>(1024, batch_size)));
 
   struct EngineCfg {
     const char* engine;
@@ -43,10 +41,7 @@ void run(Ctx& ctx) {
       {"pipelined", true, 1},
       {"pipelined", true, 8},
   };
-  const std::string wal_base =
-      (std::filesystem::temp_directory_path() /
-       ("pdmm_bench_engine." + std::to_string(::getpid()) + ".wal"))
-          .string();
+  const std::string wal_base = run_path(ctx) + ".wal";
   size_t wal_seq = 0;
   for (const EngineCfg& ec : engine_cfgs) {
     ctx.point(
@@ -54,12 +49,7 @@ void run(Ctx& ctx) {
          p("k", batch_size)},
         [&] {
           ThreadPool pool(ctx.threads(0));
-          Config cfg;
-          cfg.max_rank = 2;
-          cfg.seed = ctx.seed(18);
-          cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-          cfg.auto_rebuild = false;
-          DynamicMatcher m(cfg, pool);
+          DynamicMatcher m(bench_config(ctx, 18), pool);
           // The bench driver owns the matcher until the engine starts.
           m.updater_role().assert_held();
 
@@ -79,15 +69,12 @@ void run(Ctx& ctx) {
           auto journal = persist::Journal::open(wal, jopt, &err);
           if (!journal) std::abort();
 
-          // Counter capture at the settle barrier (settle-stage thread);
+          // The hook tallies at the settle barrier (settle-stage thread)
+          // into counters the submitting thread never touches; they are
           // read back only after stop() joins the stages.
-          uint64_t work = 0, rounds = 0, max_batch_rounds = 0;
+          Sample s;
           m.set_post_batch_hook(
-              [&](const DynamicMatcher::BatchResult& res) {
-                work += res.work;
-                rounds += res.rounds;
-                max_batch_rounds = std::max(max_batch_rounds, res.rounds);
-              });
+              [&](const DynamicMatcher::BatchResult& res) { tally(s, res); });
 
           engine::UpdateEngine::Options eopt;
           eopt.pipelined = ec.pipelined;
@@ -97,7 +84,6 @@ void run(Ctx& ctx) {
           eopt.group_commit = static_cast<size_t>(ec.group_commit);
           eopt.record_latency = true;
 
-          Sample s;
           PercentileStats durable_us, published_us;
           Timer t;
           {
@@ -117,9 +103,6 @@ void run(Ctx& ctx) {
           m.set_post_batch_hook(nullptr);
           std::remove(wal.c_str());
 
-          s.work = work;
-          s.rounds = rounds;
-          s.max_batch_rounds = max_batch_rounds;
           s.metrics = {
               {"published_p50_us", published_us.median()},
               {"published_p99_us", published_us.percentile(99)},

@@ -16,37 +16,22 @@ void run(Ctx& ctx) {
   EpochStats epochs(0);
   int top_level = 0;
 
+  ChurnStream::Options so;
+  so.n = n;
+  so.target_edges = 4ull * n;
+  so.zipf_s = 0.8;
+  so.seed = ctx.seed(23);
+  require(ctx, ChurnStream::check(so, 512));
+
   ctx.point({p("n", n), p("updates", total_updates)}, [&] {
     ThreadPool pool(ctx.threads(1));
-    Config cfg;
-    cfg.max_rank = 2;
-    cfg.seed = ctx.seed(51);
-    cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-    cfg.auto_rebuild = false;
-    DynamicMatcher m(cfg, pool);
-
-    ChurnStream::Options so;
-    so.n = n;
-    so.target_edges = 4ull * n;
-    so.zipf_s = 0.8;
-    so.seed = ctx.seed(23);
+    DynamicMatcher m(bench_config(ctx, 51), pool);
     ChurnStream stream(so);
 
     Sample s;
     Timer t;
-    size_t done = 0;
-    while (done < total_updates) {
-      const Batch b = stream.next(512);
-      done += b.deletions.size() + b.insertions.size();
-      std::vector<EdgeId> dels;
-      for (const auto& eps : b.deletions) dels.push_back(m.find_edge(eps));
-      const auto res = m.update(dels, b.insertions);
-      s.work += res.work;
-      s.rounds += res.rounds;
-      s.max_batch_rounds = std::max(s.max_batch_rounds, res.rounds);
-    }
+    while (s.updates < total_updates) step(m, stream.next(512), s);
     s.seconds = t.seconds();
-    s.updates = done;
 
     epochs = m.epoch_stats();
     top_level = m.scheme().top_level();

@@ -13,8 +13,6 @@
 // Counters: `updates` carries edge updates covered by the measured segment
 // (for recover, the replayed tail); bytes move in the metrics. File-backed
 // points use a per-run temp directory and clean up after themselves.
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -37,13 +35,6 @@ void run(Ctx& ctx) {
   const uint64_t tail = ctx.u64("tail_batches", 64, 8);
   const uint64_t batch_size = ctx.u64("batch_size", 256, 64);
 
-  ThreadPool pool(ctx.threads(1));
-  Config cfg;
-  cfg.max_rank = 2;
-  cfg.seed = ctx.seed(2025);
-  cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-  cfg.auto_rebuild = false;
-
   // One steady-state matcher + a recorded journal tail shared by every
   // point (recorded once so all reps and ops see identical state).
   ChurnStream::Options so;
@@ -51,20 +42,18 @@ void run(Ctx& ctx) {
   so.target_edges = target;
   so.zipf_s = 0.4;
   so.seed = ctx.seed(91);
+  require(ctx, ChurnStream::check(so, batch_size));
+
+  ThreadPool pool(ctx.threads(1));
+  const Config cfg = bench_config(ctx, 2025);
   ChurnStream stream(so);
   DynamicMatcher m(cfg, pool);
-  uint64_t warm_updates = 0;
-  for (uint64_t i = 0; i < warm_batches; ++i) {
-    const Batch b = stream.next(batch_size);
-    warm_updates += b.deletions.size() + b.insertions.size();
-    m.update_by_endpoints(b.deletions, b.insertions);
-  }
+  const uint64_t warm_updates =
+      drive(m, stream, warm_batches, batch_size).updates;
   const std::vector<Batch> tail_batches =
       record_stream(stream, tail, batch_size);
 
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("pdmm_bench_persist." + std::to_string(::getpid()));
+  const fs::path dir = run_path(ctx);
   fs::create_directories(dir);
   const std::string prefix = (dir / "ck").string();
 

@@ -16,6 +16,12 @@ void run(Ctx& ctx) {
   const Vertex nr = ctx.u32("n_right", 1 << 12, 1 << 9);
   const uint64_t target = ctx.u64("target_edges", 3ull * nl, 3ull * nl);
   const uint64_t checkpoints = ctx.u64("checkpoints", 12, 3);
+  // Each window below refills the graph to target_edges distinct edges.
+  const uint64_t universe = uint64_t{nl} * nr;
+  if (target > universe) {
+    ctx.refuse("target_edges", "there are only " + std::to_string(universe) +
+                                   " distinct bipartite edges");
+  }
 
   struct Checkpoint {
     uint64_t updates;
@@ -27,12 +33,7 @@ void run(Ctx& ctx) {
   ctx.point({p("checkpoints", checkpoints)}, [&] {
     cps.clear();
     ThreadPool pool(ctx.threads(1));
-    Config cfg;
-    cfg.max_rank = 2;
-    cfg.seed = ctx.seed(101);
-    cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-    cfg.auto_rebuild = false;
-    DynamicMatcher m(cfg, pool);
+    DynamicMatcher m(bench_config(ctx, 101), pool);
 
     // Bipartite churn: sample left endpoint from [0, nl), right from
     // [nl, nl+nr). Reuse ChurnStream by post-mapping is impossible (it
@@ -61,14 +62,7 @@ void run(Ctx& ctx) {
         b.deletions.push_back(live.erase_random(rng));
       for (size_t i = 0; i < turnover && cp > 0; ++i)
         b.insertions.push_back(random_bip_edge());
-      s.updates += b.deletions.size() + b.insertions.size();
-
-      std::vector<EdgeId> dels;
-      for (const auto& eps : b.deletions) dels.push_back(m.find_edge(eps));
-      const auto res = m.update(dels, b.insertions);
-      s.work += res.work;
-      s.rounds += res.rounds;
-      s.max_batch_rounds = std::max(s.max_batch_rounds, res.rounds);
+      step(m, b, s);
 
       const size_t opt = hopcroft_karp_max_matching_split(
           m.graph(), m.graph().all_edges(), nl);

@@ -9,39 +9,48 @@ namespace {
 void run(Ctx& ctx) {
   const Vertex n = ctx.u32("n", 1 << 12, 1 << 9);
   const uint64_t updates_per_point = ctx.u64("updates", 1 << 15, 1 << 11);
-  const uint64_t max_rank = ctx.u64("max_rank", 8, 4);
+  // A rank is kept in 32 bits; the loop runs in 64 so that ++r cannot wrap
+  // past a max_rank of 2^32 - 1.
+  const uint64_t max_rank = ctx.u32("max_rank", 8, 4);
 
-  for (uint32_t r = 2; r <= max_rank; ++r) {
-    ctx.point({p("r", static_cast<uint64_t>(r))}, [&, r] {
+  const auto shape = [&](uint64_t r) {
+    ChurnStream::Options so;
+    so.n = n;
+    so.rank = static_cast<uint32_t>(r);
+    so.target_edges = 2ull * n;
+    so.seed = ctx.seed(29);
+    return so;
+  };
+  // Every point runs the same shape but for its rank, and C(n, r) is
+  // unimodal in r, so the two ends of the sweep bound every rank between.
+  if (max_rank >= 2) {
+    require(ctx, ChurnStream::check(shape(2), 1024));
+    require(ctx, ChurnStream::check(shape(max_rank), 1024));
+  }
+
+  for (uint64_t r = 2; r <= max_rank; ++r) {
+    ctx.point({p("r", r)}, [&, r] {
       ThreadPool pool(ctx.threads(1));
-      Config cfg;
-      cfg.max_rank = r;
-      cfg.seed = ctx.seed(61);
-      cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-      cfg.auto_rebuild = false;
+      Config cfg = bench_config(ctx, 61);
+      cfg.max_rank = static_cast<uint32_t>(r);
       DynamicMatcher m(cfg, pool);
 
-      ChurnStream::Options so;
-      so.n = n;
-      so.rank = r;
-      so.target_edges = 2ull * n;
-      so.seed = ctx.seed(29);
+      const ChurnStream::Options so = shape(r);
       ChurnStream stream(so);
       warm(m, stream, ctx.warm(3 * so.target_edges), 1024);
 
       const size_t batch = 256;
       const size_t batches = updates_per_point / batch;
-      const DriveResult res = drive(m, stream, batches, batch);
-      const double wpu = per_update(res.work, res.updates);
-      Sample s = to_sample(res);
+      Sample s = drive(m, stream, batches, batch);
+      const double wpu = per_update(s.work, s.updates);
       s.metrics = {
           {"alpha", static_cast<double>(m.scheme().alpha())},
           {"L", static_cast<double>(m.scheme().top_level())},
           {"work_per_update", wpu},
           {"work_per_update_per_r3",
            wpu / (static_cast<double>(r) * r * r)},
-          {"rounds_per_batch", per_batch(res.rounds, batches)},
-          {"us_per_update", us_per_update(res.seconds, res.updates)}};
+          {"rounds_per_batch", per_batch(s.rounds, batches)},
+          {"us_per_update", us_per_update(s.seconds, s.updates)}};
       return s;
     });
   }

@@ -22,54 +22,46 @@ void run(Ctx& ctx) {
   };
   std::vector<Window> per_window;
 
+  ChurnStream::Options so;
+  so.n = n;
+  so.target_edges = 1ull << 30;  // effectively insert-only
+  so.seed = ctx.seed(47);
+  // The target is out of reach on purpose, so the live count is bounded
+  // by the updates the windows request, whole 512-update batches each.
+  require(ctx, ChurnStream::check(
+                   so, 512, windows * ((window_updates + 511) / 512 * 512)));
+
   ctx.point({p("windows", windows)}, [&] {
     per_window.clear();
     ThreadPool pool(ctx.threads(1));
-    Config cfg;
-    cfg.max_rank = 2;
-    cfg.seed = ctx.seed(91);
+    Config cfg = bench_config(ctx, 91);
     cfg.initial_capacity = 1 << 10;  // tiny: forces a cascade of rebuilds
     cfg.auto_rebuild = true;
     DynamicMatcher m(cfg, pool);
-
-    ChurnStream::Options so;
-    so.n = n;
-    so.target_edges = 1ull << 30;  // effectively insert-only
-    so.seed = ctx.seed(47);
     ChurnStream stream(so);
 
     Sample s;
-    uint64_t cum_work = 0, cum_updates = 0, prev_rebuilds = 0;
+    uint64_t prev_rebuilds = 0;
     Timer total;
     for (uint64_t w = 0; w < windows; ++w) {
-      uint64_t win_work = 0, win_updates = 0;
+      const uint64_t work_before = s.work, updates_before = s.updates;
       Timer t;
-      while (win_updates < window_updates) {
-        const Batch b = stream.next(512);
-        win_updates += b.deletions.size() + b.insertions.size();
-        std::vector<EdgeId> dels;
-        for (const auto& eps : b.deletions) dels.push_back(m.find_edge(eps));
-        const auto res = m.update(dels, b.insertions);
-        win_work += res.work;
-        s.rounds += res.rounds;
-        s.max_batch_rounds = std::max(s.max_batch_rounds, res.rounds);
+      while (s.updates - updates_before < window_updates) {
+        step(m, stream.next(512), s);
       }
-      cum_work += win_work;
-      cum_updates += win_updates;
+      const uint64_t win_work = s.work - work_before;
       const uint64_t rebuilds = m.stats().rebuilds - prev_rebuilds;
       prev_rebuilds = m.stats().rebuilds;
-      per_window.push_back({cum_updates, rebuilds, win_work,
-                            per_update(win_work, win_updates),
-                            per_update(cum_work, cum_updates),
+      per_window.push_back({s.updates, rebuilds, win_work,
+                            per_update(win_work, s.updates - updates_before),
+                            per_update(s.work, s.updates),
                             m.scheme().top_level(), m.scheme().n_bound(),
                             t.seconds()});
     }
     s.seconds = total.seconds();
-    s.work = cum_work;
-    s.updates = cum_updates;
     s.metrics = {
         {"rebuilds", static_cast<double>(m.stats().rebuilds)},
-        {"cumulative_work_per_update", per_update(cum_work, cum_updates)},
+        {"cumulative_work_per_update", per_update(s.work, s.updates)},
         {"final_L", static_cast<double>(m.scheme().top_level())},
         {"final_N", static_cast<double>(m.scheme().n_bound())}};
     return s;

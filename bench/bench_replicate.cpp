@@ -15,12 +15,9 @@
 // The second number per point is cold catch-up: after the primary is done,
 // a FRESH follower bootstraps from nothing and replays the whole journal
 // at full speed — the recovery-time bound for a replica added late.
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <thread>
 
 #include "bench_common.h"
@@ -53,10 +50,13 @@ void run(Ctx& ctx) {
                                   : std::vector<Pt>{
                                         {1, 0}, {4, 0}, {1, 200}, {4, 200}};
 
-  const std::string base =
-      (std::filesystem::temp_directory_path() /
-       ("pdmm_bench_replicate." + std::to_string(::getpid())))
-          .string();
+  ChurnStream::Options so;
+  so.n = n;
+  so.target_edges = target;
+  so.seed = ctx.seed(19) + 1;
+  require(ctx, ChurnStream::check(so, batch_size));
+
+  const std::string base = run_path(ctx);
   size_t seq = 0;
 
   for (const Pt& pt : pts) {
@@ -64,16 +64,8 @@ void run(Ctx& ctx) {
         {p("group_commit", pt.group_commit), p("pace_us", pt.pace_us),
          p("k", batch_size)},
         [&] {
-          Config cfg;
-          cfg.max_rank = 2;
-          cfg.seed = ctx.seed(19);
-          cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 20);
-          cfg.auto_rebuild = false;
-
-          ChurnStream::Options so;
-          so.n = n;
-          so.target_edges = target;
-          so.seed = ctx.seed(19) + 1;
+          const Config cfg =
+              bench_config(ctx, 19, 1ull << (ctx.smoke() ? 15 : 20));
           ChurnStream stream(so);
 
           const std::string wal = base + ".wal" + std::to_string(seq++);
@@ -119,13 +111,10 @@ void run(Ctx& ctx) {
           ThreadPool pool(ctx.threads(0));
           DynamicMatcher m(cfg, pool);
           m.updater_role().assert_held();
-          uint64_t work = 0, rounds = 0, max_batch_rounds = 0;
+          // Tallied on the settle thread; read only after stop() joins it.
+          Sample s;
           m.set_post_batch_hook(
-              [&](const DynamicMatcher::BatchResult& res) {
-                work += res.work;
-                rounds += res.rounds;
-                max_batch_rounds = std::max(max_batch_rounds, res.rounds);
-              });
+              [&](const DynamicMatcher::BatchResult& res) { tally(s, res); });
           persist::Journal::Options jopt;
           std::string err;
           auto journal = persist::Journal::open(wal, jopt, &err);
@@ -144,7 +133,6 @@ void run(Ctx& ctx) {
             durable_mark.store(e, std::memory_order_release);
           };
 
-          Sample s;
           uint64_t updates = 0;
           Timer t;
           {
@@ -197,9 +185,6 @@ void run(Ctx& ctx) {
           }
 
           s.updates = updates;
-          s.work = work;
-          s.rounds = rounds;
-          s.max_batch_rounds = max_batch_rounds;
           s.metrics = {
               {"lag_p50_us", lag_us.median()},
               {"lag_p99_us", lag_us.percentile(99)},

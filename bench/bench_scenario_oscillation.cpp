@@ -6,7 +6,6 @@
 // how the amortization absorbs maximum-churn hot spots; the sequential
 // baseline runs the same stream for contrast.
 #include "bench_common.h"
-#include "baselines/sequential_dynamic.h"
 
 namespace pdmm::bench {
 namespace {
@@ -15,38 +14,41 @@ void run(Ctx& ctx) {
   const Vertex n = ctx.u32("n", 1 << 13, 1 << 9);
   const uint64_t background = ctx.u64("background_edges", 2ull * n, 2ull * n);
   const uint64_t cycles = ctx.u64("cycles", 30, 4);
+  const auto core_shifts = {3u, 1u};  // core = background >> shift
+  const auto shape = [&](unsigned core_shift) {
+    OscillationStream::Options so;
+    so.n = n;
+    so.core_edges = background >> core_shift;
+    so.background_edges = background;
+    so.seed = ctx.seed(83);
+    return so;
+  };
+  for (const unsigned core_shift : core_shifts) {
+    // The core is cut from --background_edges, which answers for it.
+    ShapeError e = OscillationStream::check(shape(core_shift));
+    if (e.field == "core_edges") e.field = "background_edges";
+    require(ctx, e);
+  }
 
-  for (const uint64_t core_shift : {3u, 1u}) {  // core = background >> shift
-    const uint64_t core = background >> core_shift;
+  for (const unsigned core_shift : core_shifts) {
+    const OscillationStream::Options so = shape(core_shift);
+    const uint64_t core = so.core_edges;
     // One oscillation cycle = delete the whole core + reinsert it.
     const size_t batch = 512;
     const size_t batches_per_cycle = 2 * ((core + batch - 1) / batch);
     const size_t batches =
         static_cast<size_t>(cycles) * batches_per_cycle;
 
-    OscillationStream::Options so;
-    so.n = n;
-    so.core_edges = core;
-    so.background_edges = background;
-
     ctx.point({p("impl", "pdmm"), p("core_edges", core)}, [&] {
       ThreadPool pool(ctx.threads(1));
-      Config cfg;
-      cfg.max_rank = 2;
-      cfg.seed = ctx.seed(151);
-      cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-      cfg.auto_rebuild = false;
-      DynamicMatcher m(cfg, pool);
-      auto opts = so;
-      opts.seed = ctx.seed(83);
-      OscillationStream stream(opts);
+      DynamicMatcher m(bench_config(ctx, 151), pool);
+      OscillationStream stream(so);
       warm(m, stream, background + core, batch);  // the build phase
-      const DriveResult r = drive(m, stream, batches, batch);
+      Sample s = drive(m, stream, batches, batch);
       const auto& st = m.stats();
-      Sample s = to_sample(r);
-      s.metrics = {{"work_per_update", per_update(r.work, r.updates)},
-                   {"rounds_per_batch", per_batch(r.rounds, batches)},
-                   {"us_per_update", us_per_update(r.seconds, r.updates)},
+      s.metrics = {{"work_per_update", per_update(s.work, s.updates)},
+                   {"rounds_per_batch", per_batch(s.rounds, batches)},
+                   {"us_per_update", us_per_update(s.seconds, s.updates)},
                    {"settles", static_cast<double>(st.settles)},
                    {"temp_deleted", static_cast<double>(st.temp_deleted)},
                    {"matching", static_cast<double>(m.matching_size())}};
@@ -54,20 +56,13 @@ void run(Ctx& ctx) {
     });
 
     ctx.point({p("impl", "sequential"), p("core_edges", core)}, [&] {
-      SequentialDynamicMatcher::Options opt;
-      opt.seed = ctx.seed(152);
-      opt.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-      opt.auto_rebuild = false;
-      SequentialDynamicMatcher m(opt);
-      auto opts = so;
-      opts.seed = ctx.seed(83);
-      OscillationStream stream(opts);
+      SequentialDynamicMatcher m(sequential_options(bench_config(ctx, 152)));
+      OscillationStream stream(so);
       warm_base(m, stream, background + core, batch);
-      const DriveResult r = drive_base(m, stream, batches, batch);
-      Sample s = to_sample(r);
-      s.metrics = {{"work_per_update", per_update(r.work, r.updates)},
-                   {"rounds_per_batch", per_batch(r.rounds, batches)},
-                   {"us_per_update", us_per_update(r.seconds, r.updates)},
+      Sample s = drive_base(m, stream, batches, batch);
+      s.metrics = {{"work_per_update", per_update(s.work, s.updates)},
+                   {"rounds_per_batch", per_batch(s.rounds, batches)},
+                   {"us_per_update", us_per_update(s.seconds, s.updates)},
                    {"matching", static_cast<double>(m.matching_size())}};
       return s;
     });

@@ -14,35 +14,32 @@ void run(Ctx& ctx) {
   const uint64_t target = ctx.u64("target_edges", 3ull * n, 3ull * n);
   const uint64_t batches = ctx.u64("batches", 60, 6);
 
+  PowerLawStream::Options so;
+  so.n = n;
+  so.target_edges = target;
+  so.seed = ctx.seed(73);
+  require(ctx, PowerLawStream::check(so, 1024));
+
   for (const double s_exp : {0.8, 1.1, 1.4}) {
     ctx.point({p("zipf_s", s_exp)}, [&, s_exp] {
       ThreadPool pool(ctx.threads(1));
-      Config cfg;
-      cfg.max_rank = 2;
-      cfg.seed = ctx.seed(131);
-      cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-      cfg.auto_rebuild = false;
-      DynamicMatcher m(cfg, pool);
+      DynamicMatcher m(bench_config(ctx, 131), pool);
 
-      PowerLawStream::Options so;
-      so.n = n;
-      so.target_edges = target;
-      so.s = s_exp;
-      so.seed = ctx.seed(73);
-      PowerLawStream stream(so);
+      PowerLawStream::Options opts = so;
+      opts.s = s_exp;
+      PowerLawStream stream(opts);
       warm(m, stream, ctx.warm(3 * target), 1024);
 
-      const DriveResult r = drive(m, stream, batches, 512);
+      Sample s = drive(m, stream, batches, 512);
       const auto& st = m.stats();
       // Hub pressure: the deepest level any vertex reached.
       int max_level = 0;
       for (Vertex v = 0; v < n; ++v) {
         max_level = std::max(max_level, m.vertex_level(v));
       }
-      Sample s = to_sample(r);
-      s.metrics = {{"work_per_update", per_update(r.work, r.updates)},
-                   {"rounds_per_batch", per_batch(r.rounds, batches)},
-                   {"us_per_update", us_per_update(r.seconds, r.updates)},
+      s.metrics = {{"work_per_update", per_update(s.work, s.updates)},
+                   {"rounds_per_batch", per_batch(s.rounds, batches)},
+                   {"us_per_update", us_per_update(s.seconds, s.updates)},
                    {"settles", static_cast<double>(st.settles)},
                    {"edges_lifted", static_cast<double>(st.edges_lifted)},
                    {"max_vertex_level", static_cast<double>(max_level)},

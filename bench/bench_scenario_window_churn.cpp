@@ -14,29 +14,26 @@ void run(Ctx& ctx) {
   const uint64_t window = ctx.u64("window", 2ull * n, 2ull * n);
   const uint64_t batches = ctx.u64("batches", 60, 6);
 
+  WindowChurnStream::Options so;
+  so.n = n;
+  so.window = window;
+  so.seed = ctx.seed(67);
+  require(ctx, WindowChurnStream::check(so, 1024));
+
   for (const double churn : {0.0, 0.25, 0.5}) {
     ctx.point({p("churn", churn)}, [&, churn] {
       ThreadPool pool(ctx.threads(1));
-      Config cfg;
-      cfg.max_rank = 2;
-      cfg.seed = ctx.seed(111);
-      cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-      cfg.auto_rebuild = false;
-      DynamicMatcher m(cfg, pool);
+      DynamicMatcher m(bench_config(ctx, 111), pool);
 
-      WindowChurnStream::Options so;
-      so.n = n;
-      so.window = window;
-      so.churn = churn;
-      so.seed = ctx.seed(67);
-      WindowChurnStream stream(so);
+      WindowChurnStream::Options opts = so;
+      opts.churn = churn;
+      WindowChurnStream stream(opts);
       warm(m, stream, ctx.warm(2 * window), 1024);
 
-      const DriveResult r = drive(m, stream, batches, 512);
-      Sample s = to_sample(r);
-      s.metrics = {{"work_per_update", per_update(r.work, r.updates)},
-                   {"rounds_per_batch", per_batch(r.rounds, batches)},
-                   {"us_per_update", us_per_update(r.seconds, r.updates)},
+      Sample s = drive(m, stream, batches, 512);
+      s.metrics = {{"work_per_update", per_update(s.work, s.updates)},
+                   {"rounds_per_batch", per_batch(s.rounds, batches)},
+                   {"us_per_update", us_per_update(s.seconds, s.updates)},
                    {"matching", static_cast<double>(m.matching_size())},
                    {"settles", static_cast<double>(m.stats().settles)}};
       return s;

@@ -41,16 +41,12 @@ void run(Ctx& ctx) {
   so.n = n;
   so.target_edges = target;
   so.seed = ctx.seed(17);
+  require(ctx, ChurnStream::check(so, std::max<size_t>(1024, batch_size)));
 
   for (const uint64_t readers : reader_counts) {
     ctx.point({p("readers", readers), p("k", batch_size)}, [&] {
       ThreadPool pool(ctx.threads(0));
-      Config cfg;
-      cfg.max_rank = 2;
-      cfg.seed = ctx.seed(18);
-      cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-      cfg.auto_rebuild = false;
-      DynamicMatcher m(cfg, pool);
+      DynamicMatcher m(bench_config(ctx, 18), pool);
 
       ChurnStream stream(so);
       warm(m, stream, warm_updates, 1024);
@@ -121,7 +117,7 @@ void run(Ctx& ctx) {
       // aggregate query rate lands in the metrics. Counter snapshots bound
       // the query count to the same segment the seconds cover.
       const auto [q_before, a_before] = snapshot();
-      const DriveResult r = drive(m, stream, batches, batch_size);
+      Sample s = drive(m, stream, batches, batch_size);
       const auto [q_after, a_after] = snapshot();
       // mo: release — pairs with the readers' acquire load of done.
       done.store(true, std::memory_order_release);
@@ -137,14 +133,13 @@ void run(Ctx& ctx) {
       for (const ReaderCounters& c : counters) {
         staleness_max = std::max(staleness_max, c.staleness_max);
       }
-      Sample s = to_sample(r);
       s.metrics = {
           {"queries_per_sec",
-           static_cast<double>(queries) / std::max(r.seconds, 1e-9)},
+           static_cast<double>(queries) / std::max(s.seconds, 1e-9)},
           {"queries", static_cast<double>(queries)},
           {"acquires", static_cast<double>(acquires)},
           {"staleness_max", static_cast<double>(staleness_max)},
-          {"us_per_update", us_per_update(r.seconds, r.updates)},
+          {"us_per_update", us_per_update(s.seconds, s.updates)},
           {"views_reclaimed",
            static_cast<double>(serve.channel().freed_count())},
       };

@@ -12,20 +12,16 @@ void run(Ctx& ctx) {
   const Vertex n = ctx.u32("n", 1 << 12, 1 << 9);
   const uint64_t rounds = ctx.u64("rounds", 300, 20);
 
+  ChurnStream::Options so;
+  so.n = n;
+  so.target_edges = 4ull * n;
+  so.zipf_s = 0.9;  // hubs own many edges => frequent rising
+  so.seed = ctx.seed(17);
+  require(ctx, ChurnStream::check(so, 512));
+
   ctx.point({p("n", n)}, [&] {
     ThreadPool pool(ctx.threads(1));
-    Config cfg;
-    cfg.max_rank = 2;
-    cfg.seed = ctx.seed(41);
-    cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-    cfg.auto_rebuild = false;
-    DynamicMatcher m(cfg, pool);
-
-    ChurnStream::Options so;
-    so.n = n;
-    so.target_edges = 4ull * n;
-    so.zipf_s = 0.9;  // hubs own many edges => frequent rising
-    so.seed = ctx.seed(17);
+    DynamicMatcher m(bench_config(ctx, 41), pool);
     ChurnStream stream(so);
 
     uint64_t prev_settles = 0, prev_subsettles = 0;
@@ -33,14 +29,7 @@ void run(Ctx& ctx) {
     Sample s;
     Timer t;
     for (uint64_t i = 0; i < rounds; ++i) {
-      const Batch b = stream.next(512);
-      s.updates += b.deletions.size() + b.insertions.size();
-      std::vector<EdgeId> dels;
-      for (const auto& eps : b.deletions) dels.push_back(m.find_edge(eps));
-      const auto res = m.update(dels, b.insertions);
-      s.work += res.work;
-      s.rounds += res.rounds;
-      s.max_batch_rounds = std::max(s.max_batch_rounds, res.rounds);
+      step(m, stream.next(512), s);
       const auto& st = m.stats();
       const uint64_t ds = st.settles - prev_settles;
       const uint64_t db = st.subsettles - prev_subsettles;

@@ -22,6 +22,11 @@ void run(Ctx& ctx) {
   const std::vector<uint64_t> batch_sizes =
       ctx.smoke() ? std::vector<uint64_t>{256}
                   : std::vector<uint64_t>{1024, 8192};
+  ChurnStream::Options so;
+  so.n = n;
+  so.target_edges = 2ull * n;
+  so.seed = ctx.seed(43);
+  require(ctx, ChurnStream::check(so, batch_sizes.back()));
 
   for (const uint64_t batch : batch_sizes) {
     uint64_t ref_work = 0, ref_rounds = 0;
@@ -30,29 +35,19 @@ void run(Ctx& ctx) {
           {p("batch", batch), p("threads", static_cast<uint64_t>(threads))},
           [&, threads] {
             ThreadPool pool(threads, /*allow_oversubscribe=*/true);
-            Config cfg;
-            cfg.max_rank = 2;
-            cfg.seed = ctx.seed(81);
-            cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-            cfg.auto_rebuild = false;
-            DynamicMatcher m(cfg, pool);
-            ChurnStream::Options so;
-            so.n = n;
-            so.target_edges = 2ull * n;
-            so.seed = ctx.seed(43);
+            DynamicMatcher m(bench_config(ctx, 81), pool);
             ChurnStream stream(so);
             warm(m, stream, ctx.warm(3 * so.target_edges), batch);
-            const DriveResult r = drive(m, stream, batches, batch);
-            Sample s = to_sample(r);
+            Sample s = drive(m, stream, batches, batch);
             // effective_threads records the worker count that actually
             // ran (the oversubscribing pool honors the request), and
             // hw_threads the machine's width; points past hw_threads are
             // concurrency/counter-invariance evidence, not a scaling
             // curve, and the JSON says so rather than hiding it.
             s.metrics = {{"us_per_batch",
-                          r.seconds * 1e6 / static_cast<double>(batches)},
-                         {"work_per_batch", per_batch(r.work, batches)},
-                         {"rounds_per_batch", per_batch(r.rounds, batches)},
+                          s.seconds * 1e6 / static_cast<double>(batches)},
+                         {"work_per_batch", per_batch(s.work, batches)},
+                         {"rounds_per_batch", per_batch(s.rounds, batches)},
                          {"matching",
                           static_cast<double>(m.matching_size())},
                          {"effective_threads",

@@ -6,7 +6,6 @@
 #include "bench_common.h"
 #include "baselines/greedy_dynamic.h"
 #include "baselines/pdmm_adapter.h"
-#include "baselines/sequential_dynamic.h"
 #include "baselines/static_recompute.h"
 
 namespace pdmm::bench {
@@ -26,14 +25,14 @@ void run(Ctx& ctx) {
   const std::vector<size_t> ks = ctx.smoke()
                                      ? std::vector<size_t>{16, 128}
                                      : std::vector<size_t>{16, 256, 4096};
+  require(ctx, ChurnStream::check(so, std::max<size_t>(1024, ks.back())));
 
   auto measure = [&](MatcherBase& m, size_t k) {
     ChurnStream stream(so);
     warm_base(m, stream, warm_updates, 1024);
-    const DriveResult r = drive_base(m, stream, batches, k);
-    Sample s = to_sample(r);
-    s.metrics = {{"work_per_update", per_update(r.work, r.updates)},
-                 {"us_per_update", us_per_update(r.seconds, r.updates)},
+    Sample s = drive_base(m, stream, batches, k);
+    s.metrics = {{"work_per_update", per_update(s.work, s.updates)},
+                 {"us_per_update", us_per_update(s.seconds, s.updates)},
                  {"matching", static_cast<double>(m.matching_size())}};
     return s;
   };
@@ -41,20 +40,11 @@ void run(Ctx& ctx) {
   for (const size_t k : ks) {
     ctx.point({p("impl", "pdmm"), p("k", k)}, [&] {
       ThreadPool pool(ctx.threads(0));
-      Config cfg;
-      cfg.max_rank = 2;
-      cfg.seed = ctx.seed(31);
-      cfg.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-      cfg.auto_rebuild = false;
-      PdmmAdapter m(cfg, pool);
+      PdmmAdapter m(bench_config(ctx, 31), pool);
       return measure(m, k);
     });
     ctx.point({p("impl", "sequential"), p("k", k)}, [&] {
-      SequentialDynamicMatcher::Options opt;
-      opt.seed = ctx.seed(32);
-      opt.initial_capacity = 1ull << (ctx.smoke() ? 15 : 22);
-      opt.auto_rebuild = false;
-      SequentialDynamicMatcher m(opt);
+      SequentialDynamicMatcher m(sequential_options(bench_config(ctx, 32)));
       return measure(m, k);
     });
     ctx.point({p("impl", "greedy"), p("k", k)}, [&] {

@@ -12,20 +12,18 @@ namespace pdmm::bench {
 namespace {
 
 void run(Ctx& ctx) {
-  const uint64_t max_n = ctx.u64("max_n", 1 << 17, 1 << 12);
+  // Vertex counts are kept in 32 bits; the loop runs in 64 so that n *= 2
+  // cannot wrap past a max_n near 2^32.
+  const uint64_t max_n = ctx.u32("max_n", 1 << 17, 1 << 12);
   const uint64_t updates_per_point = ctx.u64("updates", 1 << 16, 1 << 11);
 
   double prev = 0;
-  for (Vertex n = 1 << 10; n <= max_n; n *= 2) {
+  for (uint64_t wide_n = 1 << 10; wide_n <= max_n; wide_n *= 2) {
+    const auto n = static_cast<Vertex>(wide_n);
     double wpu = 0;  // written by the body; identical across repetitions
-    ctx.point({p("n", static_cast<uint64_t>(n))}, [&, n] {
+    ctx.point({p("n", wide_n)}, [&, n] {
       ThreadPool pool(ctx.threads(1));
-      Config cfg;
-      cfg.max_rank = 2;
-      cfg.seed = ctx.seed(7);
-      cfg.initial_capacity = 64ull * n + (1ull << 16);
-      cfg.auto_rebuild = false;
-      DynamicMatcher m(cfg, pool);
+      DynamicMatcher m(bench_config(ctx, 7, 64ull * n + (1ull << 16)), pool);
 
       ChurnStream::Options so;
       so.n = n;
@@ -36,18 +34,17 @@ void run(Ctx& ctx) {
 
       const size_t batch = 256;
       const size_t batches = updates_per_point / batch;
-      const DriveResult r = drive(m, stream, batches, batch);
+      Sample s = drive(m, stream, batches, batch);
 
-      wpu = per_update(r.work, r.updates);
+      wpu = per_update(s.work, s.updates);
       const double log_n =
           std::log2(static_cast<double>(m.scheme().n_bound()));
-      Sample s = to_sample(r);
       s.metrics = {
           {"L", static_cast<double>(m.scheme().top_level())},
           {"work_per_update", wpu},
           {"work_per_update_per_log3N", wpu / (log_n * log_n * log_n)},
-          {"rounds_per_batch", per_batch(r.rounds, batches)},
-          {"us_per_update", us_per_update(r.seconds, r.updates)}};
+          {"rounds_per_batch", per_batch(s.rounds, batches)},
+          {"us_per_update", us_per_update(s.seconds, s.updates)}};
       return s;
     });
     if (prev > 0 && wpu > prev * 4) {

@@ -259,8 +259,13 @@ Ctx::Ctx(const Benchmark& bench, const RunOptions& opt)
 uint64_t Ctx::uint_param(const std::string& name, uint64_t full,
                          uint64_t smoke, unsigned bits) {
   const auto it = opt_.overrides.find(name);
-  if (it == opt_.overrides.end()) return opt_.smoke ? smoke : full;
+  if (it == opt_.overrides.end()) {
+    const uint64_t v = opt_.smoke ? smoke : full;
+    values_[name] = std::to_string(v);
+    return v;
+  }
   consumed_[name] = true;
+  values_[name] = it->second;
   uint64_t v = 0;
   const std::string error = ArgParse::parse_uint(name, it->second, bits, v);
   if (!error.empty()) {
@@ -268,6 +273,12 @@ uint64_t Ctx::uint_param(const std::string& name, uint64_t full,
     std::exit(2);
   }
   return v;
+}
+
+void Ctx::refuse(const std::string& name, const std::string& why) const {
+  std::fprintf(stderr, "%s\n",
+               ArgParse::invalid(name, values_.at(name), why).c_str());
+  std::exit(2);
 }
 
 uint64_t Ctx::u64(const std::string& name, uint64_t full, uint64_t smoke) {

@@ -43,7 +43,8 @@ struct RunOptions {
 
 // One measured repetition of one sweep point. The body of Ctx::point()
 // returns this; `seconds` covers only the measured segment (not setup or
-// warmup), which the body times itself (DriveResult::seconds usually).
+// warmup), which the body times itself: bench_common.h's drive() returns
+// the Sample of a timed segment, seconds and counters filled in.
 struct Sample {
   double seconds = 0.0;
   uint64_t work = 0;             // element operations (machine-independent)
@@ -117,6 +118,14 @@ class Ctx {
   uint64_t u64(const std::string& name, uint64_t full, uint64_t smoke);
   uint32_t u32(const std::string& name, uint32_t full, uint32_t smoke);
 
+  // Exits 2 with ArgParse's message for parameter `name` (one the harness
+  // has read) at the value it read: "invalid value for --n: '3' (why)".
+  // For a value that parses but names a run the harness cannot make; a
+  // harness calls it before its first point, so nothing runs or is
+  // written.
+  [[noreturn]] void refuse(const std::string& name,
+                           const std::string& why) const;
+
   // ThreadPool size: the --threads override, else the harness default.
   unsigned threads(unsigned def) const;
   // Seed: the harness default, remixed with --seed when one is given (so
@@ -156,6 +165,7 @@ class Ctx {
   const Benchmark& bench_;
   const RunOptions& opt_;
   std::map<std::string, bool> consumed_;
+  std::map<std::string, std::string> values_;  // every parameter read
   std::vector<SweepPoint> points_;
 };
 

@@ -7,14 +7,14 @@ MatchViewService::MatchViewService(DynamicMatcher& matcher, Options opt)
   // The service is constructed by the thread that drives updates (its
   // documented contract), which is exactly the matcher's updater role —
   // hook registration is updater-only state. When install_hook is off the
-  // caller (the pipelined engine) owns both publication and the hook
-  // slot, and this constructor touches neither.
+  // caller (the pipelined engine) owns the hook slot and every publication
+  // after this initial one.
   matcher_.updater_role().assert_held();
   if (hooked_) {
     matcher_.set_post_batch_hook(
         [this](const DynamicMatcher::BatchResult&) { publish_now(); });
   }
-  if (opt.publish_initial) publish_now();
+  publish_now();
 }
 
 MatchViewService::~MatchViewService() {

@@ -33,10 +33,6 @@ class MatchViewService {
   struct Options {
     // Bound on concurrently outstanding ViewHandles (see ViewChannel).
     size_t max_readers = 64;
-    // Publish a view of the pre-existing state on construction. Disable
-    // when the matcher is mid-bulk-load and the first real publish should
-    // wait for the first update().
-    bool publish_initial = true;
     // Install the matcher's post-batch hook so every update() republishes
     // automatically. Disable when another component owns publication —
     // the pipelined UpdateEngine captures views at the epoch barrier and

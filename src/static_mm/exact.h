@@ -14,8 +14,11 @@
 namespace pdmm {
 
 // Size of a maximum matching among `candidates`. Branch and bound over the
-// candidate list ordered by degree, pruning with the trivial remaining-edge
-// bound. Intended for |candidates| up to a few hundred sparse edges.
+// candidate list ordered by degree. A branch is pruned when even the best
+// case cannot beat the best found: the edges left that are still free, and
+// no more of them than the free vertices they touch can hold disjointly at
+// the smallest rank. Intended for |candidates| up to a few hundred sparse
+// edges.
 size_t exact_maximum_matching_size(const HyperedgeRegistry& reg,
                                    std::span<const EdgeId> candidates);
 

@@ -5,7 +5,8 @@
 // non-numeric, trailing-garbage or out-of-range value exits 2 with a
 // message and the usage string instead of silently parsing as 0. Both
 // exits happen in finish() (a bad value also in rest()), once every flag
-// is registered, so the usage lists them all.
+// is registered, so the usage lists them all. A value that parses but
+// that the program cannot serve exits 2 the same way through refuse().
 #pragma once
 
 #include <cstdint>
@@ -126,6 +127,28 @@ class ArgParse {
     std::exit(2);
   }
 
+  // For a value that parses but that the program cannot serve (a stream
+  // shape with too few distinct edges): prints the bad-value message for
+  // the registered flag `name` at its given or default value, and the
+  // usage, and exits 2.
+  [[noreturn]] void refuse(const std::string& name,
+                           const std::string& why) const {
+    const auto it = args_.find(name);
+    std::fprintf(stderr, "%s\n",
+                 invalid(name, it != args_.end() ? it->second : known_.at(name),
+                         why)
+                     .c_str());
+    usage();
+    std::exit(2);
+  }
+
+  // The bad-value message: "invalid value for --name: 'value' (why)".
+  static std::string invalid(const std::string& name,
+                             const std::string& value,
+                             const std::string& why) {
+    return "invalid value for --" + name + ": '" + value + "' (" + why + ")";
+  }
+
  private:
   uint64_t get_uint(const std::string& name, uint64_t def, unsigned bits) {
     const std::string* value = claim(name, std::to_string(def));
@@ -141,12 +164,6 @@ class ArgParse {
     known_.emplace(name, def);
     const auto it = args_.find(name);
     return it == args_.end() ? nullptr : &it->second;
-  }
-
-  static std::string invalid(const std::string& name,
-                             const std::string& value,
-                             const std::string& why) {
-    return "invalid value for --" + name + ": '" + value + "' (" + why + ")";
   }
 
   // Records the first bad value's message ("" is no error).

@@ -18,6 +18,73 @@ std::vector<EdgeId> apply_batch(MatcherBase& m, const Batch& b) {
   return m.apply(dels, b.insertions);
 }
 
+uint64_t distinct_edges(uint64_t n, uint32_t rank) {
+  if (rank > n) return 0;
+  // C(n, i) = C(n, i - 1) * (n - i + 1) / i is exact at every step and
+  // grows with i up to n / 2, so the first step past UINT64_MAX saturates.
+  const uint64_t k = std::min<uint64_t>(rank, n - rank);
+  unsigned __int128 c = 1;
+  for (uint64_t i = 1; i <= k; ++i) {
+    c = c * (n - i + 1) / i;
+    if (c > UINT64_MAX) return UINT64_MAX;
+  }
+  return static_cast<uint64_t>(c);
+}
+
+namespace {
+
+uint64_t add_sat(uint64_t a, uint64_t b) {
+  return a > UINT64_MAX - b ? UINT64_MAX : a + b;
+}
+
+uint64_t mul_sat(uint64_t a, uint64_t b) {
+  const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+  return p > UINT64_MAX ? UINT64_MAX : static_cast<uint64_t>(p);
+}
+
+// The rule every stream shares: edges of rank >= 1 on at least that many
+// vertices, and room for `peak` of them live at once.
+ShapeError room(Vertex n, uint32_t rank, uint64_t peak) {
+  const auto str = [](uint64_t v) { return std::to_string(v); };
+  if (rank == 0) return {"rank", "an edge needs at least one endpoint"};
+  if (n < rank) {
+    return {"n", "a rank-" + str(rank) + " edge needs " + str(rank) +
+                     " distinct vertices"};
+  }
+  const uint64_t have = distinct_edges(n, rank);
+  if (have < peak) {
+    return {"n", "the stream can keep " + str(peak) +
+                     " edges live at once, and there are only " + str(have) +
+                     " distinct rank-" + str(rank) + " edges on " + str(n) +
+                     " vertices"};
+  }
+  return {};
+}
+
+// churn_next inserts at or below lo (reaching lo + 1) and inside the band
+// (reaching hi); a deletion that finds only this batch's insertions turns
+// into an insertion, so one batch can leave all batch_size of its own
+// edges live.
+uint64_t churn_peak(uint64_t target, uint64_t batch_size) {
+  const uint64_t lo = target - target / 10;
+  return std::max({lo + 1, add_sat(target, target / 10), batch_size});
+}
+
+// Window streams insert before they evict, and never evict an edge of the
+// running batch.
+uint64_t window_peak(uint64_t window, uint64_t batch_size) {
+  return add_sat(std::max(window, batch_size), 1);
+}
+
+// A constructor asserts the part of its shape that holds for any batches.
+template <typename Options>
+Options checked(const Options& opt, const ShapeError& e) {
+  PDMM_ASSERT_MSG(!e, e.why.c_str());
+  return opt;
+}
+
+}  // namespace
+
 // ---- LiveSet ----
 
 std::vector<Vertex> LiveSet::insert_random(Xoshiro256& rng, Vertex n,
@@ -30,7 +97,14 @@ std::vector<Vertex> LiveSet::insert_random(Xoshiro256& rng, Vertex n,
     std::sort(eps.begin(), eps.end());
     if (std::adjacent_find(eps.begin(), eps.end()) != eps.end()) continue;
     const EdgeId id = mirror_.insert(eps);
-    if (id == kNoEdge) continue;  // duplicate of a live edge
+    if (id == kNoEdge) {
+      // A duplicate of a live edge. Once every distinct edge is live every
+      // draw is one: stop here instead of spinning.
+      PDMM_ASSERT_MSG(live_.size() < distinct_edges(n, rank),
+                      "every distinct edge is live; the stream's shape "
+                      "needs more vertices");
+      continue;
+    }
     live_.insert(id);
     return eps;
   }
@@ -120,12 +194,17 @@ Batch churn_next(LiveSet& live, Xoshiro256& rng, Vertex n, uint32_t rank,
 
 // ---- ChurnStream ----
 
+ShapeError ChurnStream::check(const Options& opt, size_t batch_size,
+                              uint64_t total) {
+  return room(opt.n, opt.rank,
+              std::min(total, churn_peak(opt.target_edges, batch_size)));
+}
+
 ChurnStream::ChurnStream(const Options& opt)
-    : opt_(opt),
+    : opt_(checked(opt, check(opt, 0, 0))),
       rng_(opt.seed),
       zipf_(opt.n, opt.zipf_s),
       live_(opt.rank) {
-  PDMM_ASSERT(opt.n >= opt.rank);
   PDMM_ASSERT(opt.delete_fraction >= 0.0 && opt.delete_fraction <= 1.0);
 }
 
@@ -149,10 +228,14 @@ Batch ChurnStream::next(size_t batch_size) {
 
 // ---- SlidingWindowStream ----
 
-SlidingWindowStream::SlidingWindowStream(const Options& opt)
-    : opt_(opt), rng_(opt.seed), live_(opt.rank) {
-  PDMM_ASSERT(opt.n >= opt.rank);
+ShapeError SlidingWindowStream::check(const Options& opt,
+                                      size_t batch_size, uint64_t total) {
+  return room(opt.n, opt.rank,
+              std::min(total, window_peak(opt.window, batch_size)));
 }
+
+SlidingWindowStream::SlidingWindowStream(const Options& opt)
+    : opt_(checked(opt, check(opt, 0, 0))), rng_(opt.seed), live_(opt.rank) {}
 
 Batch SlidingWindowStream::next(size_t batch_size) {
   Batch b;
@@ -181,11 +264,18 @@ Batch SlidingWindowStream::next(size_t batch_size) {
 
 // ---- WindowChurnStream ----
 
+ShapeError WindowChurnStream::check(const Options& opt, size_t batch_size,
+                                    uint64_t total) {
+  if (opt.window == 0) {
+    return {"window", "the window must hold at least one edge"};
+  }
+  return room(opt.n, opt.rank,
+              std::min(total, window_peak(opt.window, batch_size)));
+}
+
 WindowChurnStream::WindowChurnStream(const Options& opt)
-    : opt_(opt), rng_(opt.seed), live_(opt.rank) {
-  PDMM_ASSERT(opt.n >= opt.rank);
+    : opt_(checked(opt, check(opt, 0, 0))), rng_(opt.seed), live_(opt.rank) {
   PDMM_ASSERT(opt.churn >= 0.0 && opt.churn <= 1.0);
-  PDMM_ASSERT(opt.window >= 1);
 }
 
 Batch WindowChurnStream::next(size_t batch_size) {
@@ -231,12 +321,17 @@ Batch WindowChurnStream::next(size_t batch_size) {
 
 // ---- PowerLawStream ----
 
+ShapeError PowerLawStream::check(const Options& opt, size_t batch_size,
+                                 uint64_t total) {
+  return room(opt.n, opt.rank,
+              std::min(total, churn_peak(opt.target_edges, batch_size)));
+}
+
 PowerLawStream::PowerLawStream(const Options& opt)
-    : opt_(opt),
+    : opt_(checked(opt, check(opt, 0, 0))),
       rng_(opt.seed),
       zipf_(opt.n, opt.s),
       live_(opt.rank) {
-  PDMM_ASSERT(opt.n >= opt.rank);
   PDMM_ASSERT(opt.s > 0.0);
   PDMM_ASSERT(opt.delete_fraction >= 0.0 && opt.delete_fraction <= 1.0);
 }
@@ -261,10 +356,15 @@ Batch PowerLawStream::next(size_t batch_size) {
 
 // ---- OscillationStream ----
 
+ShapeError OscillationStream::check(const Options& opt) {
+  if (opt.core_edges == 0) {
+    return {"core_edges", "the oscillating core needs at least one edge"};
+  }
+  return room(opt.n, opt.rank, add_sat(opt.background_edges, opt.core_edges));
+}
+
 OscillationStream::OscillationStream(const Options& opt)
-    : opt_(opt), rng_(opt.seed), live_(opt.rank) {
-  PDMM_ASSERT(opt.n >= opt.rank);
-  PDMM_ASSERT(opt.core_edges >= 1);
+    : opt_(checked(opt, check(opt))), rng_(opt.seed), live_(opt.rank) {
   // Generate background + core up front (the whole pattern is fixed before
   // the first batch — an oblivious adversary). live_ mirrors the state the
   // consumer will reach once the build batches have been emitted.
@@ -312,8 +412,20 @@ Batch OscillationStream::next(size_t batch_size) {
 
 // ---- AdversarialMatchedDeleter ----
 
+ShapeError AdversarialMatchedDeleter::check(const Options& opt,
+                                            size_t batch_size,
+                                            uint64_t total) {
+  const uint64_t k = batch_size;
+  const uint64_t degree = opt.rank == 0 || opt.n < opt.rank
+                              ? 0
+                              : distinct_edges(opt.n - 1, opt.rank - 1);
+  const uint64_t grown =
+      add_sat(mul_sat(mul_sat(opt.rank, k > 0 ? k - 1 : 0), degree), k);
+  return room(opt.n, opt.rank, std::min(total, grown));
+}
+
 AdversarialMatchedDeleter::AdversarialMatchedDeleter(const Options& opt)
-    : opt_(opt), rng_(opt.seed), live_(opt.rank) {}
+    : opt_(checked(opt, check(opt, 0, 0))), rng_(opt.seed), live_(opt.rank) {}
 
 Batch AdversarialMatchedDeleter::next(const MatcherBase& m,
                                       size_t batch_size) {

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "baselines/matcher_base.h"
@@ -35,6 +36,27 @@ struct Batch {
 // Resolves a batch against a matcher's registry and applies it.
 // Returns the per-insertion ids the matcher assigned.
 std::vector<EdgeId> apply_batch(MatcherBase& m, const Batch& b);
+
+// Distinct rank-`rank` edges on n vertices: C(n, rank), saturating at
+// UINT64_MAX.
+uint64_t distinct_edges(uint64_t n, uint32_t rank);
+
+// Why a stream cannot serve a shape: the Options field at fault and the
+// reason. A default-constructed ShapeError (no field) means it can.
+//
+// Each stream's static check() is pure (it draws no randomness, so no
+// stream byte depends on it). It asks whether the stream can serve next(k)
+// calls with every k <= `batch_size` and the k summing to at most `total`
+// without running out of distinct edges: a stream that needs a fresh edge
+// when every one is live would retry forever. Constructors assert the
+// shape's batch-independent part, and an insertion that finds every
+// distinct edge live asserts instead of spinning; tools and harnesses run
+// check() on the shapes they will request before they start.
+struct ShapeError {
+  std::string field;
+  std::string why;
+  explicit operator bool() const { return !field.empty(); }
+};
 
 // Mirror of the live edge set shared by all generators.
 class LiveSet {
@@ -80,6 +102,10 @@ class ChurnStream {
     double zipf_s = 0.0;           // endpoint skew (0 = uniform)
     uint64_t seed = 1;
   };
+  // Live edges peak at max(lo + 1, hi, batch_size) for the band
+  // [lo, hi] = target_edges -+ target_edges / 10 (see churn_next).
+  static ShapeError check(const Options& opt, size_t batch_size,
+                          uint64_t total = UINT64_MAX);
   explicit ChurnStream(const Options& opt);
   Batch next(size_t batch_size);
   const LiveSet& live() const { return live_; }
@@ -102,6 +128,10 @@ class SlidingWindowStream {
     size_t window = 1 << 12;
     uint64_t seed = 1;
   };
+  // Live edges peak at max(window, batch_size) + 1: each insertion comes
+  // before its eviction, and a batch never evicts its own insertions.
+  static ShapeError check(const Options& opt, size_t batch_size,
+                          uint64_t total = UINT64_MAX);
   explicit SlidingWindowStream(const Options& opt);
   Batch next(size_t batch_size);
   const LiveSet& live() const { return live_; }
@@ -131,6 +161,9 @@ class WindowChurnStream {
     double churn = 0.25;  // fraction of slots deleting a random-age edge
     uint64_t seed = 1;
   };
+  // As SlidingWindowStream, and the window holds at least one edge.
+  static ShapeError check(const Options& opt, size_t batch_size,
+                          uint64_t total = UINT64_MAX);
   explicit WindowChurnStream(const Options& opt);
   Batch next(size_t batch_size);
   const LiveSet& live() const { return live_; }
@@ -164,6 +197,9 @@ class PowerLawStream {
     double delete_fraction = 0.5;  // at steady state
     uint64_t seed = 1;
   };
+  // The same band walk as ChurnStream, so the same peak.
+  static ShapeError check(const Options& opt, size_t batch_size,
+                          uint64_t total = UINT64_MAX);
   explicit PowerLawStream(const Options& opt);
   Batch next(size_t batch_size);
   const LiveSet& live() const { return live_; }
@@ -192,6 +228,9 @@ class OscillationStream {
     size_t background_edges = 1 << 12;  // stable context edges
     uint64_t seed = 1;
   };
+  // Every edge is drawn up front: background_edges + core_edges distinct
+  // edges, at least one of them core, whatever the batches.
+  static ShapeError check(const Options& opt);
   explicit OscillationStream(const Options& opt);
   Batch next(size_t batch_size);
   const LiveSet& live() const { return live_; }
@@ -217,6 +256,12 @@ class AdversarialMatchedDeleter {
     uint32_t rank = 2;
     uint64_t seed = 1;
   };
+  // Each batch deletes up to batch_size matched edges and inserts
+  // batch_size fresh ones, so the live count grows only while the matching
+  // holds fewer than batch_size edges; a maximal matching of M edges meets
+  // at most rank * M * C(n - 1, rank - 1) of them.
+  static ShapeError check(const Options& opt, size_t batch_size,
+                          uint64_t total = UINT64_MAX);
   explicit AdversarialMatchedDeleter(const Options& opt);
   // Builds the next batch against the observed matcher state.
   Batch next(const MatcherBase& m, size_t batch_size);

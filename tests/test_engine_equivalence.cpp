@@ -123,7 +123,6 @@ void run_cell(const Config& cfg, const std::vector<Batch>& batches,
   m.updater_role().assert_held();
   MatchViewService::Options so;
   so.install_hook = false;
-  so.publish_initial = false;
   MatchViewService service(m, so);
   std::string err;
   auto j = Journal::open(wal, {}, &err);

@@ -4,6 +4,7 @@
 // small random instances, across ranks and densities.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <type_traits>
 
 #include "core/matcher.h"
@@ -141,6 +142,48 @@ TEST(ExactSolver, DisjointEdges) {
                                    static_cast<Vertex>(3 * i + 1),
                                    static_cast<Vertex>(3 * i + 2)});
   EXPECT_EQ(exact_maximum_matching_size(reg, reg.all_edges()), 8u);
+}
+
+// The solver prunes a branch only when no extension can beat the best
+// found. Exhaustive search over every edge subset of small random
+// instances (ranks 1-4, sparse vertex ids) confirms the bound never cuts
+// an optimum.
+TEST(ExactSolver, MatchesExhaustiveSubsetSearch) {
+  Xoshiro256 rng(2024);
+  for (int instance = 0; instance < 300; ++instance) {
+    const uint64_t n = 4 + rng.below(9);
+    const size_t m = 1 + rng.below(14);
+    HyperedgeRegistry reg(4);
+    std::vector<uint32_t> masks;  // each edge's vertex set, as bits
+    for (int tries = 0; masks.size() < m && tries < 200; ++tries) {
+      const uint64_t r = 1 + rng.below(4);
+      std::vector<Vertex> eps;
+      uint32_t mask = 0;
+      while (eps.size() < r) {
+        const auto v = static_cast<uint32_t>(rng.below(n));
+        if ((mask >> v) & 1) continue;
+        mask |= 1u << v;
+        eps.push_back(v * 7919 + 3);
+      }
+      if (reg.insert(eps) != kNoEdge) masks.push_back(mask);
+    }
+    size_t best = 0;
+    for (uint32_t subset = 0; subset < (1u << masks.size()); ++subset) {
+      uint32_t covered = 0;
+      bool disjoint = true;
+      for (size_t i = 0; i < masks.size() && disjoint; ++i) {
+        if (!((subset >> i) & 1)) continue;
+        disjoint = (covered & masks[i]) == 0;
+        covered |= masks[i];
+      }
+      if (disjoint) {
+        best = std::max<size_t>(best, static_cast<size_t>(
+                                          std::popcount(subset)));
+      }
+    }
+    EXPECT_EQ(exact_maximum_matching_size(reg, reg.all_edges()), best)
+        << "instance " << instance;
+  }
 }
 
 TEST(ExactSolver, GreedyCanBeHalfOfOptimal) {

@@ -690,7 +690,6 @@ TEST_F(ReplicateTest, BootstrapFromCheckpointSkipsCoveredHistory) {
   DynamicMatcher fm(cfg, pool);
   MatchViewService::Options so;
   so.install_hook = false;
-  so.publish_initial = false;
   MatchViewService service(fm, so);
   ReplicaOptions ropt;
   ropt.journal_path = path("wal.log");

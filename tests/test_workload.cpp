@@ -329,5 +329,169 @@ TEST(ApplyBatch, ResolvesAndApplies) {
   EXPECT_EQ(m.graph().num_edges(), 1u);
 }
 
+// ---- shape checks: the largest servable shape passes, the next fails ----
+//
+// Six vertices hold C(6, 2) = 15 distinct rank-2 edges, so every boundary
+// below is the shape whose peak live count is exactly 15.
+
+TEST(ShapeCheck, DistinctEdgesIsTheSaturatedBinomial) {
+  EXPECT_EQ(distinct_edges(6, 2), 15u);
+  EXPECT_EQ(distinct_edges(6, 0), 1u);
+  EXPECT_EQ(distinct_edges(3, 3), 1u);
+  EXPECT_EQ(distinct_edges(3, 4), 0u);
+  EXPECT_EQ(distinct_edges(64, 32), 1832624140942590534u);
+  EXPECT_EQ(distinct_edges(uint64_t{1} << 32, 2),
+            (uint64_t{1} << 31) * ((uint64_t{1} << 32) - 1));
+  EXPECT_EQ(distinct_edges(100, 50), UINT64_MAX);
+  EXPECT_EQ(distinct_edges(UINT32_MAX, 40), UINT64_MAX);
+}
+
+TEST(ShapeCheck, ChurnPeaksAtTheBandTopOrTheBatch) {
+  ChurnStream::Options opt;
+  opt.n = 6;
+  opt.target_edges = 14;  // band [13, 15]
+  EXPECT_FALSE(ChurnStream::check(opt, 15));
+  opt.target_edges = 15;  // band [14, 16]
+  const ShapeError e = ChurnStream::check(opt, 1);
+  EXPECT_EQ(e.field, "n");
+  EXPECT_NE(e.why.find("16 edges live"), std::string::npos) << e.why;
+  // Below ten the band is one point, and an insertion lands on top of it.
+  opt.target_edges = 5;
+  opt.n = 4;  // C(4, 2) = 6
+  EXPECT_FALSE(ChurnStream::check(opt, 6));
+  EXPECT_TRUE(ChurnStream::check(opt, 7));
+  opt.target_edges = 6;
+  EXPECT_TRUE(ChurnStream::check(opt, 1));
+  // A batch that outgrows the band leaves all of its edges live.
+  opt.n = 6;
+  opt.target_edges = 0;
+  EXPECT_FALSE(ChurnStream::check(opt, 15));
+  EXPECT_TRUE(ChurnStream::check(opt, 16));
+  // No more edges are live than the stream has emitted.
+  opt.target_edges = 1 << 30;
+  EXPECT_FALSE(ChurnStream::check(opt, 4, 15));
+  EXPECT_TRUE(ChurnStream::check(opt, 4, 16));
+  // PowerLawStream walks the same band.
+  PowerLawStream::Options pl;
+  pl.n = 6;
+  pl.target_edges = 14;
+  EXPECT_FALSE(PowerLawStream::check(pl, 15));
+  pl.target_edges = 15;
+  EXPECT_TRUE(PowerLawStream::check(pl, 1));
+}
+
+TEST(ShapeCheck, TooFewVerticesOrRankZeroIsRefused) {
+  ChurnStream::Options opt;
+  opt.n = 2;
+  opt.target_edges = 0;
+  EXPECT_FALSE(ChurnStream::check(opt, 1));
+  opt.n = 1;
+  EXPECT_EQ(ChurnStream::check(opt, 1).field, "n");
+  opt.n = 0;
+  EXPECT_EQ(ChurnStream::check(opt, 0, 0).field, "n");
+  opt.n = 4;
+  opt.rank = 0;
+  EXPECT_EQ(ChurnStream::check(opt, 1).field, "rank");
+}
+
+TEST(ShapeCheck, WindowsPeakOneAboveWindowOrBatch) {
+  SlidingWindowStream::Options sw;
+  sw.n = 6;
+  sw.window = 14;
+  EXPECT_FALSE(SlidingWindowStream::check(sw, 14));
+  EXPECT_TRUE(SlidingWindowStream::check(sw, 15));
+  sw.window = 15;
+  EXPECT_TRUE(SlidingWindowStream::check(sw, 1));
+  sw.window = 0;  // an empty window is a valid sliding window
+  EXPECT_FALSE(SlidingWindowStream::check(sw, 14));
+
+  WindowChurnStream::Options wc;
+  wc.n = 6;
+  wc.window = 14;
+  EXPECT_FALSE(WindowChurnStream::check(wc, 14));
+  EXPECT_TRUE(WindowChurnStream::check(wc, 15));
+  wc.window = 1;
+  EXPECT_FALSE(WindowChurnStream::check(wc, 1));
+  wc.window = 0;
+  EXPECT_EQ(WindowChurnStream::check(wc, 1).field, "window");
+}
+
+TEST(ShapeCheck, OscillationDrawsEveryEdgeUpFront) {
+  OscillationStream::Options opt;
+  opt.n = 6;
+  opt.background_edges = 10;
+  opt.core_edges = 5;
+  EXPECT_FALSE(OscillationStream::check(opt));
+  opt.background_edges = 11;
+  EXPECT_EQ(OscillationStream::check(opt).field, "n");
+  opt.background_edges = 0;
+  opt.core_edges = 1;
+  EXPECT_FALSE(OscillationStream::check(opt));
+  opt.core_edges = 0;
+  EXPECT_EQ(OscillationStream::check(opt).field, "core_edges");
+}
+
+TEST(ShapeCheck, AdversaryGrowsOnlyWhileTheMatchingIsSmall) {
+  AdversarialMatchedDeleter::Options opt;
+  opt.n = 6;
+  // Growth stops once 2 matched edges can be deleted per batch: at most
+  // 2 * 1 * C(5, 1) + 2 = 12 live edges.
+  EXPECT_FALSE(AdversarialMatchedDeleter::check(opt, 2));
+  // Three per batch need 23, more than the 15 there are, unless the run
+  // inserts no more than 15 in all.
+  EXPECT_TRUE(AdversarialMatchedDeleter::check(opt, 3));
+  EXPECT_FALSE(AdversarialMatchedDeleter::check(opt, 3, 15));
+  EXPECT_TRUE(AdversarialMatchedDeleter::check(opt, 3, 16));
+}
+
+// The boundary shapes run: each stream fills all 15 edges of its vertex
+// set (or comes within the band of it) and keeps going.
+TEST(ShapeCheck, BoundaryShapesAreServed) {
+  ChurnStream::Options co;
+  co.n = 6;
+  co.target_edges = 14;
+  co.seed = 5;
+  ASSERT_FALSE(ChurnStream::check(co, 8));
+  ChurnStream churn(co);
+  for (int i = 0; i < 200; ++i) churn.next(8);
+  EXPECT_LE(churn.live().size(), 15u);
+
+  WindowChurnStream::Options wo;
+  wo.n = 6;
+  wo.window = 14;
+  wo.churn = 0.5;
+  wo.seed = 6;
+  ASSERT_FALSE(WindowChurnStream::check(wo, 8));
+  WindowChurnStream window(wo);
+  for (int i = 0; i < 200; ++i) window.next(8);
+  EXPECT_EQ(window.live().size(), 14u);
+
+  OscillationStream::Options oo;
+  oo.n = 6;
+  oo.background_edges = 10;
+  oo.core_edges = 5;
+  oo.seed = 7;
+  ASSERT_FALSE(OscillationStream::check(oo));
+  OscillationStream osc(oo);
+  for (int i = 0; i < 20; ++i) osc.next(4);
+  EXPECT_LE(osc.live().size(), 15u);
+}
+
+// Past the boundary a stream stops with a message instead of drawing
+// forever for an edge that does not exist.
+TEST(ShapeCheckDeath, FullEdgeSpaceAssertsInsteadOfSpinning) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Xoshiro256 rng(1);
+        LiveSet live(2);
+        for (int i = 0; i < 4; ++i) live.insert_random(rng, 3, 2);
+      },
+      "every distinct edge is live");
+  ChurnStream::Options opt;
+  opt.n = 1;
+  EXPECT_DEATH(ChurnStream{opt}, "a rank-2 edge needs 2 distinct vertices");
+}
+
 }  // namespace
 }  // namespace pdmm

@@ -264,6 +264,11 @@ int main(int argc, char** argv) {
     so.rank = rank;
     so.target_edges = target;
     so.seed = seed;
+    uint64_t total = 0;
+    if (__builtin_mul_overflow(batches, batch_size, &total)) total = UINT64_MAX;
+    if (const ShapeError e = ChurnStream::check(so, batch_size, total)) {
+      args.refuse(e.field, e.why);
+    }
     ChurnStream stream(so);
     trace = record_stream(stream, batches, batch_size);
     stream_fp = "churn n=" + std::to_string(n) + " rank=" +

@@ -36,6 +36,12 @@ int generate(ArgParse& args) {
   const bool window = args.get_bool("window", false);
   args.finish();
   const char* kind = window ? "window" : (zipf_s > 0 ? "zipf" : "churn");
+  uint64_t total = 0;
+  if (__builtin_mul_overflow(batches, batch_size, &total)) total = UINT64_MAX;
+  // Refuses a shape the generator cannot serve before writing a byte.
+  const auto require = [&](const ShapeError& e) {
+    if (e) args.refuse(e.field, e.why);
+  };
 
   std::vector<Batch> trace;
   if (window) {
@@ -44,6 +50,7 @@ int generate(ArgParse& args) {
     so.rank = rank;
     so.window = target;
     so.seed = seed;
+    require(SlidingWindowStream::check(so, batch_size, total));
     SlidingWindowStream s(so);
     trace = record_stream(s, batches, batch_size);
   } else {
@@ -53,6 +60,7 @@ int generate(ArgParse& args) {
     so.target_edges = target;
     so.zipf_s = zipf_s;
     so.seed = seed;
+    require(ChurnStream::check(so, batch_size, total));
     ChurnStream s(so);
     trace = record_stream(s, batches, batch_size);
   }

@@ -134,40 +134,6 @@ class PhaseDict {
     maybe_shrink();
   }
 
-  // Insert-or-overwrite in ONE probe walk (serial, between phases). The
-  // registry's hot path used to spell this as find + erase + insert — three
-  // walks of the same chain plus a needless tombstone; upsert claims the
-  // first tombstone it passed when the key turns out absent, so chains do
-  // not grow either.
-  void upsert(uint64_t key, const Value& v) {
-    PDMM_DASSERT(key < kTomb);
-    reserve_for(live_ + 1);
-    size_t first_tomb = SIZE_MAX;
-    size_t i = slot(key);
-    while (true) {
-      // mo: relaxed — serial path; phases synchronize via the pool barrier.
-      const uint64_t k = keys_[i].load(std::memory_order_relaxed);
-      if (k == key) {
-        vals_[i] = v;
-        return;
-      }
-      if (k == kEmpty) break;
-      if (k == kTomb && first_tomb == SIZE_MAX) first_tomb = i;
-      i = (i + 1) & mask_;
-    }
-    // A reused tombstone was already counted in dirty_.
-    if (first_tomb != SIZE_MAX) {
-      i = first_tomb;
-    } else {
-      ++dirty_;
-    }
-    vals_[i] = v;
-    // mo: release — value written before the key is published, so readers
-    // in a later phase (behind the pool barrier) always see both.
-    keys_[i].store(key, std::memory_order_release);
-    ++live_;
-  }
-
   void clear() {
     init(16);
     live_ = dirty_ = 0;

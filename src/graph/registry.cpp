@@ -1,20 +1,36 @@
 #include "graph/registry.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "util/rng.h"
 
 namespace pdmm {
+namespace {
+
+// Copies eps into out in ascending order. Insertion sort: ranks are tiny,
+// and a rank-2 edge costs one compare.
+std::span<const Vertex> canonical(std::span<const Vertex> eps, Vertex* out) {
+  for (size_t i = 0; i < eps.size(); ++i) {
+    const Vertex v = eps[i];
+    size_t j = i;
+    for (; j > 0 && out[j - 1] > v; --j) out[j] = out[j - 1];
+    out[j] = v;
+  }
+  return {out, eps.size()};
+}
+
+}  // namespace
 
 HyperedgeRegistry::HyperedgeRegistry(uint32_t max_rank)
-    : max_rank_(max_rank) {
+    : max_rank_(max_rank), slots_(kMinSlots), mask_(kMinSlots - 1) {
   PDMM_ASSERT(max_rank >= 1 && max_rank <= kMaxRankLimit);
 }
 
-uint64_t HyperedgeRegistry::key_of(std::span<const Vertex> sorted) const {
-  uint64_t h = hash_mix(0x9d8f31cull, sorted.size());
-  for (Vertex v : sorted) h = hash_mix(h, v);
-  // Avoid the two reserved PhaseDict keys.
-  if (h >= ~uint64_t{1}) h = splitmix64(h);
-  return h;
+uint32_t HyperedgeRegistry::tag_of(std::span<const Vertex> sorted) {
+  uint64_t h = sorted.size();
+  for (Vertex v : sorted) h = splitmix64(h ^ v);
+  return static_cast<uint32_t>(h);
 }
 
 bool HyperedgeRegistry::endpoints_equal(
@@ -23,23 +39,55 @@ bool HyperedgeRegistry::endpoints_equal(
   return std::equal(sorted.begin(), sorted.end(), other.begin(), other.end());
 }
 
+size_t HyperedgeRegistry::probe(uint32_t tag,
+                                std::span<const Vertex> sorted) const {
+  size_t i = tag & mask_;
+  while (slots_[i].id != kNoEdge &&
+         !(slots_[i].tag == tag && endpoints_equal(slots_[i].id, sorted))) {
+    i = (i + 1) & mask_;
+  }
+  return i;
+}
+
+void HyperedgeRegistry::reserve_one() {
+  if (2 * (num_alive_ + 1) <= slots_.size()) return;
+  // A tag names its home slot, so it can address no more than 2^32 slots.
+  PDMM_ASSERT_MSG(slots_.size() * 2 <= (size_t{1} << 32),
+                  "registry index past the 2^32 slots its tags address");
+  const std::vector<Slot> old =
+      std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+  mask_ = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.id == kNoEdge) continue;
+    size_t i = s.tag & mask_;
+    while (slots_[i].id != kNoEdge) i = (i + 1) & mask_;
+    slots_[i] = s;
+  }
+}
+
+void HyperedgeRegistry::place(EdgeId id, std::span<const Vertex> sorted,
+                              uint32_t tag, size_t slot) {
+  std::copy(sorted.begin(), sorted.end(),
+            endpoints_.begin() + static_cast<size_t>(id) * max_rank_);
+  deg_[id] = static_cast<uint8_t>(sorted.size());
+  slots_[slot] = {tag, id};
+  ++num_alive_;
+  vertex_bound_ = std::max(vertex_bound_, sorted.back() + 1);
+}
+
 EdgeId HyperedgeRegistry::insert(std::span<const Vertex> eps) {
   PDMM_ASSERT(!eps.empty() && eps.size() <= static_cast<size_t>(max_rank_));
   Vertex tmp[kMaxRankLimit];
-  std::copy(eps.begin(), eps.end(), tmp);
-  std::sort(tmp, tmp + eps.size());
-  std::span<const Vertex> sorted{tmp, eps.size()};
+  const auto sorted = canonical(eps, tmp);
   for (size_t i = 1; i < sorted.size(); ++i) {
     PDMM_ASSERT_MSG(sorted[i] != sorted[i - 1],
                     "hyperedge endpoints must be distinct");
   }
 
-  const uint64_t key = key_of(sorted);
-  const EdgeId* headp = index_.find(key);
-  const EdgeId head = headp ? *headp : kNoEdge;
-  for (EdgeId cur = head; cur != kNoEdge; cur = coll_next_[cur]) {
-    if (endpoints_equal(cur, sorted)) return kNoEdge;  // duplicate
-  }
+  reserve_one();
+  const uint32_t tag = tag_of(sorted);
+  const size_t slot = probe(tag, sorted);
+  if (slots_[slot].id != kNoEdge) return kNoEdge;  // duplicate
 
   EdgeId id;
   if (!free_ids_.empty()) {
@@ -48,58 +96,38 @@ EdgeId HyperedgeRegistry::insert(std::span<const Vertex> eps) {
   } else {
     id = static_cast<EdgeId>(deg_.size());
     deg_.push_back(0);
-    coll_next_.push_back(kNoEdge);
     endpoints_.resize(endpoints_.size() + max_rank_, kNoVertex);
   }
-  std::copy(sorted.begin(), sorted.end(),
-            endpoints_.begin() + static_cast<size_t>(id) * max_rank_);
-  deg_[id] = static_cast<uint8_t>(sorted.size());
-  coll_next_[id] = head;
-  // Re-point the bucket head in one probe walk (vs erase + insert, which
-  // walks the chain twice and leaves a tombstone behind).
-  index_.upsert(key, id);
-  ++num_alive_;
-  vertex_bound_ = std::max(vertex_bound_, sorted.back() + 1);
+  place(id, sorted, tag, slot);
   return id;
 }
 
 EdgeId HyperedgeRegistry::find(std::span<const Vertex> eps) const {
   PDMM_ASSERT(!eps.empty() && eps.size() <= static_cast<size_t>(max_rank_));
   Vertex tmp[kMaxRankLimit];
-  std::copy(eps.begin(), eps.end(), tmp);
-  std::sort(tmp, tmp + eps.size());
-  std::span<const Vertex> sorted{tmp, eps.size()};
-  const EdgeId* headp = index_.find(key_of(sorted));
-  for (EdgeId cur = headp ? *headp : kNoEdge; cur != kNoEdge;
-       cur = coll_next_[cur]) {
-    if (endpoints_equal(cur, sorted)) return cur;
-  }
-  return kNoEdge;
+  const auto sorted = canonical(eps, tmp);
+  return slots_[probe(tag_of(sorted), sorted)].id;
 }
 
 void HyperedgeRegistry::erase(EdgeId e) {
   PDMM_ASSERT(alive(e));
-  const uint64_t key = key_of(endpoints(e));
-  const EdgeId* headp = index_.find(key);
-  PDMM_ASSERT(headp != nullptr);
-  const EdgeId head = *headp;
-  if (head == e) {
-    if (coll_next_[e] != kNoEdge) {
-      index_.upsert(key, coll_next_[e]);  // one walk, no tombstone
-    } else {
-      index_.erase(key);
-    }
-  } else {
-    // Unlink e from the middle of the (almost always length-1) chain; the
-    // head entry in the index is unchanged, so the dict is not touched.
-    EdgeId prev = head;
-    while (coll_next_[prev] != e) {
-      prev = coll_next_[prev];
-      PDMM_ASSERT(prev != kNoEdge);
-    }
-    coll_next_[prev] = coll_next_[e];
+  size_t hole = tag_of(endpoints(e)) & mask_;
+  while (slots_[hole].id != e) {
+    PDMM_ASSERT(slots_[hole].id != kNoEdge);
+    hole = (hole + 1) & mask_;
   }
-  coll_next_[e] = kNoEdge;
+  // Backward-shift deletion: a later member of the probe run moves into the
+  // hole when its home lies cyclically at or before the hole, i.e. when its
+  // probe distance is at least the hole's distance back from it.
+  for (size_t j = (hole + 1) & mask_; slots_[j].id != kNoEdge;
+       j = (j + 1) & mask_) {
+    const size_t home = slots_[j].tag & mask_;
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
   deg_[e] = 0;
   free_ids_.push_back(e);
   --num_alive_;
@@ -108,11 +136,11 @@ void HyperedgeRegistry::erase(EdgeId e) {
 void HyperedgeRegistry::restore_begin(size_t id_bound) {
   endpoints_.assign(id_bound * max_rank_, kNoVertex);
   deg_.assign(id_bound, 0);
-  coll_next_.assign(id_bound, kNoEdge);
   free_ids_.clear();
   num_alive_ = 0;
   vertex_bound_ = 0;
-  index_.clear();
+  slots_ = std::vector<Slot>(kMinSlots);
+  mask_ = kMinSlots - 1;
 }
 
 void HyperedgeRegistry::restore_slot(EdgeId id,
@@ -121,15 +149,11 @@ void HyperedgeRegistry::restore_slot(EdgeId id,
   PDMM_ASSERT(!sorted.empty() &&
               sorted.size() <= static_cast<size_t>(max_rank_));
   PDMM_ASSERT(std::is_sorted(sorted.begin(), sorted.end()));
-  std::copy(sorted.begin(), sorted.end(),
-            endpoints_.begin() + static_cast<size_t>(id) * max_rank_);
-  deg_[id] = static_cast<uint8_t>(sorted.size());
-  const uint64_t key = key_of(sorted);
-  const EdgeId* headp = index_.find(key);
-  coll_next_[id] = headp ? *headp : kNoEdge;
-  index_.upsert(key, id);
-  ++num_alive_;
-  vertex_bound_ = std::max(vertex_bound_, sorted.back() + 1);
+  reserve_one();
+  const uint32_t tag = tag_of(sorted);
+  const size_t slot = probe(tag, sorted);
+  PDMM_ASSERT_MSG(slots_[slot].id == kNoEdge, "duplicate endpoint set");
+  place(id, sorted, tag, slot);
 }
 
 void HyperedgeRegistry::restore_free_list(std::span<const EdgeId> free_ids) {

@@ -4,12 +4,20 @@
 // vertices per edge, so endpoint access never chases pointers), assigns
 // dense EdgeIds with free-list recycling, and maintains a canonical-form
 // lookup (sorted endpoint set -> EdgeId) so updates given as vertex sets can
-// be resolved to ids and duplicate insertions detected.
+// be resolved to ids and duplicate insertions detected. It is the edge
+// dictionary of §2 of the paper, O(1) expected per lookup, insert and erase.
 //
-// The canonical index hashes the sorted endpoint vector to 64 bits. Lookups
-// are exact, not probabilistic: edges whose endpoint sets collide on the
-// 64-bit hash (astronomically rare) are kept on an intrusive chain headed by
-// the dictionary entry, and every hit compares actual endpoints.
+// The lookup is one open-addressed table of 8-byte slots {tag, id}, where
+// tag is a 32-bit hash of the sorted endpoint set (one mixing pass per
+// endpoint) and also names the slot's home, tag & (slots - 1). Linear
+// probing at load <= 1/2; the table only grows, and growth moves slots by
+// their tags without touching the arena. A hit needs an equal tag AND equal
+// endpoints in the arena, so lookups are exact: endpoint sets with equal
+// tags sit in neighbouring slots of one probe run. Erase shifts later
+// members of the run back into the hole (backward-shift deletion), so there
+// are no tombstones and no rebuilds. insert, find and erase each walk one
+// probe run once. The table's layout never reaches ids or state: ids come
+// off the free list alone.
 //
 // The registry is intentionally policy-free: all matching/leveling state
 // lives in the matcher. Everything the adversary can see — which edges are
@@ -20,9 +28,7 @@
 #include <span>
 #include <vector>
 
-#include "dict/phase_dict.h"
 #include "graph/types.h"
-#include "parallel/thread_pool.h"
 #include "util/assert.h"
 
 namespace pdmm {
@@ -76,18 +82,31 @@ class HyperedgeRegistry {
 
  private:
   static constexpr size_t kMaxRankLimit = 200;
+  static constexpr size_t kMinSlots = 16;
 
-  uint64_t key_of(std::span<const Vertex> sorted) const;
+  struct Slot {
+    uint32_t tag = 0;
+    EdgeId id = kNoEdge;  // kNoEdge: empty
+  };
+
+  static uint32_t tag_of(std::span<const Vertex> sorted);
   bool endpoints_equal(EdgeId e, std::span<const Vertex> sorted) const;
+  // The slot holding `sorted`, else the empty slot that ends its probe run.
+  size_t probe(uint32_t tag, std::span<const Vertex> sorted) const;
+  // Makes room for one more edge, doubling the table past load 1/2.
+  void reserve_one();
+  // Stores a new edge's endpoints and its index slot.
+  void place(EdgeId id, std::span<const Vertex> sorted, uint32_t tag,
+             size_t slot);
 
   uint32_t max_rank_;
   std::vector<Vertex> endpoints_;   // stride max_rank_, sorted per edge
   std::vector<uint8_t> deg_;        // 0 = dead slot
-  std::vector<EdgeId> coll_next_;   // hash-collision chain links
   std::vector<EdgeId> free_ids_;
+  std::vector<Slot> slots_;         // the index; power-of-two size
+  size_t mask_;                     // slots_.size() - 1
   size_t num_alive_ = 0;
   Vertex vertex_bound_ = 0;  // max endpoint seen + 1
-  PhaseDict<EdgeId> index_;  // key -> chain head
 };
 
 }  // namespace pdmm

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <numeric>
 
+#include "dict/phase_dict.h"
 #include "parallel/pack.h"
 #include "parallel/parallel_for.h"
 #include "util/assert.h"
+#include "util/bits.h"
 #include "util/rng.h"
 
 namespace pdmm {

@@ -1,7 +1,10 @@
 // Unit tests for the hyperedge registry substrate.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <set>
+#include <unordered_map>
 
 #include "graph/registry.h"
 #include "util/rng.h"
@@ -125,6 +128,207 @@ TEST(Registry, ManyEdgesStress) {
   EXPECT_EQ(reg.num_edges(), ids.size());
   for (size_t i = 0; i < ids.size(); i += 2) reg.erase(ids[i]);
   EXPECT_EQ(reg.num_edges(), ids.size() - (ids.size() + 1) / 2);
+}
+
+// --- the index: open addressing, backward-shift erase, LIFO id reuse ---
+
+// Every set of 1..max_rank distinct vertices of [base, base + n), each
+// sorted.
+std::vector<std::vector<Vertex>> all_endpoint_sets(Vertex n, uint32_t max_rank,
+                                                   Vertex base = 0) {
+  std::vector<std::vector<Vertex>> out;
+  std::vector<Vertex> cur;
+  auto extend = [&](auto&& self, Vertex from) -> void {
+    if (!cur.empty()) out.push_back(cur);
+    if (cur.size() == max_rank) return;
+    for (Vertex v = from; v < base + n; ++v) {
+      cur.push_back(v);
+      self(self, v + 1);
+      cur.pop_back();
+    }
+  };
+  extend(extend, base);
+  return out;
+}
+
+// A registry driven beside a reference map and a LIFO model of its free
+// list: every insertion must return the id the model predicts.
+struct ModelledRegistry {
+  explicit ModelledRegistry(uint32_t max_rank) : reg(max_rank) {}
+
+  // Inserts `sorted`, handed over in reverse order; returns the new id.
+  EdgeId insert(const std::vector<Vertex>& sorted) {
+    const EdgeId got =
+        reg.insert(std::vector<Vertex>(sorted.rbegin(), sorted.rend()));
+    if (ids.count(sorted)) {
+      EXPECT_EQ(got, kNoEdge) << "duplicate insertion accepted";
+      return kNoEdge;
+    }
+    EdgeId want = next_id;
+    if (free_ids.empty()) {
+      ++next_id;
+    } else {
+      want = free_ids.back();
+      free_ids.pop_back();
+    }
+    EXPECT_EQ(got, want);
+    ids.emplace(sorted, want);
+    return got;
+  }
+
+  // Erases a live edge picked uniformly; returns its id.
+  EdgeId erase_random(Xoshiro256& rng) {
+    const auto it = std::next(ids.begin(), rng.below(ids.size()));
+    const EdgeId id = it->second;
+    reg.erase(id);
+    free_ids.push_back(id);
+    ids.erase(it);
+    return id;
+  }
+
+  EdgeId expected(const std::vector<Vertex>& sorted) const {
+    const auto it = ids.find(sorted);
+    return it == ids.end() ? kNoEdge : it->second;
+  }
+
+  // Every set of the universe is found exactly under the model's id.
+  void check(const std::vector<std::vector<Vertex>>& universe) const {
+    ASSERT_EQ(reg.num_edges(), ids.size());
+    for (const auto& eps : universe) ASSERT_EQ(reg.find(eps), expected(eps));
+  }
+
+  HyperedgeRegistry reg;
+  std::map<std::vector<Vertex>, EdgeId> ids;
+  std::vector<EdgeId> free_ids;
+  EdgeId next_id = 0;
+};
+
+// Insert-heavy and erase-heavy stretches alternate every 250 operations, so
+// the live count sweeps between near empty and near full.
+bool insert_turn(int op, Xoshiro256& rng, const ModelledRegistry& m) {
+  const double p_insert = (op / 250) % 2 == 0 ? 0.8 : 0.2;
+  return m.ids.empty() || rng.uniform() < p_insert;
+}
+
+TEST(RegistryIndex, SmallUniversesMatchTheReferenceAfterEveryOperation) {
+  // 24 to 63 endpoint sets share tables of 16 to 128 slots, so home slots
+  // collide. Six vertex ranges per rank give six sets of home slots, so
+  // probe runs, erase walks and backward shifts wrap past the table's end.
+  const Vertex kVertices[] = {0, 24, 9, 7, 6};
+  for (uint32_t max_rank = 1; max_rank <= 4; ++max_rank) {
+    for (Vertex base = 0; base < 6000; base += 1000) {
+      SCOPED_TRACE(testing::Message()
+                   << "max_rank " << max_rank << ", base " << base);
+      const auto universe =
+          all_endpoint_sets(kVertices[max_rank], max_rank, base);
+      ModelledRegistry m(max_rank);
+      Xoshiro256 rng(100 * max_rank + base);
+      for (int op = 0; op < 2000; ++op) {
+        if (insert_turn(op, rng, m)) {
+          m.insert(universe[rng.below(universe.size())]);
+        } else {
+          m.erase_random(rng);
+        }
+        ASSERT_NO_FATAL_FAILURE(m.check(universe)) << "after operation " << op;
+      }
+    }
+  }
+}
+
+TEST(RegistryIndex, RestoredImageContinuesWithTheSameIds) {
+  const auto universe = all_endpoint_sets(8, 3);
+  ModelledRegistry m(3);
+  Xoshiro256 rng(7);
+  for (int op = 0; op < 700; ++op) {
+    if (insert_turn(op, rng, m)) {
+      m.insert(universe[rng.below(universe.size())]);
+    } else {
+      m.erase_random(rng);
+    }
+  }
+  ASSERT_FALSE(m.free_ids.empty());
+
+  // The snapshot image: the id bound, each live edge under its id (here in
+  // descending id order), then the free list.
+  HyperedgeRegistry copy(3);
+  copy.restore_begin(m.reg.id_bound());
+  const auto live = m.reg.all_edges();
+  for (auto it = live.rbegin(); it != live.rend(); ++it) {
+    copy.restore_slot(*it, m.reg.endpoints(*it));
+  }
+  copy.restore_free_list(m.reg.free_list());
+  ASSERT_EQ(copy.num_edges(), m.reg.num_edges());
+  ASSERT_EQ(copy.vertex_bound(), m.reg.vertex_bound());
+
+  for (int op = 700; op < 2200; ++op) {
+    if (insert_turn(op, rng, m)) {
+      const auto& eps = universe[rng.below(universe.size())];
+      ASSERT_EQ(copy.insert(eps), m.insert(eps)) << "operation " << op;
+    } else {
+      copy.erase(m.erase_random(rng));
+    }
+    ASSERT_NO_FATAL_FAILURE(m.check(universe));
+    for (const auto& eps : universe) ASSERT_EQ(copy.find(eps), m.expected(eps));
+  }
+  EXPECT_EQ(copy.id_bound(), m.reg.id_bound());
+}
+
+TEST(RegistryIndex, QuarterMillionRank2EdgesEraseInRandomOrder) {
+  // 2^18 live rank-2 edges fill the table to load 1/2, where probe runs are
+  // long, and about C(2^18, 2) / 2^32 = 8 pairs of live edges share a
+  // 32-bit tag. Keys are (a << 32 | b) with a < b.
+  constexpr size_t kLive = size_t{1} << 18;
+  constexpr uint64_t kVertices = 1 << 12;
+  const auto eps_of = [](uint64_t key) {
+    return std::array<Vertex, 2>{static_cast<Vertex>(key >> 32),
+                                 static_cast<Vertex>(key)};
+  };
+  HyperedgeRegistry reg(2);
+  std::unordered_map<uint64_t, EdgeId> ref;
+  std::vector<uint64_t> keys;
+  Xoshiro256 rng(2026);
+  while (keys.size() < kLive) {
+    Vertex a = static_cast<Vertex>(rng.below(kVertices));
+    Vertex b = static_cast<Vertex>(rng.below(kVertices));
+    if (a == b) continue;
+    if (a > b) std::swap(a, b);
+    const uint64_t key = uint64_t{a} << 32 | b;
+    const EdgeId id = reg.insert(std::array<Vertex, 2>{b, a});
+    if (ref.count(key)) {
+      ASSERT_EQ(id, kNoEdge);
+      continue;
+    }
+    ASSERT_EQ(id, keys.size()) << "fresh ids count up";
+    ref.emplace(key, id);
+    keys.push_back(key);
+  }
+  ASSERT_EQ(reg.num_edges(), kLive);
+  for (uint64_t key : keys) ASSERT_EQ(reg.find(eps_of(key)), ref.at(key));
+
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.below(i)]);
+  }
+  std::vector<EdgeId> freed;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto it = ref.find(keys[i]);
+    reg.erase(it->second);
+    freed.push_back(it->second);
+    ref.erase(it);
+    ASSERT_EQ(reg.find(eps_of(keys[i])), kNoEdge);
+    if (i + 1 == keys.size()) break;
+    const uint64_t other = keys[i + 1 + rng.below(keys.size() - i - 1)];
+    ASSERT_EQ(reg.find(eps_of(other)), ref.at(other));
+    if (i % (kLive / 8) == 0) {
+      for (const auto& [key, id] : ref) ASSERT_EQ(reg.find(eps_of(key)), id);
+    }
+  }
+  ASSERT_EQ(reg.num_edges(), 0u);
+
+  // Fresh insertions take the freed ids back last-in, first-out.
+  for (size_t i = 0; i < 1000; ++i) {
+    const uint64_t key = (uint64_t{1} << 32) * i + kVertices + i;
+    EXPECT_EQ(reg.insert(eps_of(key)), freed[freed.size() - 1 - i]);
+  }
 }
 
 }  // namespace

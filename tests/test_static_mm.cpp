@@ -8,6 +8,7 @@
 #include "param_name.h"
 #include "parallel/thread_pool.h"
 #include "static_mm/luby.h"
+#include "util/bits.h"
 #include "util/rng.h"
 
 namespace pdmm {

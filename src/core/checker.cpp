@@ -42,14 +42,26 @@ void MatchingChecker::check_maximal_matching(const HyperedgeRegistry& reg,
 
 // The state may be untrusted (a freshly parsed snapshot), so no id indexes
 // anything before it is validated: edge ids by reg.alive(), owners by
-// endpoint membership, vertex ids against verts_.size(). The per-edge
-// lanes are taken to cover the registry's id range, as the loader and
-// grow_edges() size them.
+// endpoint membership, vertex ids against verts_.size(), container
+// positions against the container's size. The per-edge lanes are taken to
+// cover the registry's id range, as the loader and grow_edges() size them;
+// the member position lanes are checked against the bounds first.
 std::string MatchingChecker::violation(const DynamicMatcher& m) {
   using DM = DynamicMatcher;
   const HyperedgeRegistry& reg = m.reg_;
   const Level top = m.scheme_.top_level();
   const size_t nv = m.verts_.size();
+  const size_t r = reg.max_rank();
+
+  // A container holds e at the position its lane entry names.
+  const auto at = [](const DM::EdgeList* c, uint32_t pos, EdgeId e) {
+    return c != nullptr && pos < c->size() && (*c)[pos] == e;
+  };
+  if (m.eslot_.size() < reg.id_bound() * r ||
+      m.dslot_.size() < reg.id_bound() ||
+      m.undecided_pos_.size() != nv) {
+    return "member position lanes do not cover the id and vertex bounds";
+  }
 
   // --- SoA layout integrity: the hot lanes (core/vertex_soa.h) must cover
   // exactly the cold per-vertex structs, lane sizes in lockstep, and every
@@ -93,7 +105,7 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
     }
     // O(v): structured edges claiming v as owner, at v's level.
     have_owned += vs.owned.size();
-    for (EdgeId e : vs.owned.items()) {
+    for (EdgeId e : vs.owned) {
       if (!reg.alive(e) || (m.eflags_[e] & DM::kTempDeleted) ||
           m.eowner_[e] != v || m.elevel_[e] != vl) {
         return describe("O(", v, ") contains edge ", e,
@@ -112,8 +124,7 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
                         ") exists outside [max(l(v), 0), L]");
       }
       have_a += ls.set.size();
-      for (size_t i = 0; i < ls.set.size(); ++i) {
-        const EdgeId e = ls.set.at(i);
+      for (EdgeId e : ls.set) {
         if (!reg.alive(e) || (m.eflags_[e] & DM::kTempDeleted) ||
             m.elevel_[e] != ls.level || m.eowner_[e] == v) {
           return describe("A(", v, ", ", ls.level, ") contains edge ", e,
@@ -142,9 +153,9 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
         return describe("temp-deleted edge ", e,
                         " has no alive matched responsible edge");
       }
-      if (!m.edge_d_[resp] || !m.edge_d_[resp]->contains(e)) {
+      if (!at(m.edge_d_[resp].get(), m.dslot_[e], e)) {
         return describe("temp-deleted edge ", e, " missing from D(", resp,
-                        ")");
+                        ") at its recorded position ", m.dslot_[e]);
       }
       const auto reps = reg.endpoints(resp);
       if (std::none_of(eps.begin(), eps.end(),
@@ -177,17 +188,23 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
       return describe("edge ", e, " level ", lvl,
                       " differs from its max endpoint level ", maxl);
     }
-    if (!m.verts_[owner].owned.contains(e)) {
-      return describe("edge ", e, " missing from O(", owner, ")");
-    }
-    ++want_owned;
-    for (Vertex u : eps) {
-      if (u == owner) continue;
-      const IndexedSet* a = m.verts_[u].find_a(lvl);
-      if (!a || !a->contains(e)) {
-        return describe("edge ", e, " missing from A(", u, ", ", lvl, ")");
+    // Each endpoint's container holds e where e's lane entry says.
+    for (size_t j = 0; j < eps.size(); ++j) {
+      const Vertex u = eps[j];
+      const uint32_t pos = m.eslot_[e * r + j];
+      if (u == owner) {
+        if (!at(&m.verts_[u].owned, pos, e)) {
+          return describe("edge ", e, " missing from O(", u,
+                          ") at its recorded position ", pos);
+        }
+        ++want_owned;
+      } else {
+        if (!at(m.verts_[u].find_a(lvl), pos, e)) {
+          return describe("edge ", e, " missing from A(", u, ", ", lvl,
+                          ") at its recorded position ", pos);
+        }
+        ++want_a;
       }
-      ++want_a;
     }
 
     if (flags & DM::kMatched) {
@@ -221,14 +238,13 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
   // edge above, equal counts make D-membership a bijection ---
   size_t d_members = 0;
   for (EdgeId e = 0; e < m.edge_d_.size(); ++e) {
-    const IndexedSet* d = m.edge_d_[e].get();
+    const DM::EdgeList* d = m.edge_d_[e].get();
     if (!d || d->empty()) continue;
     if (!reg.alive(e) || !(m.eflags_[e] & DM::kMatched)) {
       return describe("non-empty D(", e, ") requires edge ", e, " matched");
     }
     d_members += d->size();
-    for (size_t i = 0; i < d->size(); ++i) {
-      const EdgeId f = d->at(i);
+    for (EdgeId f : *d) {
       if (!reg.alive(f) || !(m.eflags_[f] & DM::kTempDeleted) ||
           m.eresp_[f] != e) {
         return describe("D(", e, ") member ", f,
@@ -275,6 +291,12 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
   }
   if (m.total_undecided() != 0) {
     return "undecided sets must be empty between batches";
+  }
+  for (Vertex v = 0; v < nv; ++v) {
+    if (m.undecided_pos_[v] != DM::kNoSlot) {
+      return describe("vertex ", v,
+                      " has an undecided-set position between batches");
+    }
   }
   if (!m.reinsert_queue_.empty()) {
     return "reinsert queue must be empty between batches";

@@ -15,9 +15,11 @@
 //    list their touched vertices in first-seen order, deduplicated through
 //    a vertex flag lane. Only the S_l flip records are sorted, because each
 //    S_l's member order is the order in which the settle fallback walks B.
+//  * O(v), A(v, l), D(e) and the undecided sets record each member's
+//    index in a lane, so an erase is one indexed move, never a search.
 //  * All phase-scoped buffers, per-call maps and Luby's lanes come from the
 //    Scratch arena (grown once, reused every batch). A steady-state batch
-//    still makes ~54 heap allocations at n = 2^13, k = 256 — the
+//    still makes ~30 heap allocations at n = 2^13, k = 256 — the
 //    BatchResult vectors and container growth; see matcher.h.
 #include "core/matcher.h"
 
@@ -92,10 +94,9 @@ uint64_t DynamicMatcher::o_tilde(Vertex v, Level l) const {
 void DynamicMatcher::append_o_tilde(Vertex v, Level l,
                                     std::vector<EdgeId>& out) const {
   const VertexState& vs = verts_[v];
-  out.insert(out.end(), vs.owned.items().begin(), vs.owned.items().end());
+  out.insert(out.end(), vs.owned.begin(), vs.owned.end());
   for (const auto& ls : vs.a_sets) {
-    if (ls.level < l)
-      out.insert(out.end(), ls.set.items().begin(), ls.set.items().end());
+    if (ls.level < l) out.insert(out.end(), ls.set.begin(), ls.set.end());
   }
 }
 
@@ -116,6 +117,7 @@ void DynamicMatcher::grow_vertices(Vertex bound) {
   if (bound > verts_.size()) {
     verts_.resize(bound);
     vhot_.resize(bound);
+    undecided_pos_.resize(bound, kNoSlot);
   }
 }
 
@@ -127,6 +129,8 @@ void DynamicMatcher::grow_edges(size_t bound) {
   eresp_.resize(bound, kNoEdge);
   edge_d_.resize(bound);
   epoch_d_deleted_.resize(bound, 0);
+  eslot_.resize(bound * reg_.max_rank(), kNoSlot);
+  dslot_.resize(bound, kNoSlot);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,13 +239,69 @@ void DynamicMatcher::refresh_s_membership_all(
 // Structural primitives
 // ---------------------------------------------------------------------------
 
+void DynamicMatcher::attach(EdgeId e, uint32_t j, Vertex u, bool owner,
+                            Level l) {
+  VertexState& vs = verts_[u];
+  EdgeList& c = owner ? vs.owned : vs.ensure_a(l);
+  eslot(e, j) = static_cast<uint32_t>(c.size());
+  c.push_back(e);
+}
+
+void DynamicMatcher::detach(EdgeId e, uint32_t j, Vertex u, bool owner,
+                            Level l) {
+  VertexState& vs = verts_[u];
+  const uint32_t i = eslot(e, j);
+  if (owner) {
+    PDMM_DASSERT(i < vs.owned.size() && vs.owned[i] == e);
+    erase_member(vs.owned, u, i);
+    return;
+  }
+  const size_t k = vs.a_index(l);
+  PDMM_DASSERT(i < vs.a_sets[k].set.size() && vs.a_sets[k].set[i] == e);
+  erase_member(vs.a_sets[k].set, u, i);
+  vs.prune_a(k);
+}
+
+void DynamicMatcher::erase_member(EdgeList& c, Vertex u, uint32_t i) {
+  const EdgeId last = c.back();
+  c[i] = last;
+  c.pop_back();
+  if (i == c.size()) return;  // the erased member was the last one
+  const auto eps = reg_.endpoints(last);
+  uint32_t j = 0;
+  while (eps[j] != u) ++j;
+  eslot(last, j) = i;
+}
+
+void DynamicMatcher::undecided_insert(Vertex v) {
+  if (undecided_pos_[v] != kNoSlot) return;
+  const Level l = vhot_.level(v);
+  PDMM_DASSERT(l >= 0);
+  auto& list = undecided_[static_cast<size_t>(l)];
+  undecided_pos_[v] = static_cast<uint32_t>(list.size());
+  list.push_back(v);
+}
+
+void DynamicMatcher::undecided_erase(Vertex v) {
+  const uint32_t i = undecided_pos_[v];
+  if (i == kNoSlot) return;
+  const Level l = vhot_.level(v);
+  PDMM_DASSERT(l >= 0);
+  auto& list = undecided_[static_cast<size_t>(l)];
+  PDMM_DASSERT(i < list.size() && list[i] == v);
+  const Vertex last = list.back();
+  list[i] = last;
+  list.pop_back();
+  undecided_pos_[last] = i;
+  undecided_pos_[v] = kNoSlot;
+}
+
 void DynamicMatcher::remove_edge_from_structures(EdgeId e) {
   const auto eps = reg_.endpoints(e);
   const Vertex owner = eowner_[e];
   const Level l = elevel_[e];
-  verts_[owner].owned.erase(e);
-  for (Vertex u : eps) {
-    if (u != owner) verts_[u].erase_a(l, e);
+  for (uint32_t j = 0; j < eps.size(); ++j) {
+    detach(e, j, eps[j], eps[j] == owner, l);
   }
   for (Vertex u : eps) refresh_s_membership(u);
   cost_.add_work(eps.size() * 2);
@@ -258,19 +318,10 @@ void DynamicMatcher::apply_struct_muts(bool insert) {
   for (const StructMut& m : scratch_.struct_muts) {
     if (m.u == kNoVertex) continue;  // empty slot of an edge of rank < r
     ++applied;
-    VertexState& vs = verts_[m.u];
     if (insert) {
-      if (m.is_owner) {
-        vs.owned.insert(m.e);
-      } else {
-        vs.ensure_a(m.lvl).insert(m.e);
-      }
+      attach(m.e, m.j, m.u, m.is_owner, m.lvl);
     } else {
-      if (m.is_owner) {
-        vs.owned.erase(m.e);
-      } else {
-        vs.erase_a(m.lvl, m.e);
-      }
+      detach(m.e, m.j, m.u, m.is_owner, m.lvl);
     }
     if (!std::exchange(flag[m.u], uint8_t{1})) touched.push_back(m.u);
   }
@@ -311,8 +362,9 @@ void DynamicMatcher::insert_edges_into_structures(
     elevel_[e] = maxl;
     eowner_[e] = owner;
     for (size_t j = 0; j < eps.size(); ++j) {
-      muts[i * r + j] = StructMut{eps[j], e, maxl,
-                                  static_cast<uint8_t>(eps[j] == owner)};
+      muts[i * r + j] =
+          StructMut{eps[j], e, maxl, static_cast<uint8_t>(eps[j] == owner),
+                    static_cast<uint8_t>(j)};
     }
   });
   cost_.round(ids.size() * r);
@@ -333,7 +385,8 @@ void DynamicMatcher::remove_edges_from_structures(
     const Level l = elevel_[e];
     for (size_t j = 0; j < eps.size(); ++j) {
       muts[i * r + j] =
-          StructMut{eps[j], e, l, static_cast<uint8_t>(eps[j] == owner)};
+          StructMut{eps[j], e, l, static_cast<uint8_t>(eps[j] == owner),
+                    static_cast<uint8_t>(j)};
     }
   });
   cost_.round(ids.size() * r);
@@ -372,14 +425,12 @@ void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
   }
   affected.reserve(need);
   for (const LevelMove& mv : moves) {
-    VertexState& vs = verts_[mv.v];
-    affected.insert(affected.end(), vs.owned.items().begin(),
-                    vs.owned.items().end());
+    const VertexState& vs = verts_[mv.v];
+    affected.insert(affected.end(), vs.owned.begin(), vs.owned.end());
     if (mv.to > vhot_.level(mv.v)) {
       for (const auto& ls : vs.a_sets) {
         if (ls.level < mv.to)
-          affected.insert(affected.end(), ls.set.items().begin(),
-                          ls.set.items().end());
+          affected.insert(affected.end(), ls.set.begin(), ls.set.end());
       }
     }
   }
@@ -431,6 +482,7 @@ void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
       m.new_lvl = maxl;
       m.was_owner = (eps[j] == old_owner);
       m.now_owner = (eps[j] == new_owner);
+      m.j = static_cast<uint8_t>(j);
     }
   });
   cost_.round(affected.size() * r);
@@ -446,17 +498,8 @@ void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
         (!m.was_owner && !m.now_owner && m.old_lvl == m.new_lvl);
     if (same_container) continue;
     ++applied;
-    VertexState& vs = verts_[m.u];
-    if (m.was_owner) {
-      vs.owned.erase(m.e);
-    } else {
-      vs.erase_a(m.old_lvl, m.e);
-    }
-    if (m.now_owner) {
-      vs.owned.insert(m.e);
-    } else {
-      vs.ensure_a(m.new_lvl).insert(m.e);
-    }
+    detach(m.e, m.j, m.u, m.was_owner, m.old_lvl);
+    attach(m.e, m.j, m.u, m.now_owner, m.new_lvl);
     if (!(flag[m.u] & 2)) {
       flag[m.u] |= 2;
       ++live_vertices;
@@ -488,8 +531,7 @@ void DynamicMatcher::set_matched(EdgeId e, Level l) {
   for (Vertex u : reg_.endpoints(e)) {
     PDMM_DASSERT(vhot_.matched(u) == kNoEdge);
     vhot_.set_matched(u, e);
-    const Level lv = vhot_.level(u);
-    if (lv >= 0) undecided_[static_cast<size_t>(lv)].erase(u);
+    undecided_erase(u);
   }
   if (cfg_.collect_epoch_stats) {
     epochs_.created[static_cast<size_t>(l)]++;
@@ -506,8 +548,7 @@ void DynamicMatcher::set_unmatched(EdgeId e, bool natural) {
   for (Vertex u : reg_.endpoints(e)) {
     if (vhot_.matched(u) != e) continue;
     vhot_.set_matched(u, kNoEdge);
-    PDMM_DASSERT(vhot_.level(u) >= 0);
-    undecided_[static_cast<size_t>(vhot_.level(u))].insert(u);
+    undecided_insert(u);
   }
   if (cfg_.collect_epoch_stats) {
     auto& ended = natural ? epochs_.ended_natural : epochs_.ended_induced;
@@ -519,9 +560,9 @@ void DynamicMatcher::set_unmatched(EdgeId e, bool natural) {
 }
 
 void DynamicMatcher::dissolve_d(EdgeId e) {
-  IndexedSet* d = edge_d_[e].get();
+  EdgeList* d = edge_d_[e].get();
   if (!d || d->empty()) return;
-  for (EdgeId f : d->items()) {
+  for (EdgeId f : *d) {
     PDMM_DASSERT(eflags_[f] & kTempDeleted);
     eflags_[f] &= static_cast<uint8_t>(~kTempDeleted);
     eresp_[f] = kNoEdge;
@@ -537,8 +578,10 @@ void DynamicMatcher::temp_delete_bookkeep(EdgeId f, EdgeId responsible) {
   eflags_[f] |= kTempDeleted;
   eresp_[f] = responsible;
   if (!edge_d_[responsible])
-    edge_d_[responsible] = std::make_unique<IndexedSet>();
-  edge_d_[responsible]->insert(f);
+    edge_d_[responsible] = std::make_unique<EdgeList>();
+  EdgeList& d = *edge_d_[responsible];
+  dslot_[f] = static_cast<uint32_t>(d.size());
+  d.push_back(f);
   ++stats_.temp_deleted;
   if (cfg_.collect_epoch_stats) {
     epochs_.d_size_at_creation[static_cast<size_t>(elevel_[responsible])]++;
@@ -565,7 +608,12 @@ void DynamicMatcher::phase_delete_temp(const std::vector<EdgeId>& edges) {
   for (EdgeId e : edges) {
     const EdgeId resp = eresp_[e];
     PDMM_DASSERT(resp != kNoEdge && (eflags_[resp] & kMatched));
-    edge_d_[resp]->erase(e);
+    EdgeList& d = *edge_d_[resp];
+    const uint32_t i = dslot_[e];
+    PDMM_DASSERT(i < d.size() && d[i] == e);
+    d[i] = d.back();  // swap-with-last: the moved member's lane follows
+    d.pop_back();
+    if (i != d.size()) dslot_[d[i]] = i;
     ++epoch_d_deleted_[resp];  // amortization budget of resp's epoch
     eflags_[e] &= static_cast<uint8_t>(~kTempDeleted);
     eresp_[e] = kNoEdge;
@@ -597,11 +645,11 @@ void DynamicMatcher::level_sweep() {
 }
 
 void DynamicMatcher::process_level_step1(Level l) {
-  IndexedSet& u_set = undecided_[static_cast<size_t>(l)];
+  const std::vector<Vertex>& u_set = undecided_[static_cast<size_t>(l)];
   if (u_set.empty()) return;
   // A copy: the drop to level -1 below erases from u_set while walking.
   auto& u_nodes = scratch_.u_nodes;
-  u_nodes.assign(u_set.items().begin(), u_set.items().end());
+  u_nodes.assign(u_set.begin(), u_set.end());
 
   // U_free: edges owned by an undecided node of this level whose endpoints
   // are all unmatched. Ownership makes the union duplicate-free.
@@ -612,8 +660,8 @@ void DynamicMatcher::process_level_step1(Level l) {
   candidates.reserve(need);
   for (Vertex v : u_nodes) {
     PDMM_DASSERT(vhot_.matched(v) == kNoEdge && vhot_.level(v) == l);
-    const auto items = verts_[v].owned.items();
-    candidates.insert(candidates.end(), items.begin(), items.end());
+    const EdgeList& owned = verts_[v].owned;
+    candidates.insert(candidates.end(), owned.begin(), owned.end());
   }
   cost_.round(candidates.size() + u_nodes.size());
 
@@ -637,7 +685,7 @@ void DynamicMatcher::process_level_step1(Level l) {
   for (Vertex v : u_nodes) {
     if (vhot_.matched(v) == kNoEdge) {
       moves.push_back({v, kUnmatchedLevel});
-      u_set.erase(v);
+      undecided_erase(v);
     }
   }
   apply_level_moves(moves);
@@ -747,8 +795,11 @@ void DynamicMatcher::reset_state() {
   eresp_.clear();
   edge_d_.clear();
   epoch_d_deleted_.clear();
+  eslot_.clear();
+  dslot_.clear();
   s_.assign(static_cast<size_t>(scheme_.top_level()) + 1, {});
   undecided_.assign(static_cast<size_t>(scheme_.top_level()) + 1, {});
+  undecided_pos_.clear();
   reinsert_queue_.clear();
   matching_size_ = 0;
 }
@@ -821,7 +872,7 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
   // --- classify deletions ---
   auto& dels = scratch_.dels;
   dels.assign(deletions.begin(), deletions.end());
-  std::sort(dels.begin(), dels.end());
+  parallel_sort_with(pool_, dels, scratch_.sort_buf);
   dels.erase(std::unique(dels.begin(), dels.end()), dels.end());
   auto& del_unmatched = scratch_.del_unmatched;
   auto& del_temp = scratch_.del_temp;

@@ -267,9 +267,14 @@ class DynamicMatcher {
   static constexpr uint8_t kMatched = 1;
   static constexpr uint8_t kTempDeleted = 2;
 
+  // The member array of O(v), A(v, l) and D(e). A member is appended on
+  // insert and erased by its stored index (the eslot_ / dslot_ lanes), the
+  // last member moving into the hole — no search, no hash index.
+  using EdgeList = SmallVector<EdgeId, 4>;
+
   struct LevelSet {
     Level level;
-    IndexedSet set;
+    EdgeList set;
   };
 
   // Cold per-vertex containers. The hot scalars (level, matched edge,
@@ -278,34 +283,35 @@ class DynamicMatcher {
   // those loops never touch. MatchingChecker cross-validates the two
   // layouts stay mirror-consistent.
   struct VertexState {
-    IndexedSet owned;  // O(v)
+    EdgeList owned;  // O(v)
     // Sparse A(v, l), non-empty levels only. The first two level sets live
     // inline in the VertexState (low-degree vertices almost never have
     // more), so the common structural update chases no heap pointer.
     SmallVector<LevelSet, 2> a_sets;
 
-    const IndexedSet* find_a(Level l) const {
+    const EdgeList* find_a(Level l) const {
       for (const auto& ls : a_sets)
         if (ls.level == l) return &ls.set;
       return nullptr;
     }
-    IndexedSet& ensure_a(Level l) {
+    EdgeList& ensure_a(Level l) {
       for (auto& ls : a_sets)
         if (ls.level == l) return ls.set;
       a_sets.push_back(LevelSet{l, {}});
       return a_sets.back().set;
     }
-    void erase_a(Level l, EdgeId e) {
-      for (size_t i = 0; i < a_sets.size(); ++i) {
-        if (a_sets[i].level != l) continue;
-        a_sets[i].set.erase(e);
-        if (a_sets[i].set.empty()) {
-          if (i + 1 != a_sets.size()) a_sets[i] = std::move(a_sets.back());
-          a_sets.pop_back();
-        }
-        return;
-      }
-      PDMM_ASSERT_MSG(false, "erase_a: level set not found");
+    // Position of A(v, l) in a_sets; the set must exist.
+    size_t a_index(Level l) const {
+      for (size_t i = 0; i < a_sets.size(); ++i)
+        if (a_sets[i].level == l) return i;
+      PDMM_ASSERT_MSG(false, "A(v, l) level set not found");
+      return 0;
+    }
+    // Drops a_sets[i] once it has no members left.
+    void prune_a(size_t i) {
+      if (!a_sets[i].set.empty()) return;
+      if (i + 1 != a_sets.size()) a_sets[i] = std::move(a_sets.back());
+      a_sets.pop_back();
     }
   };
 
@@ -316,22 +322,25 @@ class DynamicMatcher {
 
   // One per-vertex container mutation of a batch structural phase: add
   // (insert phase) or drop (delete phases) edge e in u's owned set or
-  // A(u, lvl). u == kNoVertex marks the empty slot of an edge of rank
-  // below max_rank.
+  // A(u, lvl). u is e's j-th endpoint, so the record names its eslot_
+  // entry. u == kNoVertex marks the empty slot of an edge of rank below
+  // max_rank.
   struct StructMut {
     Vertex u = kNoVertex;
     EdgeId e = kNoEdge;
     Level lvl = 0;
     uint8_t is_owner = 0;
+    uint8_t j = 0;
   };
 
   // Mutation record of apply_level_moves: edge e moves between containers
-  // of vertex u as levels change.
+  // of vertex u, its j-th endpoint, as levels change.
   struct MoveMut {
     Vertex u = kNoVertex;
     EdgeId e = kNoEdge;
     Level old_lvl = 0, new_lvl = 0;
     uint8_t was_owner = 0, now_owner = 0;
+    uint8_t j = 0;
   };
 
   // One S_l membership flip: vertex v enters (add) or leaves S_lvl. The
@@ -358,12 +367,12 @@ class DynamicMatcher {
   // resets exactly the entries it set by re-walking them.
   //
   // Measured at n = 2^13, k = 256 (churn, 1 thread), a steady-state
-  // update() makes about 54 heap allocations (tests/test_alloc_budget.cpp
-  // holds it at 80 or fewer); none comes from here once the buffers have
-  // grown. What still allocates is container growth — the undecided sets'
-  // hash index as they fill and drain (about 23), owned and A(v, l) sets
-  // spilling past their inline storage (about 12), new D sets (about 4) —
-  // and the BatchResult vectors (about 14).
+  // update() makes about 30 heap allocations (tests/test_alloc_budget.cpp
+  // holds it at 40 or fewer); none comes from here once the buffers have
+  // grown. What still allocates is container growth — owned and A(v, l)
+  // sets spilling past their inline storage (about 12), new D sets (about
+  // 4) — and the BatchResult vectors (about 14). The undecided sets are
+  // per-level vectors that keep their capacity from batch to batch.
   struct Scratch {
     // update(): classified deletions, inserted ids, batch-diff replay
     std::vector<EdgeId> dels, del_unmatched, del_temp, del_matched, new_ids;
@@ -472,6 +481,23 @@ class DynamicMatcher {
   // over the touched vertices.
   void apply_struct_muts(bool insert);
   void remove_edge_from_structures(EdgeId e);
+  // Slot-addressed membership. eslot(e, j) is e's index in the container
+  // that holds e at its j-th endpoint u: O(u) when u owns e, else
+  // A(u, l(e)). attach appends e there and records the index; detach
+  // reads it, moves the container's last member into the hole and points
+  // that member's own entry at u (found among its <= r endpoints) there.
+  // Appending and swap-with-last fix each container's member order.
+  uint32_t& eslot(EdgeId e, uint32_t j) {
+    return eslot_[size_t{e} * reg_.max_rank() + j];
+  }
+  void attach(EdgeId e, uint32_t j, Vertex u, bool owner, Level l);
+  void detach(EdgeId e, uint32_t j, Vertex u, bool owner, Level l);
+  void erase_member(EdgeList& c, Vertex u, uint32_t i);
+  // Undecided sets: a vertex is only ever in the set of its own level, at
+  // undecided_pos_[v]. Inserting a present member and erasing an absent
+  // one are no-ops.
+  void undecided_insert(Vertex v);
+  void undecided_erase(Vertex v);
   std::vector<EdgeId> collect_o_tilde(Vertex v, Level l) const;
   void append_o_tilde(Vertex v, Level l, std::vector<EdgeId>& out) const;
 
@@ -526,11 +552,22 @@ class DynamicMatcher {
   std::vector<Vertex> eowner_;
   std::vector<uint8_t> eflags_;
   std::vector<EdgeId> eresp_;  // temp-deleted -> responsible matched edge
-  std::vector<std::unique_ptr<IndexedSet>> edge_d_;  // D(e) for matched e
+  std::vector<std::unique_ptr<EdgeList>> edge_d_;  // D(e) for matched e
   std::vector<uint32_t> epoch_d_deleted_;  // budget consumed this epoch
+  // Member positions, kNoSlot where never set: eslot_ holds max_rank
+  // entries per edge id (see eslot()), dslot_ a temp-deleted edge's index
+  // in D(eresp_[f]).
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+  std::vector<uint32_t> eslot_;
+  std::vector<uint32_t> dslot_;
 
-  std::vector<IndexedSet> s_;          // S_l, index 0..L
-  std::vector<IndexedSet> undecided_;  // undecided nodes by level, 0..L
+  // S_l, index 0..L. A vertex can sit in several S_l, so these keep
+  // IndexedSet's search-based erase.
+  std::vector<IndexedSet> s_;
+  // Undecided nodes by level, 0..L, and each vertex's position in its
+  // level's list (kNoSlot: not undecided).
+  std::vector<std::vector<Vertex>> undecided_;
+  std::vector<uint32_t> undecided_pos_;
 
   // Batch-scoped scratch.
   std::vector<EdgeId> reinsert_queue_;  // kicked edges + dissolved D members

@@ -1,11 +1,14 @@
 // Snapshot / restore of the full DynamicMatcher state.
 //
 // The format serializes *everything* behaviour-relevant, including the
-// iteration order of every IndexedSet (owned, A(v,l), D(e)) and the
+// member order of every container (owned, A(v,l), D(e)) and the
 // registry's free-list order, so that a restored matcher is structurally
 // indistinguishable from the original and continues bit-identically under
 // the same seed and update stream. Cumulative statistics are deliberately
-// excluded (they reset on load).
+// excluded (they reset on load). The member position lanes (eslot_,
+// dslot_) are not written: the loader records each member's index as it
+// parses the member lines, in line order, which is exactly what the
+// original's appends recorded.
 //
 // Text format, line-oriented:
 //   pdmm-snapshot v1
@@ -27,11 +30,15 @@
 // hand-edited): every id is bounds-checked against the declared reg/nv
 // bounds before it indexes anything, every numeric field is parsed
 // strictly (a failed extraction is an error, not an uninitialized read),
-// duplicate lines and duplicate set members are rejected, truncation (a
-// missing `end` trailer) is rejected, and the declared alive-edge count
-// must match. The restored state is then vetted by the same oracle the
-// tests use, MatchingChecker::violation (core/checker.h): every structural
-// invariant of a between-batch state, run without aborting. Errors are
+// duplicate lines are rejected, truncation (a missing `end` trailer) is
+// rejected, and the declared alive-edge count must match. Every lane entry
+// starts unset and each o/a/d member writes its own once, O(r) per member:
+// a member not incident to its line's vertex, one written twice (a repeat
+// in a set, an edge in both O(v) and an A(v,l), a D member listed twice)
+// is refused on its line, whatever the set's size. The restored state is
+// then vetted by the same oracle the tests use, MatchingChecker::violation
+// (core/checker.h): every structural invariant of a between-batch state,
+// run without aborting. Errors are
 // returned as a SnapshotError — line-numbered for the parse-time checks,
 // never an abort — and leave the matcher reset to its freshly-constructed
 // empty state.
@@ -78,19 +85,19 @@ bool DynamicMatcher::save(std::ostream& out) const {
     }
     if (!vs.owned.empty()) {
       out << "o " << v;
-      for (EdgeId e : vs.owned.items()) out << ' ' << e;
+      for (EdgeId e : vs.owned) out << ' ' << e;
       out << '\n';
     }
     for (const auto& ls : vs.a_sets) {
       out << "a " << v << ' ' << ls.level;
-      for (EdgeId e : ls.set.items()) out << ' ' << e;
+      for (EdgeId e : ls.set) out << ' ' << e;
       out << '\n';
     }
   }
   for (EdgeId e = 0; e < edge_d_.size(); ++e) {
     if (!edge_d_[e] || edge_d_[e]->empty()) continue;
     out << "d " << e;
-    for (EdgeId f : edge_d_[e]->items()) out << ' ' << f;
+    for (EdgeId f : *edge_d_[e]) out << ' ' << f;
     out << '\n';
   }
   for (EdgeId e = 0; e < epoch_d_deleted_.size(); ++e) {
@@ -258,8 +265,11 @@ void DynamicMatcher::reset_to_empty() {
   eresp_.clear();
   edge_d_.clear();
   epoch_d_deleted_.clear();
+  eslot_.clear();
+  dslot_.clear();
   s_.assign(static_cast<size_t>(scheme_.top_level()) + 1, {});
   undecided_.assign(static_cast<size_t>(scheme_.top_level()) + 1, {});
+  undecided_pos_.clear();
   reinsert_queue_.clear();
   batch_journal_.clear();
   matching_size_ = 0;
@@ -399,6 +409,10 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
   edge_d_.clear();
   edge_d_.resize(id_bound);
   epoch_d_deleted_.assign(id_bound, 0);
+  // Every member line below writes its lane entry once; an entry found
+  // already written is a duplicate member.
+  eslot_.assign(id_bound * cfg_.max_rank, kNoSlot);
+  dslot_.assign(id_bound, kNoSlot);
 
   s_.assign(static_cast<size_t>(top) + 1, {});
   undecided_.assign(static_cast<size_t>(top) + 1, {});
@@ -406,6 +420,29 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
 
   std::vector<uint8_t> id_state(id_bound, kIdUnseen);
   std::vector<uint8_t> v_seen;  // sized once the nv line arrives
+  // Appends alive edge e to container c of vertex v, recording its index
+  // in e's lane entry at v. O(r): v must be an endpoint of e, and that
+  // entry must be unwritten — it is shared by O(v) and every A(v, l), so a
+  // repeat within a line, across two A(v, l) lines or across O(v) and an
+  // A(v, l) all land on it.
+  const auto add_member = [&](EdgeList& c, Vertex v, uint64_t e,
+                              const char* set) {
+    const auto ends = reg_.endpoints(static_cast<EdgeId>(e));
+    const auto at = std::find(ends.begin(), ends.end(), v);
+    if (at == ends.end()) {
+      return cur.fail(std::string(set) + " edge " + std::to_string(e) +
+                      " is not incident to vertex " + std::to_string(v));
+    }
+    uint32_t& slot = eslot(static_cast<EdgeId>(e),
+                           static_cast<uint32_t>(at - ends.begin()));
+    if (slot != kNoSlot) {
+      return cur.fail("duplicate member " + std::to_string(e) + " in " +
+                      set + " of vertex " + std::to_string(v));
+    }
+    slot = static_cast<uint32_t>(c.size());
+    c.push_back(static_cast<EdgeId>(e));
+    return true;
+  };
   std::vector<Vertex> eps;
   std::vector<EdgeId> free_ids;
   bool saw_nv = false, saw_free = false, saw_end = false;
@@ -512,10 +549,7 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
         return failed();
       }
       saw_nv = true;
-      verts_.clear();
-      verts_.resize(nv);
-      vhot_.clear();
-      vhot_.resize(nv);
+      grow_vertices(static_cast<Vertex>(nv));  // reset_state() emptied them
       v_seen.assign(nv, 0);
     } else if (tag == "v" || tag == "o" || tag == "a") {
       if (!saw_nv) {
@@ -564,9 +598,7 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
             cur.fail("owned edge " + std::to_string(e) + " is not alive");
             return failed();
           }
-          if (!vs.owned.insert(static_cast<EdgeId>(e))) {
-            cur.fail("duplicate member " + std::to_string(e) +
-                     " in owned set");
+          if (!add_member(vs.owned, static_cast<Vertex>(v), e, "O(v)")) {
             return failed();
           }
         }
@@ -582,7 +614,7 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
                    " level " + std::to_string(lvl));
           return failed();
         }
-        IndexedSet& set = vs.ensure_a(lvl);
+        EdgeList& set = vs.ensure_a(lvl);
         while (!lt.at_end()) {
           uint64_t e = 0;
           if (!cur.tok_id(lt, "A(v,l) edge id", e, id_bound)) {
@@ -592,8 +624,7 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
             cur.fail("A(v,l) edge " + std::to_string(e) + " is not alive");
             return failed();
           }
-          if (!set.insert(static_cast<EdgeId>(e))) {
-            cur.fail("duplicate member " + std::to_string(e) + " in A(v,l)");
+          if (!add_member(set, static_cast<Vertex>(v), e, "A(v,l)")) {
             return failed();
           }
         }
@@ -615,7 +646,8 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
         cur.fail("duplicate D(e) line for edge " + std::to_string(e));
         return failed();
       }
-      edge_d_[e] = std::make_unique<IndexedSet>();
+      edge_d_[e] = std::make_unique<EdgeList>();
+      EdgeList& d = *edge_d_[e];
       while (!lt.at_end()) {
         uint64_t f = 0;
         if (!cur.tok_id(lt, "D(e) member id", f, id_bound)) {
@@ -625,10 +657,14 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
           cur.fail("D(e) member " + std::to_string(f) + " is not alive");
           return failed();
         }
-        if (!edge_d_[e]->insert(static_cast<EdgeId>(f))) {
+        // One lane entry per edge: a second D(e) listing f, or a repeat
+        // within this one, finds it written.
+        if (dslot_[f] != kNoSlot) {
           cur.fail("duplicate member " + std::to_string(f) + " in D(e)");
           return failed();
         }
+        dslot_[f] = static_cast<uint32_t>(d.size());
+        d.push_back(static_cast<EdgeId>(f));
       }
       if (edge_d_[e]->empty()) {
         cur.fail("D(e) line without member ids");

@@ -10,10 +10,17 @@
 // across pool sizes. Callers whose downstream state depends on the order
 // of equal keys should still prefer total-order comparators (see
 // dict/batch_ops.h) — that makes the order independent of the grain too.
+//
+// The serial path sorts uint32_t keys under std::less (edge ids, vertex
+// ids) with an LSD radix sort from kRadixSortMin elements up: equal keys
+// are indistinguishable, so the output is exactly std::sort's.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "parallel/parallel_for.h"
@@ -22,6 +29,43 @@
 namespace pdmm {
 
 inline constexpr size_t kSortSerialCutoff = size_t{1} << 13;
+// Below this many keys std::sort beats the radix sort's histogram setup.
+inline constexpr size_t kRadixSortMin = 64;
+
+// Sorts v ascending with one 8-bit counting pass per byte that the
+// largest key needs, ping-ponging through `buf`.
+inline void radix_sort_u32(std::vector<uint32_t>& v,
+                           std::vector<uint32_t>& buf) {
+  const size_t n = v.size();
+  uint32_t all = 0;
+  for (uint32_t x : v) all |= x;
+  unsigned passes = 0;
+  while (passes < 4 && (all >> (8 * passes)) != 0) ++passes;
+  if (passes == 0) return;  // every key is 0
+  size_t count[4][256];
+  for (unsigned p = 0; p < passes; ++p) std::fill_n(count[p], 256, 0);
+  for (uint32_t x : v) {
+    for (unsigned p = 0; p < passes; ++p) ++count[p][(x >> (8 * p)) & 0xFF];
+  }
+  buf.resize(n);
+  uint32_t* src = v.data();
+  uint32_t* dst = buf.data();
+  for (unsigned p = 0; p < passes; ++p) {
+    size_t at = 0;  // bucket counts become bucket starts
+    for (size_t& c : count[p]) {
+      const size_t k = c;
+      c = at;
+      at += k;
+    }
+    const unsigned shift = 8 * p;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t x = src[i];
+      dst[count[p][(x >> shift) & 0xFF]++] = x;
+    }
+    std::swap(src, dst);
+  }
+  if (src != v.data()) std::copy(src, src + n, v.data());
+}
 
 // Sorts v; `buf` is the merge scratch (resized as needed, contents
 // clobbered) so repeated sorts in a hot loop can reuse one allocation.
@@ -32,6 +76,13 @@ void parallel_sort_with(ThreadPool& pool, std::vector<T>& v,
   const size_t n = v.size();
   grain = resolve_grain(n, grain, kSortSerialCutoff);
   if (n <= grain || pool.num_threads() == 1) {
+    if constexpr (std::is_same_v<T, uint32_t> &&
+                  std::is_same_v<Cmp, std::less<uint32_t>>) {
+      if (n >= kRadixSortMin) {
+        radix_sort_u32(v, buf);
+        return;
+      }
+    }
     std::sort(v.begin(), v.end(), cmp);
     return;
   }

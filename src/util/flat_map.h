@@ -1,6 +1,6 @@
 // FlatPosMap: a minimal open-addressing hash map from an integer key to a
 // 32-bit position, used as the index half of IndexedSet. Design goals:
-//  * zero heap allocation while empty (most per-vertex A(v,l) sets are empty),
+//  * zero heap allocation while empty,
 //  * O(1) expected insert/erase/find,
 //  * power-of-two capacity with linear probing and backward-shift deletion
 //    (no tombstones, so load stays honest under heavy churn).

@@ -4,10 +4,14 @@
 //   * contiguous iteration over members (cache-friendly retrieve()),
 //   * zero heap allocation while small.
 //
-// This is the workhorse container behind the per-vertex O(v) and A(v,l)
-// sets and the per-level rising sets S_l of the leveling scheme. Random
-// sampling is what random-settle needs; contiguous iteration is what the
-// parallel "retrieve" of the paper's dictionary interface needs.
+// It erases by member: a linear scan while small, a probe of its hash
+// index past kLinearMax. The matcher keeps it only for the rising sets
+// S_l, where a vertex can sit in several sets at once and the flips are
+// rare; its per-vertex O(v) and A(v,l) sets, D(e) and the undecided sets
+// record each member's position in a lane and erase by that position
+// instead (core/matcher.h, docs/ARCHITECTURE.md "Slot-addressed
+// containers"). The sequential baseline and the greedy baseline still use
+// it for everything.
 //
 // Small-set regime: the member array lives inline (no heap) up to
 // kInlineCap elements, and the hash index is only materialized once the set

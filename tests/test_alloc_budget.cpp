@@ -92,7 +92,9 @@ TEST(AllocBudget, SteadyStateBatchesStayUnderBudget) {
   const double per_batch = static_cast<double>(allocs) / kBatches;
   std::printf("steady-state allocations per update() at k = 256: %.1f\n",
               per_batch);
-  EXPECT_LE(per_batch, 80.0);
+  // Measured 29.6 at this shape; the bound leaves room for allocator
+  // noise, not for a new per-batch allocation source.
+  EXPECT_LE(per_batch, 40.0);
 }
 
 }  // namespace

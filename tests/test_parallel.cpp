@@ -89,6 +89,42 @@ TEST_P(ParallelAcrossThreads, SortTinyAndEmpty) {
   EXPECT_EQ(one[0], 42u);
 }
 
+TEST_P(ParallelAcrossThreads, SortU32MatchesStdSortAcrossSizesAndWidths) {
+  // uint32_t keys under std::less take the radix pass from kRadixSortMin
+  // keys up: every size around that cutoff, every key width (one to four
+  // byte passes), duplicate-heavy, sorted and reversed inputs must come out
+  // exactly as std::sort's.
+  ThreadPool pool(GetParam(), /*allow_oversubscribe=*/true);
+  Xoshiro256 rng(21);
+  std::vector<size_t> sizes(301);
+  std::iota(sizes.begin(), sizes.end(), size_t{0});
+  sizes.push_back(1000);
+  std::vector<uint32_t> buf;
+  const auto expect_sorts = [&](std::vector<uint32_t> v, const char* shape,
+                                unsigned bits) {
+    std::vector<uint32_t> ref = v;
+    std::sort(ref.begin(), ref.end());
+    parallel_sort_with(pool, v, buf);
+    EXPECT_EQ(v, ref) << shape << " input, n = " << v.size() << ", " << bits
+                      << "-bit keys";
+  };
+  for (unsigned bits : {8u, 16u, 24u, 32u}) {
+    const uint64_t mask = (uint64_t{1} << bits) - 1;
+    for (size_t n : sizes) {
+      std::vector<uint32_t> v(n);
+      for (auto& x : v) x = static_cast<uint32_t>(rng() & mask);
+      expect_sorts(v, "random", bits);
+      std::vector<uint32_t> dup(n);  // three distinct keys, one the largest
+      for (auto& x : dup) x = static_cast<uint32_t>((rng() % 3) * (mask / 2));
+      expect_sorts(dup, "duplicate-heavy", bits);
+      std::sort(v.begin(), v.end());
+      expect_sorts(v, "sorted", bits);
+      std::reverse(v.begin(), v.end());
+      expect_sorts(v, "reversed", bits);
+    }
+  }
+}
+
 TEST_P(ParallelAcrossThreads, ApplyGroupedPartitionsByKey) {
   struct Rec {
     uint32_t group;

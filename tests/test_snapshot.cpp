@@ -482,6 +482,19 @@ class SnapshotCorpus : public testing::Test {
     expect_reset_and_usable(m, what);
   }
 
+  // As expect_rejected, and the error names the mutant's line and says
+  // `needle`.
+  void expect_refused_on_line(const std::string& mutant,
+                              const std::string& needle) {
+    DynamicMatcher m(snap_config(2, 31), *pool_);
+    const SnapshotError err = load_str(m, mutant);
+    ASSERT_FALSE(err.ok()) << needle << ": mutant was accepted";
+    EXPECT_GT(err.line, 0u) << err.to_string();
+    EXPECT_NE(err.message.find(needle), std::string::npos)
+        << err.to_string();
+    expect_reset_and_usable(m, needle);
+  }
+
   // Failed loads reset to empty; the matcher still matches afterwards.
   static void expect_reset_and_usable(DynamicMatcher& m,
                                       const std::string& what) {
@@ -724,8 +737,8 @@ TEST_F(SnapshotCorpus, ReHomedTempDeletedEdgeIsRejected) {
 
 TEST_F(SnapshotCorpus, StrayAMemberIsRejected) {
   // An A(v,l) entry for an edge of level l that v is not an endpoint of.
-  // The entry itself looks right (alive, level l, not owned by v); only
-  // the membership totals show that no edge accounts for it.
+  // The entry itself looks right (alive, level l, not owned by v); the
+  // loader refuses it because v is none of the edge's endpoints.
   const auto edges = edge_lines();
   for (size_t i = 0; i < lines_.size(); ++i) {
     const auto a = tokens(lines_[i]);
@@ -747,6 +760,64 @@ TEST_F(SnapshotCorpus, StrayAMemberIsRejected) {
   }
   FAIL() << "specimen lacks an A(v,l) line and a structured edge of that "
             "level off v";
+}
+
+// The loader records each o/a/d member's position in a lane as it parses:
+// a member off its line's vertex, or a lane entry written twice, is
+// refused on its line.
+TEST_F(SnapshotCorpus, OwnedMemberNotIncidentToItsVertexIsRefused) {
+  const size_t o = find_line("o");
+  const std::string v = tokens(lines_[o])[1];
+  for (const EdgeLine& e : edge_lines()) {
+    const auto eps = e.endpoints();
+    if (std::find(eps.begin(), eps.end(), v) != eps.end()) continue;
+    auto mutant = lines_;
+    mutant[o] += " " + e.id();
+    expect_refused_on_line(join(mutant), "is not incident to vertex " + v);
+    return;
+  }
+  FAIL() << "specimen lacks an edge off vertex " << v;
+}
+
+TEST_F(SnapshotCorpus, EdgeInBothOwnedAndASetOfOneVertexIsRefused) {
+  // O(v) and every A(v, l) share e's one lane entry at v.
+  for (size_t i = 0; i < lines_.size(); ++i) {
+    const auto a = tokens(lines_[i]);
+    if (a[0] != "a") continue;
+    const size_t o = find_line("o " + a[1]);
+    if (o == lines_.size()) continue;
+    auto mutant = lines_;
+    mutant[i] += " " + tokens(lines_[o])[2];
+    expect_refused_on_line(join(mutant), "duplicate member");
+    return;
+  }
+  FAIL() << "specimen lacks a vertex with both an o and an a line";
+}
+
+TEST_F(SnapshotCorpus, DuplicateDMemberIsRefused) {
+  const size_t d = find_line("d");
+  auto mutant = lines_;
+  mutant[d] += " " + tokens(lines_[d])[2];
+  expect_refused_on_line(join(mutant), "duplicate member");
+}
+
+TEST_F(SnapshotCorpus, DMemberUnderTwoHeadsIsRefused) {
+  // A D member has one lane entry, whichever D(e) lists it.
+  const size_t d = find_line("d");
+  const auto toks = tokens(lines_[d]);
+  for (const EdgeLine& e : edge_lines()) {
+    if (e.flags() != "1" || e.id() == toks[1]) continue;
+    auto mutant = lines_;
+    const size_t head = find_in(mutant, "d " + e.id());
+    if (head == mutant.size()) {
+      mutant.insert(mutant.end() - 1, "d " + e.id() + " " + toks[2]);
+    } else {
+      mutant[head] += " " + toks[2];
+    }
+    expect_refused_on_line(join(mutant), "duplicate member");
+    return;
+  }
+  FAIL() << "specimen lacks a second matched edge";
 }
 
 TEST_F(SnapshotCorpus, SeededTokenMutantsFailRecoverablyOrPassTheOracle) {

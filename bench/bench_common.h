@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "registry.h"
 #include "baselines/matcher_base.h"
@@ -72,15 +73,28 @@ inline void step(DynamicMatcher& m, const Batch& b, Sample& s) {
   tally(s, m.update_by_endpoints(b.deletions, b.insertions));
 }
 
-// The timed segment: `batches` batches of `batch_size` from the stream.
+// A timed segment's batches, drawn from an oblivious stream before the
+// clock starts, so the segment's seconds are the matcher's alone.
+template <typename Stream>
+std::vector<Batch> take(Stream& stream, size_t batches, size_t batch_size) {
+  std::vector<Batch> out;
+  out.reserve(batches);
+  for (size_t i = 0; i < batches; ++i) out.push_back(stream.next(batch_size));
+  return out;
+}
+
+// The timed segment: the batches applied in order.
+inline Sample drive(DynamicMatcher& m, const std::vector<Batch>& batches) {
+  Sample s;
+  Timer t;
+  for (const Batch& b : batches) step(m, b, s);
+  s.seconds = t.seconds();
+  return s;
+}
 template <typename Stream>
 Sample drive(DynamicMatcher& m, Stream& stream, size_t batches,
              size_t batch_size) {
-  Sample s;
-  Timer t;
-  for (size_t i = 0; i < batches; ++i) step(m, stream.next(batch_size), s);
-  s.seconds = t.seconds();
-  return s;
+  return drive(m, take(stream, batches, batch_size));
 }
 
 // drive() over the MatcherBase interface (baseline comparisons). The
@@ -88,11 +102,11 @@ Sample drive(DynamicMatcher& m, Stream& stream, size_t batches,
 template <typename Stream>
 Sample drive_base(MatcherBase& m, Stream& stream, size_t batches,
                   size_t batch_size) {
+  const std::vector<Batch> segment = take(stream, batches, batch_size);
   Sample s;
   const auto before = m.total_cost();
   Timer t;
-  for (size_t i = 0; i < batches; ++i) {
-    const Batch b = stream.next(batch_size);
+  for (const Batch& b : segment) {
     s.updates += b.deletions.size() + b.insertions.size();
     apply_batch(m, b);
   }

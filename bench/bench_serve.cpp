@@ -116,8 +116,9 @@ void run(Ctx& ctx) {
       // (reader activity never feeds back into the matcher), while the
       // aggregate query rate lands in the metrics. Counter snapshots bound
       // the query count to the same segment the seconds cover.
+      const std::vector<Batch> segment = take(stream, batches, batch_size);
       const auto [q_before, a_before] = snapshot();
-      Sample s = drive(m, stream, batches, batch_size);
+      Sample s = drive(m, segment);
       const auto [q_after, a_after] = snapshot();
       // mo: release — pairs with the readers' acquire load of done.
       done.store(true, std::memory_order_release);

@@ -4,17 +4,17 @@
 // Hot-path disciplines (see docs/ARCHITECTURE.md "Performance notes"):
 //  * Structural phases compute, then apply: a read-only parallel pass
 //    computes one mutation record per (edge, endpoint), and one serial
-//    pass applies the records in record order. The records come from
-//    ascending edge ids, so every vertex's containers receive their edges
-//    in ascending order and the state is identical across thread counts.
-//    The cost model charges the EREW algorithm's rounds (sort the records
-//    by vertex, apply each vertex's records as its own task).
+//    pass applies the records in record order. The cost model charges the
+//    EREW algorithm's rounds (sort the records by vertex, apply each
+//    vertex's records as its own task).
+//  * Container member order is not state: O(v), A(v, l), D(e), S_l and
+//    the undecided sets are read as sets by every decision (Luby's
+//    priorities, settle marks and h draws hash edge ids; the sequential
+//    settle sorts its candidates and walks its residue in vertex-id
+//    order), so nothing sorts ids or records to fix an order. Duplicates
+//    are dropped through flag lanes that are zero between uses.
 //  * S_l membership is cached per vertex as a bitmask; refreshes touch the
 //    shared S_l sets only when a membership bit actually flips.
-//  * Nothing sorts ids whose order no state byte depends on: the applies
-//    list their touched vertices in first-seen order, deduplicated through
-//    a vertex flag lane. Only the S_l flip records are sorted, because each
-//    S_l's member order is the order in which the settle fallback walks B.
 //  * O(v), A(v, l), D(e) and the undecided sets record each member's
 //    index in a lane, so an erase is one indexed move, never a search.
 //  * All phase-scoped buffers, per-call maps and Luby's lanes come from the
@@ -113,6 +113,20 @@ std::vector<uint8_t>& DynamicMatcher::vertex_flags() {
   return flag;
 }
 
+std::vector<uint8_t>& DynamicMatcher::edge_flags() {
+  auto& flag = scratch_.eflag;
+  if (flag.size() < reg_.id_bound()) flag.resize(reg_.id_bound(), 0);
+  return flag;
+}
+
+bool DynamicMatcher::distinct_ids(const std::vector<EdgeId>& ids) {
+  auto& seen = edge_flags();
+  bool distinct = true;
+  for (EdgeId e : ids) distinct &= !std::exchange(seen[e], uint8_t{1});
+  for (EdgeId e : ids) seen[e] = 0;
+  return distinct;
+}
+
 void DynamicMatcher::grow_vertices(Vertex bound) {
   if (bound > verts_.size()) {
     verts_.resize(bound);
@@ -196,43 +210,31 @@ void DynamicMatcher::refresh_s_membership_all(
   });
   cost_.round(touched.size());
 
-  // Pass 2: expand the (rare) flips into per-level membership deltas...
-  auto& muts = scratch_.s_muts;
-  muts.clear();
+  // Pass 2: apply the (rare) flips straight from the deltas.
+  uint64_t flips = 0, levels = 0;
   for (size_t i = 0; i < touched.size(); ++i) {
     uint64_t delta = deltas[i];
     if (delta == 0) continue;
+    flips += static_cast<uint64_t>(std::popcount(delta));
+    levels |= delta;
     const Vertex v = touched[i];
     const uint64_t nm = vhot_.s_mask(v);
     do {
       const int l = std::countr_zero(delta);
       delta &= delta - 1;
-      muts.push_back(
-          SMut{static_cast<Level>(l), v, static_cast<uint8_t>((nm >> l) & 1)});
+      IndexedSet& s = s_[static_cast<size_t>(l)];
+      if ((nm >> l) & 1) {
+        s.insert(v);
+      } else {
+        s.erase(v);
+      }
     } while (delta != 0);
   }
-  if (muts.empty()) return;
-
-  // ...and apply them in (level, vertex) order. There is one record per
-  // (level, vertex), so every S_l receives its flips in ascending vertex
-  // order, whatever order `touched` came in.
-  std::sort(muts.begin(), muts.end(), [](const SMut& a, const SMut& b) {
-    return a.lvl != b.lvl ? a.lvl < b.lvl : a.v < b.v;
-  });
-  uint64_t levels = 0;
-  for (size_t i = 0; i < muts.size(); ++i) {
-    const SMut& m = muts[i];
-    levels += i == 0 || m.lvl != muts[i - 1].lvl;
-    IndexedSet& s = s_[static_cast<size_t>(m.lvl)];
-    if (m.add) {
-      s.insert(m.v);
-    } else {
-      s.erase(m.v);
-    }
-  }
-  // The EREW rounds: sort the records, then apply each level's as a task.
-  cost_.round(muts.size());
-  cost_.round(levels);
+  if (flips == 0) return;
+  // The EREW rounds: sort the flips by level, then apply each level's as a
+  // task.
+  cost_.round(flips);
+  cost_.round(static_cast<uint64_t>(std::popcount(levels)));
 }
 
 // ---------------------------------------------------------------------------
@@ -308,9 +310,8 @@ void DynamicMatcher::remove_edge_from_structures(EdgeId e) {
 }
 
 void DynamicMatcher::apply_struct_muts(bool insert) {
-  // One pass in record order: the records come from ascending ids, so each
-  // vertex's containers receive their edges in ascending order. The flag
-  // lane lists every touched vertex once, in first-seen order.
+  // One pass in record order. The flag lane lists every touched vertex
+  // once, in first-seen order.
   auto& flag = vertex_flags();
   auto& touched = scratch_.touched;
   touched.clear();
@@ -335,14 +336,9 @@ void DynamicMatcher::apply_struct_muts(bool insert) {
 }
 
 void DynamicMatcher::insert_edges_into_structures(
-    const std::vector<EdgeId>& unsorted_ids) {
-  if (unsorted_ids.empty()) return;
-  // The callers' ids (free-list pops, then the reinsertion queue) are in
-  // no particular order; ascending ids make each vertex's records ascend
-  // by edge id, which fixes its containers' member order.
-  auto& ids = scratch_.insert_ids;
-  ids.assign(unsorted_ids.begin(), unsorted_ids.end());
-  parallel_sort_with(pool_, ids, scratch_.sort_buf);
+    const std::vector<EdgeId>& ids) {
+  if (ids.empty()) return;
+  PDMM_DASSERT(distinct_ids(ids));
   const uint32_t r = reg_.max_rank();
   auto& muts = scratch_.struct_muts;
   muts.assign(ids.size() * r, StructMut{});
@@ -374,11 +370,11 @@ void DynamicMatcher::insert_edges_into_structures(
 void DynamicMatcher::remove_edges_from_structures(
     const std::vector<EdgeId>& ids) {
   if (ids.empty()) return;
+  PDMM_DASSERT(distinct_ids(ids));
   const uint32_t r = reg_.max_rank();
   auto& muts = scratch_.struct_muts;
   muts.assign(ids.size() * r, StructMut{});
   parallel_for(pool_, ids.size(), [&](size_t i) {
-    PDMM_DASSERT(i == 0 || ids[i - 1] < ids[i]);
     const EdgeId e = ids[i];
     const auto eps = reg_.endpoints(e);
     const Vertex owner = eowner_[e];
@@ -410,37 +406,32 @@ void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
 
   // Collect affected edges before levels change: every owned edge of a
   // mover, plus (for risers) every edge in A(v, l') with l' < target —
-  // those get captured by the riser (batch set-level, Claim 3.4).
+  // those get captured by the riser (batch set-level, Claim 3.4). An edge
+  // of two movers is gathered once, through the edge flag lane; the round
+  // still charges every gathered member.
   auto& affected = scratch_.affected;
+  auto& seen = edge_flags();
   affected.clear();
   size_t need = 0;
+  const auto gather = [&](const EdgeList& set) {
+    need += set.size();
+    for (EdgeId e : set) {
+      if (!std::exchange(seen[e], uint8_t{1})) affected.push_back(e);
+    }
+  };
   for (const LevelMove& mv : moves) {
     const VertexState& vs = verts_[mv.v];
-    need += vs.owned.size();
+    gather(vs.owned);
     if (mv.to > vhot_.level(mv.v)) {
       for (const auto& ls : vs.a_sets) {
-        if (ls.level < mv.to) need += ls.set.size();
+        if (ls.level < mv.to) gather(ls.set);
       }
     }
   }
-  affected.reserve(need);
-  for (const LevelMove& mv : moves) {
-    const VertexState& vs = verts_[mv.v];
-    affected.insert(affected.end(), vs.owned.begin(), vs.owned.end());
-    if (mv.to > vhot_.level(mv.v)) {
-      for (const auto& ls : vs.a_sets) {
-        if (ls.level < mv.to)
-          affected.insert(affected.end(), ls.set.begin(), ls.set.end());
-      }
-    }
-  }
-  cost_.round(affected.size() + moves.size());
+  for (EdgeId e : affected) seen[e] = 0;
+  cost_.round(need + moves.size());
 
   for (const LevelMove& mv : moves) vhot_.set_level(mv.v, mv.to);
-
-  parallel_sort_with(pool_, affected, scratch_.sort_buf);
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
 
   // Recompute level + owner of each affected edge from the new vertex
   // levels (parallel; per-edge state is disjoint).
@@ -487,9 +478,8 @@ void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
   });
   cost_.round(affected.size() * r);
 
-  // Apply the container moves in one pass in record order: `affected` is
-  // ascending, so each vertex receives its moves in ascending edge order.
-  // A record whose edge stays in the same container is skipped.
+  // Apply the container moves in one pass in record order. A record whose
+  // edge stays in the same container is skipped.
   uint64_t applied = 0, live_vertices = 0;
   for (const MoveMut& m : muts) {
     if (m.u == kNoVertex) continue;  // empty slot of an edge of rank < r
@@ -968,6 +958,10 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
       if (!t.initial && t.cur) res.newly_matched.push_back(t.e);
       if (t.initial && !t.cur) res.newly_unmatched.push_back(t.e);
     }
+    // The journal order follows container member order, which is not
+    // state; the diff is reported ascending.
+    std::sort(res.newly_matched.begin(), res.newly_matched.end());
+    std::sort(res.newly_unmatched.begin(), res.newly_unmatched.end());
   }
 
   res.rebuilt = stats_.rebuilds > rebuilds_before;

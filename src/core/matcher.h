@@ -89,8 +89,9 @@ class DynamicMatcher {
     // insertion was rejected (duplicate of a present edge or of an earlier
     // insertion in the same batch).
     std::vector<EdgeId> inserted_ids;
-    // Edges that entered / left M during this batch (post-state wins: an
-    // edge that entered and left within the batch appears in neither).
+    // Edges that entered / left M during this batch, ascending (post-state
+    // wins: an edge that entered and left within the batch appears in
+    // neither).
     std::vector<EdgeId> newly_matched;
     std::vector<EdgeId> newly_unmatched;
     uint64_t work = 0;    // element operations spent on this batch
@@ -232,12 +233,16 @@ class DynamicMatcher {
   void rebuild();
 
   // --- snapshot / restore (core/snapshot.cpp) ---
-  // Serializes the complete matcher state (graph, matching, leveling
-  // structures, temporarily-deleted sets, RNG counters) as versioned text.
-  // A matcher constructed with the same Config that load()s the snapshot
-  // continues *bit-identically* to the original instance. Cumulative
-  // statistics (stats(), epoch_stats(), cost()) are not part of the state
-  // and reset on load.
+  // Serializes the matcher state as versioned text: Config, scheme and RNG
+  // counters, every edge with its level, owner, flags and responsible edge,
+  // the free-list order, the vertex bound and the D-deletion budgets. The
+  // leveling structures are sets that load() derives from the edges:
+  // vertex levels and matched edges, O(v), A(v, l), D(e) and S_l. Their
+  // member order is not state, because no decision reads it. A matcher
+  // constructed with the same Config that load()s the snapshot continues
+  // *bit-identically* to the original instance: the same save() bytes and
+  // BatchResults after every later batch. Cumulative statistics (stats(),
+  // epoch_stats(), cost()) are not part of the state and reset on load.
   //
   // save() returns false when the output stream failed (disk full, closed
   // pipe, ...) — the written bytes must then be discarded, they are not a
@@ -262,6 +267,7 @@ class DynamicMatcher {
 
  private:
   friend class MatchingChecker;
+  friend struct MemberOrderShuffle;  // tests/test_member_order.cpp
 
   // Per-edge flag bits.
   static constexpr uint8_t kMatched = 1;
@@ -343,15 +349,6 @@ class DynamicMatcher {
     uint8_t j = 0;
   };
 
-  // One S_l membership flip: vertex v enters (add) or leaves S_lvl. The
-  // flips apply sorted by (lvl, v), so each level receives its flips in
-  // ascending vertex order.
-  struct SMut {
-    Level lvl = 0;
-    Vertex v = kNoVertex;
-    uint8_t add = 0;
-  };
-
   // One edge id's identity in update()'s batch-diff replay.
   struct DiffTrack {
     EdgeId e = kNoEdge;
@@ -389,12 +386,13 @@ class DynamicMatcher {
     // apply_level_moves
     std::vector<EdgeId> affected;
     std::vector<MoveMut> move_muts;
+    // Per edge id, 0 between uses: dedupes apply_level_moves' affected
+    // edges (and checks the structural batches' ids in debug builds).
+    std::vector<uint8_t> eflag;
     // insert_edges_into_structures / remove_edges_from_structures
-    std::vector<EdgeId> insert_ids;  // the inserted ids, ascending
     std::vector<StructMut> struct_muts;
     // refresh_s_membership_all
     std::vector<uint64_t> s_deltas;
-    std::vector<SMut> s_muts;
     // process_level_step1 / phase_insert / rebuild
     std::vector<Vertex> u_nodes;
     std::vector<EdgeId> candidates, free_edges;
@@ -446,7 +444,8 @@ class DynamicMatcher {
   // stale elevel_/eowner_ would otherwise pass the filter predicate.
   void refresh_settle_sets(Level l, std::vector<Vertex>& b,
                            std::vector<EdgeId>& e_prime);
-  void sequential_settle_fallback(Level l, const std::vector<Vertex>& b);
+  // Settles the residue `b` one vertex at a time, in vertex-id order.
+  void sequential_settle_fallback(Level l, std::vector<Vertex> b);
   void random_settle_single(Vertex v, Level l);
   // Kicks the matched edges (other than `keep`) of keep's endpoints out of
   // M, queues them for reinsertion, and appends them to `kicked`. Shared by
@@ -470,10 +469,8 @@ class DynamicMatcher {
   // Batch insertion/removal of many edges: a read-only parallel pass
   // computes one StructMut per (edge, endpoint), one serial pass applies
   // them in record order, and S_l membership refreshes once over the
-  // touched vertex set. Records built from ascending ids give every
-  // vertex's containers their edges in ascending order, and that order is
-  // state: removals take ascending ids, insertions take ids in any order
-  // and sort a copy.
+  // touched vertex set. Both take duplicate-free ids in any order: the
+  // order only decides container member order, which is not state.
   void insert_edges_into_structures(const std::vector<EdgeId>& ids);
   void remove_edges_from_structures(const std::vector<EdgeId>& ids);
   // Shared tail of the two batch phases above: apply the records of
@@ -486,7 +483,6 @@ class DynamicMatcher {
   // A(u, l(e)). attach appends e there and records the index; detach
   // reads it, moves the container's last member into the hole and points
   // that member's own entry at u (found among its <= r endpoints) there.
-  // Appending and swap-with-last fix each container's member order.
   uint32_t& eslot(EdgeId e, uint32_t j) {
     return eslot_[size_t{e} * reg_.max_rank() + j];
   }
@@ -515,14 +511,15 @@ class DynamicMatcher {
   uint64_t compute_s_mask(Vertex v) const;
   void refresh_s_membership(Vertex v);
   // Refresh over a duplicate-free vertex set in any order: one parallel
-  // pass recomputes the masks (disjoint per-vertex writes), and the rare
-  // flips expand into SMut records that are sorted by (level, vertex) and
-  // applied in that order. Every S_l thus receives its flips in ascending
-  // vertex order whatever the input order: S_l's member order is the
-  // settle's B, which sequential_settle_fallback walks in order.
+  // pass recomputes the masks (disjoint per-vertex writes), and one serial
+  // pass applies the rare flips straight from the mask deltas.
   void refresh_s_membership_all(const std::vector<Vertex>& touched);
-  // scratch_.vflag, grown to the vertex bound.
+  // scratch_.vflag, grown to the vertex bound; scratch_.eflag, grown to
+  // the id bound.
   std::vector<uint8_t>& vertex_flags();
+  std::vector<uint8_t>& edge_flags();
+  // Whether `ids` names no edge twice (debug checks; uses edge_flags()).
+  bool distinct_ids(const std::vector<EdgeId>& ids);
   void grow_vertices(Vertex bound);
   void grow_edges(size_t bound);
   void maybe_rebuild(size_t incoming_updates);

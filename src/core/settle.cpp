@@ -6,7 +6,6 @@
 #include "core/matcher.h"
 #include "parallel/pack.h"
 #include "parallel/parallel_for.h"
-#include "parallel/sort.h"
 
 namespace pdmm {
 
@@ -19,10 +18,10 @@ uint64_t DynamicMatcher::settle_rng_stream() const {
 // (edges get lifted, temp-deleted, kicked, or re-leveled upward), so the
 // h-choices drawn at settle start stay valid.
 //
-// That shrink-only property is also why E' refreshes as an order-preserving
-// FILTER of the previous E' instead of the old gather + sort + unique
-// rebuild: every level move inside a settle is a rise to l, so no edge ever
-// newly enters any O~(v, l) — membership can only be lost. An edge e of the
+// That shrink-only property is also why E' refreshes as a FILTER of the
+// previous E' instead of a gather + dedupe rebuild: every level move
+// inside a settle is a rise to l, so no edge ever newly enters any
+// O~(v, l) — membership can only be lost. An edge e of the
 // old E' survives iff it would be re-gathered: e is still in the
 // structures with elevel < l (an endpoint of e owns it or holds it in an
 // A(·, l') with l' < l) and some endpoint sits in the refreshed B. The
@@ -31,9 +30,7 @@ uint64_t DynamicMatcher::settle_rng_stream() const {
 // catches this iteration's kicked matched edges — those left the
 // structures but keep their stale elevel_/eowner_, which is exactly why
 // the caller must flag them (kicks from earlier iterations were filtered
-// out when they happened, and E' only shrinks). Filtering the (sorted) old E'
-// preserves ascending order, so the result is byte-identical to the
-// rebuild's sort output.
+// out when they happened, and E' only shrinks).
 void DynamicMatcher::refresh_settle_sets(Level l, std::vector<Vertex>& b,
                                          std::vector<EdgeId>& e_prime) {
   const uint64_t keep_threshold = scheme_.rise_threshold(l) / 2;
@@ -111,21 +108,6 @@ void DynamicMatcher::grand_random_settle(Level l) {
   ++settle_counter_;
   ++stats_.settles;
 
-  auto& e_prime = scratch_.settle_eprime;
-  e_prime.clear();
-  {
-    // Initial E' from the full B = S_l (no threshold filtering yet; every
-    // member has o~ >= alpha^l by the S_l definition).
-    for (Vertex v : b) {
-      PDMM_DASSERT(vhot_.level(v) < l);
-      append_o_tilde(v, l, e_prime);
-    }
-    parallel_sort_with(pool_, e_prime, scratch_.sort_buf);
-    e_prime.erase(std::unique(e_prime.begin(), e_prime.end()),
-                  e_prime.end());
-    cost_.round(b.size() + e_prime.size());
-  }
-
   // h(e): one uniformly random endpoint per edge, drawn once per settle.
   // When e is lifted into M, every surviving edge whose h points into e is
   // adopted into D(e) (§3.3.2). Stored in the per-edge-id settle_h lane;
@@ -140,11 +122,27 @@ void DynamicMatcher::grand_random_settle(Level l) {
     scratch_.marked_deg.resize(verts_.size(), 0);
   if (scratch_.lifted_at.size() < verts_.size())
     scratch_.lifted_at.resize(verts_.size(), kNoEdge);
+
+  // Initial E' from the full B = S_l (no threshold filtering yet; every
+  // member has o~ >= alpha^l by the S_l definition). An edge owned or held
+  // by two members of B is gathered twice; the h lane keeps its first
+  // occurrence, which draws h(e).
+  auto& e_prime = scratch_.settle_eprime;
+  e_prime.clear();
+  for (Vertex v : b) {
+    PDMM_DASSERT(vhot_.level(v) < l);
+    append_o_tilde(v, l, e_prime);
+  }
   const uint64_t h_stream = hash_mix(settle_rng_stream(), 0xc401ceULL);
-  for (EdgeId e : e_prime) {
+  size_t kept = 0;
+  for (const EdgeId e : e_prime) {
+    if (h[e] != kNoVertex) continue;
     const auto eps = reg_.endpoints(e);
     h[e] = eps[rng_.below(h_stream, e, eps.size())];
+    e_prime[kept++] = e;
   }
+  e_prime.resize(kept);
+  cost_.round(b.size() + e_prime.size());
   scratch_.settle_h_set.assign(e_prime.begin(), e_prime.end());
   cost_.round(e_prime.size());
 
@@ -154,9 +152,8 @@ void DynamicMatcher::grand_random_settle(Level l) {
     if (repeats++ >= cfg_.max_settle_repeats) {
       ++stats_.settle_fallbacks;
       // The fallback settles vertices one at a time and re-enters the
-      // scratch-using helpers, so hand it a stable copy of the residue.
-      const std::vector<Vertex> residue(b.begin(), b.end());
-      sequential_settle_fallback(l, residue);
+      // scratch-using helpers, so it takes a stable copy of the residue.
+      sequential_settle_fallback(l, b);
       break;
     }
     ++stats_.subsettles;
@@ -268,12 +265,15 @@ size_t DynamicMatcher::subsubsettle(Level l, uint32_t phase_i,
   return lifted.size();
 }
 
-void DynamicMatcher::sequential_settle_fallback(
-    Level l, const std::vector<Vertex>& b) {
+void DynamicMatcher::sequential_settle_fallback(Level l,
+                                                std::vector<Vertex> b) {
   // Deterministic safety net for the (never observed, probability
   // poly(1/N)) event that the whp repeat budget runs out: settle the
   // residue one vertex at a time, exactly like the sequential Step 2 of
-  // §3.3.2. Correct, merely not polylog-depth.
+  // §3.3.2. Correct, merely not polylog-depth. Each settle draws from the
+  // next settle_counter_ stream, so the walk goes in vertex-id order: B's
+  // member order is not state.
+  std::sort(b.begin(), b.end());
   const uint64_t keep_threshold = scheme_.rise_threshold(l) / 2;
   for (Vertex v : b) {
     if (vhot_.level(v) < l && o_tilde(v, l) >= keep_threshold) {

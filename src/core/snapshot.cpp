@@ -1,47 +1,47 @@
-// Snapshot / restore of the full DynamicMatcher state.
+// Snapshot / restore of the DynamicMatcher state.
 //
-// The format serializes *everything* behaviour-relevant, including the
-// member order of every container (owned, A(v,l), D(e)) and the
-// registry's free-list order, so that a restored matcher is structurally
-// indistinguishable from the original and continues bit-identically under
-// the same seed and update stream. Cumulative statistics are deliberately
-// excluded (they reset on load). The member position lanes (eslot_,
-// dslot_) are not written: the loader records each member's index as it
-// parses the member lines, in line order, which is exactly what the
-// original's appends recorded.
+// The format writes what no other field determines: the edges with their
+// levels, owners, flags and responsible edges, the registry's free-list
+// order, the vertex bound, the D-deletion budgets and the RNG counters.
+// The leveling structures are sets, and load() derives them from the
+// edges, walking the alive ids in ascending order: a matched edge gives
+// each endpoint its level and matched edge (every other vertex is
+// unmatched at level -1), a structured edge joins O(owner) and A(u, l(e))
+// of its other endpoints u, a temp-deleted edge joins D(resp), and S_l
+// follows from the counts. Member order is not state (no decision reads
+// it), so a restored matcher continues bit-identically under the same
+// seed and update stream: the same save() bytes and BatchResults.
+// Cumulative statistics are deliberately excluded (they reset on load).
 //
 // Text format, line-oriented:
-//   pdmm-snapshot v1
+//   pdmm-snapshot v2
 //   cfg <max_rank> <seed> <eager> <iter_factor> <max_repeats> <max_eager>
 //   sch <n_bound> <updates_used> <batch_counter> <settle_counter>
 //   reg <id_bound> <num_alive>
 //   e <id> <k> <v...> <level> <owner> <flags> <resp>
 //   f <free ids in order...>
 //   nv <vertex_bound>
-//   v <id> <level> <matched>            (only non-default vertices)
-//   o <vid> <owned ids in order...>     (only non-empty)
-//   a <vid> <level> <ids in order...>   (only non-empty)
-//   d <eid> <D member ids in order...>  (only non-empty)
 //   bd <eid> <epoch_d_deleted>          (only non-zero)
 //   end
+// v1 also wrote every vertex's level and matched edge and the member
+// order of O(v), A(v,l) and D(e); this build refuses it on its header.
 //
 // The loader treats its input as *untrusted* (snapshots travel through
 // files, checkpoints and journals that can be truncated, bit-rotted or
 // hand-edited): every id is bounds-checked against the declared reg/nv
 // bounds before it indexes anything, every numeric field is parsed
 // strictly (a failed extraction is an error, not an uninitialized read),
-// duplicate lines are rejected, truncation (a missing `end` trailer) is
-// rejected, and the declared alive-edge count must match. Every lane entry
-// starts unset and each o/a/d member writes its own once, O(r) per member:
-// a member not incident to its line's vertex, one written twice (a repeat
-// in a set, an edge in both O(v) and an A(v,l), a D member listed twice)
-// is refused on its line, whatever the set's size. The restored state is
-// then vetted by the same oracle the tests use, MatchingChecker::violation
-// (core/checker.h): every structural invariant of a between-batch state,
-// run without aborting. Errors are
-// returned as a SnapshotError — line-numbered for the parse-time checks,
-// never an abort — and leave the matcher reset to its freshly-constructed
-// empty state.
+// duplicate lines and duplicate endpoint sets are rejected, truncation (a
+// missing `end` trailer) is rejected, and the declared alive-edge count
+// must match. The derivation refuses what it cannot place: a structured
+// edge at level -1 or with an owner that is not its endpoint, a
+// temp-deleted edge without a responsible edge, a vertex two matched
+// edges claim. The restored state is then vetted by the same oracle the
+// tests use, MatchingChecker::violation (core/checker.h): every
+// structural invariant of a between-batch state, run without aborting.
+// Errors are returned as a SnapshotError — line-numbered for the
+// parse-time checks, never an abort — and leave the matcher reset to its
+// freshly-constructed empty state.
 #include <algorithm>
 #include <istream>
 #include <ostream>
@@ -55,7 +55,7 @@
 namespace pdmm {
 
 bool DynamicMatcher::save(std::ostream& out) const {
-  out << "pdmm-snapshot v1\n";
+  out << "pdmm-snapshot v2\n";
   out << "cfg " << cfg_.max_rank << ' ' << cfg_.seed << ' '
       << cfg_.settle_after_insertions << ' ' << cfg_.subsettle_iter_factor
       << ' ' << cfg_.max_settle_repeats << ' ' << cfg_.max_eager_sweeps
@@ -77,29 +77,6 @@ bool DynamicMatcher::save(std::ostream& out) const {
   out << '\n';
 
   out << "nv " << verts_.size() << '\n';
-  for (Vertex v = 0; v < verts_.size(); ++v) {
-    const VertexState& vs = verts_[v];
-    if (vhot_.level(v) != kUnmatchedLevel || vhot_.matched(v) != kNoEdge) {
-      out << "v " << v << ' ' << vhot_.level(v) << ' ' << vhot_.matched(v)
-          << '\n';
-    }
-    if (!vs.owned.empty()) {
-      out << "o " << v;
-      for (EdgeId e : vs.owned) out << ' ' << e;
-      out << '\n';
-    }
-    for (const auto& ls : vs.a_sets) {
-      out << "a " << v << ' ' << ls.level;
-      for (EdgeId e : ls.set) out << ' ' << e;
-      out << '\n';
-    }
-  }
-  for (EdgeId e = 0; e < edge_d_.size(); ++e) {
-    if (!edge_d_[e] || edge_d_[e]->empty()) continue;
-    out << "d " << e;
-    for (EdgeId f : *edge_d_[e]) out << ' ' << f;
-    out << '\n';
-  }
   for (EdgeId e = 0; e < epoch_d_deleted_.size(); ++e) {
     if (epoch_d_deleted_[e] != 0) {
       out << "bd " << e << ' ' << epoch_d_deleted_[e] << '\n';
@@ -316,8 +293,13 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
     if (!cur.next_line(lt, "snapshot header")) return failed();
     std::string magic, version;
     if (!lt.next(magic) || !lt.next(version) || magic != "pdmm-snapshot" ||
-        version != "v1" || !lt.at_end()) {
-      cur.fail("unrecognized snapshot header (expected 'pdmm-snapshot v1')");
+        !lt.at_end()) {
+      cur.fail("unrecognized snapshot header (expected 'pdmm-snapshot v2')");
+      return failed();
+    }
+    if (version != "v2") {
+      cur.fail("snapshot format " + version +
+               " is not supported; this build reads v2 only");
       return failed();
     }
   }
@@ -409,8 +391,6 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
   edge_d_.clear();
   edge_d_.resize(id_bound);
   epoch_d_deleted_.assign(id_bound, 0);
-  // Every member line below writes its lane entry once; an entry found
-  // already written is a duplicate member.
   eslot_.assign(id_bound * cfg_.max_rank, kNoSlot);
   dslot_.assign(id_bound, kNoSlot);
 
@@ -419,30 +399,6 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
   matching_size_ = 0;
 
   std::vector<uint8_t> id_state(id_bound, kIdUnseen);
-  std::vector<uint8_t> v_seen;  // sized once the nv line arrives
-  // Appends alive edge e to container c of vertex v, recording its index
-  // in e's lane entry at v. O(r): v must be an endpoint of e, and that
-  // entry must be unwritten — it is shared by O(v) and every A(v, l), so a
-  // repeat within a line, across two A(v, l) lines or across O(v) and an
-  // A(v, l) all land on it.
-  const auto add_member = [&](EdgeList& c, Vertex v, uint64_t e,
-                              const char* set) {
-    const auto ends = reg_.endpoints(static_cast<EdgeId>(e));
-    const auto at = std::find(ends.begin(), ends.end(), v);
-    if (at == ends.end()) {
-      return cur.fail(std::string(set) + " edge " + std::to_string(e) +
-                      " is not incident to vertex " + std::to_string(v));
-    }
-    uint32_t& slot = eslot(static_cast<EdgeId>(e),
-                           static_cast<uint32_t>(at - ends.begin()));
-    if (slot != kNoSlot) {
-      return cur.fail("duplicate member " + std::to_string(e) + " in " +
-                      set + " of vertex " + std::to_string(v));
-    }
-    slot = static_cast<uint32_t>(c.size());
-    c.push_back(static_cast<EdgeId>(e));
-    return true;
-  };
   std::vector<Vertex> eps;
   std::vector<EdgeId> free_ids;
   bool saw_nv = false, saw_free = false, saw_end = false;
@@ -506,7 +462,7 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
                  " outside the declared id bound");
         return failed();
       }
-      if (reg_.find(eps) != kNoEdge) {
+      if (!reg_.restore_slot(static_cast<EdgeId>(id), eps)) {
         cur.fail("duplicate edge endpoint set");
         return failed();
       }
@@ -515,7 +471,6 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
       eflags_[id] = static_cast<uint8_t>(flags);
       eresp_[id] = static_cast<EdgeId>(resp);
       id_state[id] = kIdAlive;
-      reg_.restore_slot(static_cast<EdgeId>(id), eps);
       if (flags & kMatched) ++matching_size_;
     } else if (tag == "f") {
       if (saw_free) {
@@ -550,126 +505,6 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
       }
       saw_nv = true;
       grow_vertices(static_cast<Vertex>(nv));  // reset_state() emptied them
-      v_seen.assign(nv, 0);
-    } else if (tag == "v" || tag == "o" || tag == "a") {
-      if (!saw_nv) {
-        cur.fail(tag + " line before the nv line");
-        return failed();
-      }
-      uint64_t v = 0;
-      if (!cur.tok_id(lt, "vertex id", v, nv)) return failed();
-      VertexState& vs = verts_[v];
-      if (tag == "v") {
-        if (v_seen[v]) {
-          cur.fail("duplicate v line for vertex " + std::to_string(v));
-          return failed();
-        }
-        v_seen[v] = 1;
-        Level lvl = kUnmatchedLevel;
-        uint64_t matched = 0;
-        if (!cur.tok_level(lt, "vertex level", lvl, kUnmatchedLevel, top) ||
-            !cur.tok_u64(lt, "vertex matched edge", matched, kNoEdge) ||
-            !cur.line_done(lt)) {
-          return failed();
-        }
-        if (matched != kNoEdge && matched >= id_bound) {
-          cur.fail("vertex matched edge " + std::to_string(matched) +
-                   " outside the declared id bound");
-          return failed();
-        }
-        if ((lvl == kUnmatchedLevel) != (matched == kNoEdge)) {
-          cur.fail("vertex level -1 must coincide with being unmatched");
-          return failed();
-        }
-        vhot_.set_level(static_cast<Vertex>(v), lvl);
-        vhot_.set_matched(static_cast<Vertex>(v),
-                          static_cast<EdgeId>(matched));
-      } else if (tag == "o") {
-        if (!vs.owned.empty()) {
-          cur.fail("duplicate owned line for vertex " + std::to_string(v));
-          return failed();
-        }
-        while (!lt.at_end()) {
-          uint64_t e = 0;
-          if (!cur.tok_id(lt, "owned edge id", e, id_bound)) {
-            return failed();
-          }
-          if (id_state[e] != kIdAlive) {
-            cur.fail("owned edge " + std::to_string(e) + " is not alive");
-            return failed();
-          }
-          if (!add_member(vs.owned, static_cast<Vertex>(v), e, "O(v)")) {
-            return failed();
-          }
-        }
-        if (vs.owned.empty()) {
-          cur.fail("owned line without edge ids");
-          return failed();
-        }
-      } else {  // "a"
-        Level lvl = 0;
-        if (!cur.tok_level(lt, "A(v,l) level", lvl, 0, top)) return failed();
-        if (vs.find_a(lvl) != nullptr) {
-          cur.fail("duplicate A(v,l) line for vertex " + std::to_string(v) +
-                   " level " + std::to_string(lvl));
-          return failed();
-        }
-        EdgeList& set = vs.ensure_a(lvl);
-        while (!lt.at_end()) {
-          uint64_t e = 0;
-          if (!cur.tok_id(lt, "A(v,l) edge id", e, id_bound)) {
-            return failed();
-          }
-          if (id_state[e] != kIdAlive) {
-            cur.fail("A(v,l) edge " + std::to_string(e) + " is not alive");
-            return failed();
-          }
-          if (!add_member(set, static_cast<Vertex>(v), e, "A(v,l)")) {
-            return failed();
-          }
-        }
-        if (set.empty()) {
-          cur.fail("A(v,l) line without edge ids");
-          return failed();
-        }
-      }
-    } else if (tag == "d") {
-      uint64_t e = 0;
-      if (!cur.tok_id(lt, "D(e) edge id", e, id_bound)) {
-        return failed();
-      }
-      if (id_state[e] != kIdAlive) {
-        cur.fail("D(e) head " + std::to_string(e) + " is not alive");
-        return failed();
-      }
-      if (edge_d_[e]) {
-        cur.fail("duplicate D(e) line for edge " + std::to_string(e));
-        return failed();
-      }
-      edge_d_[e] = std::make_unique<EdgeList>();
-      EdgeList& d = *edge_d_[e];
-      while (!lt.at_end()) {
-        uint64_t f = 0;
-        if (!cur.tok_id(lt, "D(e) member id", f, id_bound)) {
-          return failed();
-        }
-        if (id_state[f] != kIdAlive) {
-          cur.fail("D(e) member " + std::to_string(f) + " is not alive");
-          return failed();
-        }
-        // One lane entry per edge: a second D(e) listing f, or a repeat
-        // within this one, finds it written.
-        if (dslot_[f] != kNoSlot) {
-          cur.fail("duplicate member " + std::to_string(f) + " in D(e)");
-          return failed();
-        }
-        dslot_[f] = static_cast<uint32_t>(d.size());
-        d.push_back(static_cast<EdgeId>(f));
-      }
-      if (edge_d_[e]->empty()) {
-        cur.fail("D(e) line without member ids");
-        return failed();
-      }
     } else if (tag == "bd") {
       uint64_t e = 0, budget = 0;
       if (!cur.tok_id(lt, "bd edge id", e, id_bound) ||
@@ -729,10 +564,48 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
     return failed();
   }
 
-  // Rebuild the derived S_l sets from the restored structures. This reads
-  // only levels the parser bounded to [-1, L], so it is safe before the
-  // state is validated.
+  // Derive the leveling structures from the edges, in ascending id. Each
+  // check guards an index or a level the walk is about to use; whatever
+  // the walk can place, the oracle below vets.
   grow_vertices(reg_.vertex_bound());
+  const auto refused = [](EdgeId e, const std::string& why) {
+    return SnapshotError{0, "edge " + std::to_string(e) + ": " + why};
+  };
+  for (EdgeId e = 0; e < id_bound; ++e) {
+    if (!reg_.alive(e)) continue;
+    if (eflags_[e] & kTempDeleted) {
+      const EdgeId resp = eresp_[e];  // kNoEdge or below id_bound
+      if (resp == kNoEdge) {
+        return refused(e, "temp-deleted without a responsible edge");
+      }
+      auto& d = edge_d_[resp];
+      if (!d) d = std::make_unique<EdgeList>();
+      dslot_[e] = static_cast<uint32_t>(d->size());
+      d->push_back(e);
+      continue;
+    }
+    const auto ends = reg_.endpoints(e);
+    const Level l = elevel_[e];
+    const auto owner = std::find(ends.begin(), ends.end(), eowner_[e]);
+    if (l < 0) return refused(e, "structured at level -1");
+    if (owner == ends.end()) {
+      return refused(e, "owner " + std::to_string(eowner_[e]) +
+                            " is not one of its endpoints");
+    }
+    for (uint32_t j = 0; j < ends.size(); ++j) {
+      attach(e, j, ends[j], ends.begin() + j == owner, l);
+      if (!(eflags_[e] & kMatched)) continue;
+      if (const EdgeId m = vhot_.matched(ends[j]); m != kNoEdge) {
+        return refused(e, "matched, but vertex " + std::to_string(ends[j]) +
+                              " is already matched to edge " +
+                              std::to_string(m));
+      }
+      vhot_.set_matched(ends[j], e);
+      vhot_.set_level(ends[j], l);
+    }
+  }
+  // The S_l sets follow from the counts. This reads only levels in
+  // [-1, L], so it is safe before the state is validated.
   for (Vertex v = 0; v < verts_.size(); ++v) {
     const VertexState& vs = verts_[v];
     if (!vs.owned.empty() || !vs.a_sets.empty()) refresh_s_membership(v);

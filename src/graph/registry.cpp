@@ -143,7 +143,7 @@ void HyperedgeRegistry::restore_begin(size_t id_bound) {
   mask_ = kMinSlots - 1;
 }
 
-void HyperedgeRegistry::restore_slot(EdgeId id,
+bool HyperedgeRegistry::restore_slot(EdgeId id,
                                      std::span<const Vertex> sorted) {
   PDMM_ASSERT(id < deg_.size() && deg_[id] == 0);
   PDMM_ASSERT(!sorted.empty() &&
@@ -152,8 +152,9 @@ void HyperedgeRegistry::restore_slot(EdgeId id,
   reserve_one();
   const uint32_t tag = tag_of(sorted);
   const size_t slot = probe(tag, sorted);
-  PDMM_ASSERT_MSG(slots_[slot].id == kNoEdge, "duplicate endpoint set");
+  if (slots_[slot].id != kNoEdge) return false;  // duplicate endpoint set
   place(id, sorted, tag, slot);
+  return true;
 }
 
 void HyperedgeRegistry::restore_free_list(std::span<const EdgeId> free_ids) {

@@ -72,11 +72,13 @@ class HyperedgeRegistry {
 
   // --- snapshot support (core/snapshot.cpp) ---
   // Restores an exact registry image: begin clears and sizes the id space,
-  // each restore_slot registers an edge under its original id, and
-  // restore_free_list reinstates the free-list order so future id
-  // assignment matches the snapshotted instance exactly.
+  // each restore_slot registers an edge under its original id (false, and
+  // nothing registered, when an edge with those endpoints is already
+  // present), and restore_free_list reinstates the free-list order so
+  // future id assignment matches the snapshotted instance exactly.
   void restore_begin(size_t id_bound);
-  void restore_slot(EdgeId id, std::span<const Vertex> sorted_endpoints);
+  [[nodiscard]] bool restore_slot(EdgeId id,
+                                  std::span<const Vertex> sorted_endpoints);
   void restore_free_list(std::span<const EdgeId> free_ids);
   std::span<const EdgeId> free_list() const { return free_ids_; }
 

@@ -117,7 +117,14 @@ bool ReplicaEngine::verify_against_checkpoint(uint64_t epoch) {
                    "cross-check at epoch " + u64s(epoch);
     return false;
   }
-  if (os.str() != ck.snapshot) {
+  const std::string mine = std::move(os).str();
+  // A checkpoint in another snapshot format (an earlier build's v1) proves
+  // nothing about OUR state either: only the same header line compares.
+  if (mine.compare(0, mine.find('\n'), ck.snapshot, 0,
+                   ck.snapshot.find('\n')) != 0) {
+    return true;
+  }
+  if (mine != ck.snapshot) {
     apply_error_ =
         "DIVERGENCE at epoch " + u64s(epoch) + ": follower state is not "
         "byte-identical to the primary's checkpoint " + path +

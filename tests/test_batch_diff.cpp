@@ -6,11 +6,12 @@
 // different identities). Verified here against an independent model over
 // adversarial streams (oscillation flips the same edges every other batch,
 // which exercises insert->match->kick and delete-of-matched->re-match), on
-// several thread counts, plus the diff lists are checked identical across
-// thread counts.
+// several thread counts, plus the diff lists are checked ascending and
+// identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -61,17 +62,19 @@ void apply_and_check(DynamicMatcher& m, const Batch& b) {
     if (deleted.count(e) || !before.count(e)) want_matched.push_back(e);
   }
 
-  std::vector<EdgeId> got_unmatched = res.newly_unmatched;
-  std::vector<EdgeId> got_matched = res.newly_matched;
-  // The lists must be duplicate-free (one entry per identity transition).
-  auto sorted_unique = [](std::vector<EdgeId>& v) {
-    std::sort(v.begin(), v.end());
-    return std::adjacent_find(v.begin(), v.end()) == v.end();
+  // The lists come out strictly ascending: duplicate-free (one entry per
+  // identity transition) and in an order no container's member order can
+  // reach.
+  const auto ascending = [](const std::vector<EdgeId>& v) {
+    return std::adjacent_find(v.begin(), v.end(), std::greater_equal<>()) ==
+           v.end();
   };
-  EXPECT_TRUE(sorted_unique(got_unmatched)) << "duplicate in newly_unmatched";
-  EXPECT_TRUE(sorted_unique(got_matched)) << "duplicate in newly_matched";
-  EXPECT_EQ(got_unmatched, want_unmatched);
-  EXPECT_EQ(got_matched, want_matched);
+  EXPECT_TRUE(ascending(res.newly_unmatched))
+      << "newly_unmatched is not strictly ascending";
+  EXPECT_TRUE(ascending(res.newly_matched))
+      << "newly_matched is not strictly ascending";
+  EXPECT_EQ(res.newly_unmatched, want_unmatched);
+  EXPECT_EQ(res.newly_matched, want_matched);
 }
 
 TEST(BatchDiff, DeleteOfMatchedAndReinsertSameBatch) {

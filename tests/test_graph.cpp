@@ -249,13 +249,16 @@ TEST(RegistryIndex, RestoredImageContinuesWithTheSameIds) {
   ASSERT_FALSE(m.free_ids.empty());
 
   // The snapshot image: the id bound, each live edge under its id (here in
-  // descending id order), then the free list.
+  // descending id order), then the free list. A second edge with a live
+  // edge's endpoints is refused and leaves the image as it was.
   HyperedgeRegistry copy(3);
   copy.restore_begin(m.reg.id_bound());
   const auto live = m.reg.all_edges();
   for (auto it = live.rbegin(); it != live.rend(); ++it) {
-    copy.restore_slot(*it, m.reg.endpoints(*it));
+    ASSERT_TRUE(copy.restore_slot(*it, m.reg.endpoints(*it)));
   }
+  EXPECT_FALSE(
+      copy.restore_slot(m.free_ids.front(), m.reg.endpoints(live.front())));
   copy.restore_free_list(m.reg.free_list());
   ASSERT_EQ(copy.num_edges(), m.reg.num_edges());
   ASSERT_EQ(copy.vertex_bound(), m.reg.vertex_bound());

@@ -1186,10 +1186,12 @@ TEST_F(PersistTest, RecoveryEnforcesStreamFingerprints) {
 }
 
 // ---------------------------------------------------------------------------
-// Committed v1 files (tests/fixtures/persist_v1/): a journal and a
-// checkpoint written by an earlier build pin the bytes on disk. Every other
-// test here writes and reads with one build, so a codec that changed its
-// bytes consistently would pass them all. Regenerate deliberately with
+// Committed files pin the bytes on disk: a v1 journal and a checkpoint an
+// earlier build wrote (tests/fixtures/persist_v1/, its snapshot still
+// v1), and the same checkpoint as this build writes it
+// (tests/fixtures/snapshot_v2/ck.2, a v2 snapshot). Every other test here
+// writes and reads with one build, so a codec that changed its bytes
+// consistently would pass them all. Regenerate deliberately with
 // PDMM_UPDATE_FIXTURES=1 when a format change is intended.
 // ---------------------------------------------------------------------------
 
@@ -1223,18 +1225,21 @@ TEST_F(PersistTest, CommittedV1FilesAreReproducedByteExact) {
   }
   const std::string replayed = save_str(m);
 
-  const std::string dir = std::string(PDMM_FIXTURE_DIR) + "/persist_v1";
+  const std::string v1 = std::string(PDMM_FIXTURE_DIR) + "/persist_v1";
+  const std::string v2 = std::string(PDMM_FIXTURE_DIR) + "/snapshot_v2";
   if (std::getenv("PDMM_UPDATE_FIXTURES")) {
-    fs::create_directories(dir);
-    write_file(dir + "/wal.log", file_str(path("wal.log")));
-    write_file(dir + "/ck.2", ck_bytes);
-    GTEST_SKIP() << "fixtures regenerated under " << dir;
+    fs::create_directories(v1);
+    fs::create_directories(v2);
+    write_file(v1 + "/wal.log", file_str(path("wal.log")));
+    write_file(v2 + "/ck.2", ck_bytes);
+    GTEST_SKIP() << "fixtures regenerated under " << v1 << " and " << v2;
   }
-  ASSERT_TRUE(fs::exists(dir + "/wal.log") && fs::exists(dir + "/ck.2"))
-      << "missing fixtures under " << dir
+  ASSERT_TRUE(fs::exists(v1 + "/wal.log") && fs::exists(v1 + "/ck.2") &&
+              fs::exists(v2 + "/ck.2"))
+      << "missing fixtures under " << v1 << " or " << v2
       << " (regenerate with PDMM_UPDATE_FIXTURES=1)";
-  const std::string want_wal = file_str(dir + "/wal.log");
-  const std::string want_ck = file_str(dir + "/ck.2");
+  const std::string want_wal = file_str(v1 + "/wal.log");
+  const std::string want_ck = file_str(v2 + "/ck.2");
   EXPECT_EQ(file_str(path("wal.log")), want_wal)
       << "journal bytes diverged from the committed fixture";
   EXPECT_EQ(ck_bytes, want_ck)
@@ -1244,18 +1249,37 @@ TEST_F(PersistTest, CommittedV1FilesAreReproducedByteExact) {
   // the bytes a fresh replay of the same batches produces.
   write_file(path("ck.2"), want_ck);
   write_file(path("old.log"), want_wal);
-  DynamicMatcher recovered(cfg, pool);
-  RecoveryOptions opt;
-  opt.checkpoint_prefix = path("ck");
-  opt.journal_path = path("old.log");
-  opt.expected_stream = fp;
-  const RecoveryReport rep = persist::recover(recovered, opt);
-  ASSERT_TRUE(rep.ok) << rep.error;
-  EXPECT_EQ(rep.checkpoint_epoch, 2u);
-  EXPECT_EQ(rep.skipped_checkpoints, 0u);
-  EXPECT_EQ(rep.replayed_batches, 1u);
-  EXPECT_EQ(rep.final_epoch, 3u);
-  EXPECT_EQ(save_str(recovered), replayed);
+  {
+    DynamicMatcher recovered(cfg, pool);
+    RecoveryOptions opt;
+    opt.checkpoint_prefix = path("ck");
+    opt.journal_path = path("old.log");
+    opt.expected_stream = fp;
+    const RecoveryReport rep = persist::recover(recovered, opt);
+    ASSERT_TRUE(rep.ok) << rep.error;
+    EXPECT_EQ(rep.checkpoint_epoch, 2u);
+    EXPECT_EQ(rep.skipped_checkpoints, 0u);
+    EXPECT_EQ(rep.replayed_batches, 1u);
+    EXPECT_EQ(rep.final_epoch, 3u);
+    EXPECT_EQ(save_str(recovered), replayed);
+  }
+  // The v1 checkpoint's snapshot no longer loads: recovery skips it and
+  // replays the whole journal to the same bytes.
+  write_file(path("v1ck.2"), file_str(v1 + "/ck.2"));
+  {
+    DynamicMatcher recovered(cfg, pool);
+    RecoveryOptions opt;
+    opt.checkpoint_prefix = path("v1ck");
+    opt.journal_path = path("old.log");
+    opt.expected_stream = fp;
+    const RecoveryReport rep = persist::recover(recovered, opt);
+    ASSERT_TRUE(rep.ok) << rep.error;
+    EXPECT_TRUE(rep.checkpoint_path.empty()) << rep.checkpoint_path;
+    EXPECT_EQ(rep.skipped_checkpoints, 1u);
+    EXPECT_EQ(rep.replayed_batches, 3u);
+    EXPECT_EQ(rep.final_epoch, 3u);
+    EXPECT_EQ(save_str(recovered), replayed);
+  }
 }
 
 }  // namespace

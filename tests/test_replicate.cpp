@@ -798,6 +798,42 @@ TEST_F(ReplicateTest, CheckpointCrossCheckVerifiesAndDetectsDivergence) {
   }
 }
 
+// The committed v1 files (tests/fixtures/persist_v1/): a journal of 3
+// records and a checkpoint at epoch 2 whose snapshot is v1. The follower
+// bootstraps past that checkpoint (it does not load), replays the whole
+// journal, and does not read the older format as divergence.
+TEST_F(ReplicateTest, V1CheckpointIsNoEvidenceOfDivergence) {
+  ThreadPool pool(1);
+  Config cfg;  // the config the fixture was written with
+  cfg.max_rank = 2;
+  cfg.seed = 909;
+  cfg.initial_capacity = 1 << 14;
+  const std::string fp = "churn n=16 target=10 seed=2101";
+  const std::string v1 = std::string(PDMM_FIXTURE_DIR) + "/persist_v1";
+  write_file(path("wal.log"), file_str(v1 + "/wal.log"));
+  write_file(path("ck.2"), file_str(v1 + "/ck.2"));
+
+  DynamicMatcher fm(cfg, pool);
+  ReplicaOptions ropt;
+  ropt.journal_path = path("wal.log");
+  ropt.checkpoint_prefix = path("ck");
+  ropt.expected_stream = fp;
+  ReplicaEngine rep(fm, nullptr, ropt);
+  std::string err;
+  ASSERT_TRUE(rep.bootstrap(&err)) << err;
+  EXPECT_EQ(rep.applied_epoch(), 0u);
+  ASSERT_EQ(rep.step(), TailStatus::kRecord) << rep.error();
+  EXPECT_EQ(rep.applied_epoch(), 3u);
+  EXPECT_EQ(rep.health().checkpoints_verified, 0u);
+
+  DynamicMatcher replayed(cfg, pool);
+  persist::RecoveryOptions ro;
+  ro.journal_path = path("wal.log");
+  ro.expected_stream = fp;
+  ASSERT_TRUE(persist::recover(replayed, ro).ok);
+  EXPECT_EQ(save_str(fm), save_str(replayed));
+}
+
 // Crash-at-sync-point: a follower killed between applying and publishing
 // (or before an apply) restarts from the same artifacts and converges —
 // replica application is idempotent because the journal is the only truth.

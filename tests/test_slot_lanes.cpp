@@ -5,7 +5,8 @@
 // at the recorded position, for every structured edge, every endpoint slot
 // and every D member), so the stream tests below run the oracle after every
 // batch across ranks 1-4, through a rebuild and through save -> load ->
-// continue. The loader writes the lanes while it parses the member lines.
+// continue. The loader derives the containers, and with them the lanes,
+// from the edges.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -170,12 +171,13 @@ INSTANTIATE_TEST_SUITE_P(
                                     p.edge_rank);
     });
 
-// test_snapshot.cpp's SnapshotCorpus holds the other lane refusals.
+// test_snapshot.cpp's SnapshotCorpus holds the loader's other refusals.
 TEST(LaneRefusalsAtScale, DuplicateInAHubOwnedSetOfTwoToTheFifteen) {
   // A star: hub 0 at the top level matched to edge 0 = {0, 1}, and every
   // edge {0, i} owned by the hub — a valid between-batch state whose O(0)
-  // holds 2^15 + 2 members. A repeat at the end of the o line must be
-  // refused from its lane alone, without a scan of the set.
+  // holds 2^15 + 2 members, derived from the e lines alone. A last e line
+  // that repeats an earlier edge's endpoint set must be refused on its
+  // line by the registry's one probe, whatever the set's size.
   ThreadPool pool(1);
   Config cfg;
   cfg.max_rank = 2;
@@ -188,36 +190,29 @@ TEST(LaneRefusalsAtScale, DuplicateInAHubOwnedSetOfTwoToTheFifteen) {
   head.resize(cut);
   const std::string top = std::to_string(m.scheme().top_level());
   constexpr uint32_t kSpokes = (1u << 15) + 1;  // edges 1 .. kSpokes
+  const auto spoke = [&](uint32_t e, uint32_t v) {
+    return "e " + std::to_string(e) + " 2 0 " + std::to_string(v) + ' ' +
+           top + " 0 0 4294967295\n";
+  };
 
-  std::string body = "reg " + std::to_string(kSpokes + 1) + ' ' +
-                     std::to_string(kSpokes + 1) + '\n';
-  body += "e 0 2 0 1 " + top + " 0 1 4294967295\n";
-  for (uint32_t e = 1; e <= kSpokes; ++e) {
-    body += "e " + std::to_string(e) + " 2 0 " + std::to_string(e + 1) + ' ' +
-            top + " 0 0 4294967295\n";
-  }
-  body += "f\nnv " + std::to_string(kSpokes + 2) + '\n';
-  body += "v 0 " + top + " 0\nv 1 " + top + " 0\n";
-  std::string owned = "o 0";
-  for (uint32_t e = 0; e <= kSpokes; ++e) owned += ' ' + std::to_string(e);
-  std::string a_lines = "a 1 " + top + " 0\n";
-  for (uint32_t e = 1; e <= kSpokes; ++e) {
-    a_lines += "a " + std::to_string(e + 1) + ' ' + top + ' ' +
-               std::to_string(e) + '\n';
-  }
+  head += "reg " + std::to_string(kSpokes + 1) + ' ' +
+          std::to_string(kSpokes + 1) + '\n';
+  head += "e 0 2 0 1 " + top + " 0 1 4294967295\n";
+  for (uint32_t e = 1; e < kSpokes; ++e) head += spoke(e, e + 1);
+  const std::string tail = "f\nnv " + std::to_string(kSpokes + 2) + "\nend\n";
 
-  const std::string valid = head + body + owned + '\n' + a_lines + "end\n";
-  const SnapshotError loaded = load_str(m, valid);
+  const SnapshotError loaded =
+      load_str(m, head + spoke(kSpokes, kSpokes + 1) + tail);
   ASSERT_TRUE(loaded.ok()) << loaded.to_string();
   EXPECT_EQ(m.graph().num_edges(), kSpokes + 1);
   MatchingChecker::check(m);
 
-  const std::string dup =
-      head + body + owned + " 17\n" + a_lines + "end\n";
-  const SnapshotError err = load_str(m, dup);
+  // The last e line repeats edge 1's endpoints {0, 2}.
+  const SnapshotError err = load_str(m, head + spoke(kSpokes, 2) + tail);
   ASSERT_FALSE(err.ok());
-  EXPECT_GT(err.line, 0u) << err.to_string();
-  EXPECT_NE(err.message.find("duplicate member 17"), std::string::npos)
+  EXPECT_EQ(err.line, 5u + kSpokes) << err.to_string();
+  EXPECT_NE(err.message.find("duplicate edge endpoint set"),
+            std::string::npos)
       << err.to_string();
   EXPECT_EQ(m.graph().num_edges(), 0u);
   m.insert_batch(std::vector<std::vector<Vertex>>{{0, 1}, {2, 3}});

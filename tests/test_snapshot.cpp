@@ -296,7 +296,7 @@ TEST(SnapshotGolden, CommittedFixtureIsReproducedByteExact) {
   ChurnStream::Options so;
   so.n = 192;
   so.target_edges = 448;
-  so.zipf_s = 0.7;  // dense hubs: the fixture carries o/a/d/bd lines
+  so.zipf_s = 0.7;  // dense hubs: temp-deleted edges and bd lines
   so.seed = 4243;
   ChurnStream stream(so);
   drive(a, stream, 24, 32);
@@ -334,10 +334,12 @@ TEST(SnapshotGolden, CommittedFixtureIsReproducedByteExact) {
 }
 
 // With max_settle_repeats = 0 every settle takes
-// sequential_settle_fallback, which settles B = S_l one vertex at a time in
-// S_l's member order. So the order in which each S_l received its
-// membership flips reaches the state here, and nowhere else the suite
-// looks: the digest of the final snapshot bytes is pinned.
+// sequential_settle_fallback, which settles B = S_l one vertex at a time,
+// each from its own draw of the settle stream: the walk order decides
+// which vertex gets which draw. The fallback walks in vertex-id order, so
+// S_l's member order cannot reach the state; the digest of the final
+// snapshot bytes pins the whole path (test_member_order.cpp shuffles S_l
+// against it).
 uint64_t fnv1a64(const std::string& bytes) {
   uint64_t h = 0xcbf29ce484222325ull;
   for (const unsigned char c : bytes) {
@@ -363,7 +365,7 @@ TEST(SnapshotGolden, SettleFallbackStateIsPinned) {
   char got[17];
   std::snprintf(got, sizeof got, "%016llx",
                 static_cast<unsigned long long>(fnv1a64(save_str(a))));
-  EXPECT_STREQ(got, "99677f6e68e83c8f");
+  EXPECT_STREQ(got, "6be71df5bfc9a83e");
 }
 
 // ---------------------------------------------------------------------------
@@ -387,9 +389,7 @@ class SnapshotCorpus : public testing::Test {
     snapshot_ = save_str(a);
     lines_ = split_lines(snapshot_);
     // The corpus relies on every tag being present in the specimen.
-    for (const char* tag :
-         {"cfg", "sch", "reg", "e", "f", "nv", "v", "o", "a", "d", "bd",
-          "end"}) {
+    for (const char* tag : {"cfg", "sch", "reg", "e", "f", "nv", "bd", "end"}) {
       ASSERT_NE(find_line(tag), lines_.size()) << "specimen lacks a '" << tag
                                                << "' line";
     }
@@ -407,17 +407,13 @@ class SnapshotCorpus : public testing::Test {
     return out;
   }
 
-  // Index of the first line starting with `tag` (a tag, or a tag and its
-  // leading fields such as "d 17"); lines.size() when there is none.
-  static size_t find_in(const std::vector<std::string>& lines,
-                        const std::string& tag) {
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (lines[i].rfind(tag + " ", 0) == 0 || lines[i] == tag) return i;
-    }
-    return lines.size();
-  }
+  // Index of the first line with tag `tag`; lines_.size() when there is
+  // none.
   size_t find_line(const std::string& tag) const {
-    return find_in(lines_, tag);
+    for (size_t i = 0; i < lines_.size(); ++i) {
+      if (lines_[i].rfind(tag + " ", 0) == 0 || lines_[i] == tag) return i;
+    }
+    return lines_.size();
   }
 
   static std::vector<std::string> tokens(const std::string& line) {
@@ -446,9 +442,7 @@ class SnapshotCorpus : public testing::Test {
     std::vector<std::string> endpoints() const {
       return {toks.begin() + 3, toks.end() - 4};
     }
-    const std::string& level() const { return toks[toks.size() - 4]; }
     const std::string& flags() const { return toks[toks.size() - 2]; }
-    const std::string& resp() const { return toks.back(); }
     bool touches(const EdgeLine& other) const {
       const auto mine = endpoints(), theirs = other.endpoints();
       return std::find_first_of(mine.begin(), mine.end(), theirs.begin(),
@@ -482,14 +476,11 @@ class SnapshotCorpus : public testing::Test {
     expect_reset_and_usable(m, what);
   }
 
-  // As expect_rejected, and the error names the mutant's line and says
-  // `needle`.
-  void expect_refused_on_line(const std::string& mutant,
-                              const std::string& needle) {
+  // As expect_rejected, and the error says `needle`.
+  void expect_refused(const std::string& mutant, const std::string& needle) {
     DynamicMatcher m(snap_config(2, 31), *pool_);
     const SnapshotError err = load_str(m, mutant);
     ASSERT_FALSE(err.ok()) << needle << ": mutant was accepted";
-    EXPECT_GT(err.line, 0u) << err.to_string();
     EXPECT_NE(err.message.find(needle), std::string::npos)
         << err.to_string();
     expect_reset_and_usable(m, needle);
@@ -539,7 +530,7 @@ TEST_F(SnapshotCorpus, MidLineTruncationIsRejected) {
 
 TEST_F(SnapshotCorpus, TruncatedTagLinesAreRejected) {
   // Drop the last token of one representative line per tag.
-  for (const char* tag : {"cfg", "sch", "reg", "e", "nv", "v", "a", "bd"}) {
+  for (const char* tag : {"cfg", "sch", "reg", "e", "nv", "bd"}) {
     const size_t i = find_line(tag);
     auto mutant = lines_;
     const size_t sp = mutant[i].find_last_of(' ');
@@ -551,7 +542,7 @@ TEST_F(SnapshotCorpus, TruncatedTagLinesAreRejected) {
 }
 
 TEST_F(SnapshotCorpus, DuplicatedTagLinesAreRejected) {
-  for (const char* tag : {"e", "f", "v", "o", "a", "d", "bd"}) {
+  for (const char* tag : {"e", "f", "nv", "bd"}) {
     const size_t i = find_line(tag);
     auto mutant = lines_;
     // Re-insert a copy right after the original (before `end`).
@@ -564,7 +555,7 @@ TEST_F(SnapshotCorpus, DuplicatedTagLinesAreRejected) {
 TEST_F(SnapshotCorpus, OutOfBoundsIdsAreRejected) {
   // Replace the id field (token 1) of each id-bearing tag with a value
   // beyond the declared bound, and separately with a giant one.
-  for (const char* tag : {"e", "v", "o", "a", "d", "bd"}) {
+  for (const char* tag : {"e", "bd"}) {
     for (const char* big : {"999999", "4294967295", "18446744073709551615"}) {
       const size_t i = find_line(tag);
       auto mutant = lines_;
@@ -579,18 +570,18 @@ TEST_F(SnapshotCorpus, OutOfBoundsIdsAreRejected) {
     }
   }
   {
-    // An out-of-bounds *member* id too (last token of the o line).
-    const size_t i = find_line("o");
+    // An out-of-bounds edge reference too (the resp field, last token of
+    // an e line).
+    const size_t i = find_line("e");
     auto mutant = lines_;
     const size_t sp = mutant[i].find_last_of(' ');
     mutant[i] = mutant[i].substr(0, sp) + " 888888";
-    expect_rejected(join(mutant), "oob member id in 'o' line");
+    expect_rejected(join(mutant), "oob resp in 'e' line");
   }
 }
 
 TEST_F(SnapshotCorpus, NonNumericFieldsAreRejected) {
-  for (const char* tag : {"cfg", "sch", "reg", "e", "f", "nv", "v", "o",
-                          "a", "d", "bd"}) {
+  for (const char* tag : {"cfg", "sch", "reg", "e", "f", "nv", "bd"}) {
     const size_t i = find_line(tag);
     auto mutant = lines_;
     const size_t sp = mutant[i].find_last_of(' ');
@@ -620,9 +611,21 @@ TEST_F(SnapshotCorpus, UnknownTagAndHeaderMutationsAreRejected) {
     expect_rejected(join(mutant), "unknown tag line");
   }
   {
+    // v1's member lines are not v2 lines.
     auto mutant = lines_;
-    mutant[0] = "pdmm-snapshot v2";
-    expect_rejected(join(mutant), "wrong version");
+    mutant.insert(mutant.end() - 1, "o 0 " + edge_lines().front().id());
+    expect_rejected(join(mutant), "v1 member line");
+  }
+  {
+    // A v1 snapshot is refused on its header, naming both versions.
+    auto mutant = lines_;
+    mutant[0] = "pdmm-snapshot v1";
+    DynamicMatcher m(snap_config(2, 31), *pool_);
+    const SnapshotError err = load_str(m, join(mutant));
+    EXPECT_EQ(err.line, 1u) << err.to_string();
+    EXPECT_NE(err.message.find("v1"), std::string::npos) << err.to_string();
+    EXPECT_NE(err.message.find("v2"), std::string::npos) << err.to_string();
+    expect_reset_and_usable(m, "v1 header");
   }
   {
     auto mutant = lines_;
@@ -644,8 +647,9 @@ TEST_F(SnapshotCorpus, CountMismatchesAreRejected) {
     expect_rejected(join(mutant), "inflated num_alive");
   }
   {
-    // Strip the matched flag off an edge while its endpoints still claim
-    // it: the post-load verification must notice the disagreement.
+    // Strip the matched flag off an edge: its endpoints become unmatched
+    // and the edge stays above them, which the post-load verification must
+    // notice.
     size_t i = lines_.size();
     for (size_t j = 0; j < lines_.size(); ++j) {
       if (lines_[j].rfind("e ", 0) != 0) continue;
@@ -696,9 +700,9 @@ TEST_F(SnapshotCorpus, CountMismatchesAreRejected) {
 
 TEST_F(SnapshotCorpus, ReHomedTempDeletedEdgeIsRejected) {
   // Invariant 3.2: a temp-deleted edge sits in D(e) of a matched edge e it
-  // shares a vertex with. Move one into the D set of a matched edge it
-  // does not touch and keep every pointer consistent (its resp field and
-  // both d lines), so only the incidence test can notice.
+  // shares a vertex with. Point one at a matched edge it does not touch:
+  // the derivation files it under that edge, so only the incidence test
+  // can notice.
   const auto edges = edge_lines();
   for (const EdgeLine& f : edges) {
     if (f.flags() != "2") continue;
@@ -708,26 +712,7 @@ TEST_F(SnapshotCorpus, ReHomedTempDeletedEdgeIsRejected) {
       auto moved = f.toks;
       moved.back() = r.id();
       mutant[f.index] = untokens(moved);
-      // Out of the old D line (gone with its last member)...
-      const size_t old_d = find_in(mutant, "d " + f.resp());
-      ASSERT_NE(old_d, mutant.size());
-      auto old_members = tokens(mutant[old_d]);
-      old_members.erase(
-          std::find(old_members.begin() + 2, old_members.end(), f.id()));
-      if (old_members.size() == 2) {
-        mutant.erase(mutant.begin() + static_cast<long>(old_d));
-      } else {
-        mutant[old_d] = untokens(old_members);
-      }
-      // ...into r's, which goes before `end` if r has none yet.
-      const size_t new_d = find_in(mutant, "d " + r.id());
-      if (new_d == mutant.size()) {
-        mutant.insert(mutant.end() - 1, "d " + r.id() + " " + f.id());
-      } else {
-        mutant[new_d] += " " + f.id();
-      }
-      expect_rejected(join(mutant), "temp-deleted edge " + f.id() +
-                                        " re-homed under edge " + r.id());
+      expect_refused(join(mutant), "must touch its responsible edge");
       return;
     }
   }
@@ -735,89 +720,92 @@ TEST_F(SnapshotCorpus, ReHomedTempDeletedEdgeIsRejected) {
             "does not touch";
 }
 
-TEST_F(SnapshotCorpus, StrayAMemberIsRejected) {
-  // An A(v,l) entry for an edge of level l that v is not an endpoint of.
-  // The entry itself looks right (alive, level l, not owned by v); the
-  // loader refuses it because v is none of the edge's endpoints.
+// The derivation places each edge from its own e line; these mutants give
+// it an edge it cannot place, or a placement the oracle refuses.
+TEST_F(SnapshotCorpus, OwnerThatIsNotAnEndpointIsRefused) {
   const auto edges = edge_lines();
-  for (size_t i = 0; i < lines_.size(); ++i) {
-    const auto a = tokens(lines_[i]);
-    if (a[0] != "a") continue;
-    const std::string& v = a[1];
-    const std::string& level = a[2];
-    for (const EdgeLine& e : edges) {
-      const auto eps = e.endpoints();
-      if (e.flags() == "2" || e.level() != level ||
-          std::find(eps.begin(), eps.end(), v) != eps.end()) {
-        continue;
-      }
+  for (const EdgeLine& e : edges) {
+    if (e.flags() == "2") continue;
+    for (const EdgeLine& other : edges) {
+      if (e.touches(other)) continue;
       auto mutant = lines_;
-      mutant[i] += " " + e.id();
-      expect_rejected(join(mutant), "edge " + e.id() + " appended to A(" +
-                                        v + ", " + level + ")");
+      auto toks = e.toks;
+      toks[toks.size() - 3] = other.endpoints().front();
+      mutant[e.index] = untokens(toks);
+      expect_refused(join(mutant), "is not one of its endpoints");
       return;
     }
   }
-  FAIL() << "specimen lacks an A(v,l) line and a structured edge of that "
-            "level off v";
+  FAIL() << "specimen lacks two structured edges that do not touch";
 }
 
-// The loader records each o/a/d member's position in a lane as it parses:
-// a member off its line's vertex, or a lane entry written twice, is
-// refused on its line.
-TEST_F(SnapshotCorpus, OwnedMemberNotIncidentToItsVertexIsRefused) {
-  const size_t o = find_line("o");
-  const std::string v = tokens(lines_[o])[1];
-  for (const EdgeLine& e : edge_lines()) {
-    const auto eps = e.endpoints();
-    if (std::find(eps.begin(), eps.end(), v) != eps.end()) continue;
+TEST_F(SnapshotCorpus, TempDeletedEdgeWithoutAResponsibleEdgeIsRefused) {
+  for (const EdgeLine& f : edge_lines()) {
+    if (f.flags() != "2") continue;
     auto mutant = lines_;
-    mutant[o] += " " + e.id();
-    expect_refused_on_line(join(mutant), "is not incident to vertex " + v);
+    auto toks = f.toks;
+    toks.back() = "4294967295";
+    mutant[f.index] = untokens(toks);
+    expect_refused(join(mutant), "temp-deleted without a responsible edge");
     return;
   }
-  FAIL() << "specimen lacks an edge off vertex " << v;
+  FAIL() << "specimen lacks a temp-deleted edge";
 }
 
-TEST_F(SnapshotCorpus, EdgeInBothOwnedAndASetOfOneVertexIsRefused) {
-  // O(v) and every A(v, l) share e's one lane entry at v.
-  for (size_t i = 0; i < lines_.size(); ++i) {
-    const auto a = tokens(lines_[i]);
-    if (a[0] != "a") continue;
-    const size_t o = find_line("o " + a[1]);
-    if (o == lines_.size()) continue;
+TEST_F(SnapshotCorpus, TempDeletedEdgeUnderAFreeIdIsRefused) {
+  // Grow the id space by one free id and file a temp-deleted edge under it.
+  const size_t reg = find_line("reg");
+  auto reg_toks = tokens(lines_[reg]);
+  const std::string free_id = reg_toks[1];
+  reg_toks[1] = std::to_string(std::stoull(free_id) + 1);
+  for (const EdgeLine& f : edge_lines()) {
+    if (f.flags() != "2") continue;
     auto mutant = lines_;
-    mutant[i] += " " + tokens(lines_[o])[2];
-    expect_refused_on_line(join(mutant), "duplicate member");
+    mutant[reg] = untokens(reg_toks);
+    mutant[find_line("f")] += " " + free_id;
+    auto toks = f.toks;
+    toks.back() = free_id;
+    mutant[f.index] = untokens(toks);
+    expect_refused(join(mutant), "has no alive matched responsible edge");
     return;
   }
-  FAIL() << "specimen lacks a vertex with both an o and an a line";
+  FAIL() << "specimen lacks a temp-deleted edge";
 }
 
-TEST_F(SnapshotCorpus, DuplicateDMemberIsRefused) {
-  const size_t d = find_line("d");
-  auto mutant = lines_;
-  mutant[d] += " " + tokens(lines_[d])[2];
-  expect_refused_on_line(join(mutant), "duplicate member");
-}
-
-TEST_F(SnapshotCorpus, DMemberUnderTwoHeadsIsRefused) {
-  // A D member has one lane entry, whichever D(e) lists it.
-  const size_t d = find_line("d");
-  const auto toks = tokens(lines_[d]);
-  for (const EdgeLine& e : edge_lines()) {
-    if (e.flags() != "1" || e.id() == toks[1]) continue;
-    auto mutant = lines_;
-    const size_t head = find_in(mutant, "d " + e.id());
-    if (head == mutant.size()) {
-      mutant.insert(mutant.end() - 1, "d " + e.id() + " " + toks[2]);
-    } else {
-      mutant[head] += " " + toks[2];
+TEST_F(SnapshotCorpus, TempDeletedEdgeUnderAnUnmatchedEdgeIsRefused) {
+  const auto edges = edge_lines();
+  for (const EdgeLine& f : edges) {
+    if (f.flags() != "2") continue;
+    for (const EdgeLine& r : edges) {
+      if (r.flags() != "0" || !r.touches(f)) continue;
+      auto mutant = lines_;
+      auto toks = f.toks;
+      toks.back() = r.id();
+      mutant[f.index] = untokens(toks);
+      expect_refused(join(mutant), "has no alive matched responsible edge");
+      return;
     }
-    expect_refused_on_line(join(mutant), "duplicate member");
-    return;
   }
-  FAIL() << "specimen lacks a second matched edge";
+  FAIL() << "specimen lacks a temp-deleted edge touching an unmatched edge";
+}
+
+TEST_F(SnapshotCorpus, TwoMatchedEdgesOnOneVertexAreRefused) {
+  // Flag an unmatched edge matched next to the matched edge of one of its
+  // endpoints: the derivation meets that vertex twice.
+  const auto edges = edge_lines();
+  for (const EdgeLine& e : edges) {
+    if (e.flags() != "0") continue;
+    for (const EdgeLine& m : edges) {
+      if (m.flags() != "1" || !m.touches(e)) continue;
+      auto mutant = lines_;
+      auto toks = e.toks;
+      toks[toks.size() - 2] = "1";
+      mutant[e.index] = untokens(toks);
+      expect_refused(join(mutant), "is already matched to edge");
+      return;
+    }
+  }
+  FAIL() << "specimen lacks an unmatched edge touching a matched edge";
 }
 
 TEST_F(SnapshotCorpus, SeededTokenMutantsFailRecoverablyOrPassTheOracle) {
@@ -884,13 +872,13 @@ TEST_F(SnapshotCorpus, HostileBoundsAreRejectedBeforeAllocating) {
   // not exercised here because provoking real allocation failure is
   // environment-dependent.)
   {
-    std::string mutant = "pdmm-snapshot v1\n";
+    std::string mutant = "pdmm-snapshot v2\n";
     mutant += lines_[1] + "\n" + lines_[2] + "\n";
     mutant += "reg 18446744073709551615 0\nf\nnv 0\nend\n";
     expect_rejected(mutant, "hostile reg id_bound");
   }
   {
-    std::string mutant = "pdmm-snapshot v1\n";
+    std::string mutant = "pdmm-snapshot v2\n";
     mutant += lines_[1] + "\n" + lines_[2] + "\n";
     mutant += "reg 0 0\nf\nnv 18446744073709551615\nend\n";
     expect_rejected(mutant, "hostile nv bound");

@@ -70,7 +70,8 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
   // against the cold containers throughout.
   if (m.vhot_.size() != nv || m.vhot_.level_lane_size() != nv ||
       m.vhot_.matched_lane_size() != nv ||
-      m.vhot_.s_mask_lane_size() != nv || m.vhot_.changed_lane_size() != nv) {
+      m.vhot_.s_mask_lane_size() != nv || m.vhot_.deg_lane_size() != nv ||
+      m.vhot_.changed_lane_size() != nv) {
     return "SoA hot arrays out of lockstep with cold vertex structs";
   }
   if (nv < reg.vertex_bound()) {
@@ -102,6 +103,13 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
         return describe("vertex ", v, " matched to edge ", vm,
                         ", which does not contain it");
       }
+    }
+    // deg(v), which gates the S_l refresh, counts v's structured edges.
+    size_t deg = vs.owned.size();
+    for (const auto& ls : vs.a_sets) deg += ls.set.size();
+    if (m.vhot_.deg(v) != deg) {
+      return describe("vertex ", v, " degree lane reads ", m.vhot_.deg(v),
+                      " but O(v) and A(v, l) hold ", deg, " edges");
     }
     // O(v): structured edges claiming v as owner, at v's level.
     have_owned += vs.owned.size();

@@ -14,7 +14,8 @@
 //    order), so nothing sorts ids or records to fix an order. Duplicates
 //    are dropped through flag lanes that are zero between uses.
 //  * S_l membership is cached per vertex as a bitmask; refreshes touch the
-//    shared S_l sets only when a membership bit actually flips.
+//    shared S_l sets only when a membership bit actually flips, and read a
+//    vertex's containers only when its degree can reach a threshold.
 //  * O(v), A(v, l), D(e) and the undecided sets record each member's
 //    index in a lane, so an erase is one indexed move, never a search.
 //  * All phase-scoped buffers, per-call maps and Luby's lanes come from the
@@ -151,19 +152,24 @@ void DynamicMatcher::grow_edges(size_t bound) {
 // S_l maintenance
 // ---------------------------------------------------------------------------
 
+bool DynamicMatcher::may_rise(Vertex v) const {
+  const Level lv = vhot_.level(v);
+  return lv < scheme_.top_level() &&
+         vhot_.deg(v) >= scheme_.rise_threshold(lv + 1);
+}
+
 uint64_t DynamicMatcher::compute_s_mask(Vertex v) const {
+  if (!may_rise(v)) return 0;
   const VertexState& vs = verts_[v];
   const Level top = scheme_.top_level();
   // Only counts[0..top] are read below, so only those are zeroed.
   uint64_t counts[kMaxLevels];
   std::fill_n(counts, static_cast<size_t>(top) + 1, uint64_t{0});
-  uint64_t total = vs.owned.size();
   for (const auto& ls : vs.a_sets) {
     PDMM_DASSERT(ls.level >= 0 && ls.level <= top);
     counts[static_cast<size_t>(ls.level)] = ls.set.size();
-    total += ls.set.size();
   }
-  if (total == 0) return 0;
+  const uint64_t total = vhot_.deg(v);
   uint64_t mask = 0;
   uint64_t o_til = vs.owned.size();  // running value of o~(v, l)
   for (Level l = 0; l <= top; ++l) {
@@ -200,6 +206,9 @@ void DynamicMatcher::refresh_s_membership_all(
   if (touched.empty()) return;
   // Pass 1 (parallel; `touched` is duplicate-free, so the per-vertex mask
   // writes are disjoint): recompute each mask, remember which bits flip.
+  // Most touched vertices fail may_rise(), and compute_s_mask answers
+  // those from the level and degree lanes alone, without reading the
+  // vertex's containers.
   auto& deltas = scratch_.s_deltas;
   deltas.resize(touched.size());
   parallel_for(pool_, touched.size(), [&](size_t i) {
@@ -247,12 +256,14 @@ void DynamicMatcher::attach(EdgeId e, uint32_t j, Vertex u, bool owner,
   EdgeList& c = owner ? vs.owned : vs.ensure_a(l);
   eslot(e, j) = static_cast<uint32_t>(c.size());
   c.push_back(e);
+  vhot_.inc_deg(u);
 }
 
 void DynamicMatcher::detach(EdgeId e, uint32_t j, Vertex u, bool owner,
                             Level l) {
   VertexState& vs = verts_[u];
   const uint32_t i = eslot(e, j);
+  vhot_.dec_deg(u);
   if (owner) {
     PDMM_DASSERT(i < vs.owned.size() && vs.owned[i] == e);
     erase_member(vs.owned, u, i);
@@ -829,12 +840,10 @@ void DynamicMatcher::maybe_rebuild(size_t incoming_updates) {
 DynamicMatcher::BatchResult DynamicMatcher::update_by_endpoints(
     std::span<const std::vector<Vertex>> deletions,
     std::span<const std::vector<Vertex>> insertions) {
-  std::vector<EdgeId> dels;
-  dels.reserve(deletions.size());
-  for (const auto& eps : deletions) {
-    const EdgeId e = reg_.find(eps);
+  std::vector<EdgeId> dels(deletions.size());
+  reg_.find_batch(deletions, dels);
+  for (const EdgeId e : dels) {
     PDMM_ASSERT_MSG(e != kNoEdge, "deletion of an absent edge (by endpoints)");
-    dels.push_back(e);
   }
   return update(dels, insertions);
 }
@@ -891,19 +900,16 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
   // removed them from every structure already). A single sorted erase pass
   // keeps free-list id assignment identical across all matcher
   // implementations driven by the same stream.
-  for (EdgeId e : dels) {
-    reg_.erase(e);
-    batch_journal_.emplace_back(e, int8_t{0});
-  }
+  reg_.erase_batch(dels);
+  for (EdgeId e : dels) batch_journal_.emplace_back(e, int8_t{0});
   level_sweep();
 
   // --- group 3: insertions (user + kicked edges + dissolved D sets) ---
-  res.inserted_ids.resize(insertions.size(), kNoEdge);
+  res.inserted_ids.resize(insertions.size());
+  reg_.insert_batch(insertions, res.inserted_ids);
   auto& new_ids = scratch_.new_ids;
   new_ids.clear();
-  for (size_t i = 0; i < insertions.size(); ++i) {
-    const EdgeId id = reg_.insert(insertions[i]);
-    res.inserted_ids[i] = id;
+  for (const EdgeId id : res.inserted_ids) {
     if (id != kNoEdge) new_ids.push_back(id);
   }
   grow_vertices(reg_.vertex_bound());
@@ -919,49 +925,35 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
   if (cfg_.settle_after_insertions) drain_eager();
 
   // --- replay the journal into a post-state-wins diff ---
-  // Per edge-id identity tracking: a "retire" event (0) closes the current
-  // identity (reporting its loss of matched status if it started matched),
-  // and any later events under the same id belong to a fresh identity.
-  // Tracks are kept in first-journaled order; the per-id slot lane finds an
-  // id's track and is reset entry by entry afterwards.
-  {
-    constexpr uint32_t kNoSlot = ~uint32_t{0};
-    auto& slot = scratch_.diff_slot;
-    auto& tracks = scratch_.diff_tracks;
-    if (slot.size() < reg_.id_bound()) slot.resize(reg_.id_bound(), kNoSlot);
-    tracks.clear();
-    for (const auto& [e, ev] : batch_journal_) {
-      if (slot[e] == kNoSlot) {
-        slot[e] = static_cast<uint32_t>(tracks.size());
-        tracks.push_back(DiffTrack{e});
-      }
-      DiffTrack& t = tracks[slot[e]];
+  // One stable sort by edge id lines up each id's events in journal order,
+  // and the ids ascend, so one pass over the groups emits both lists
+  // sorted. Within a group, a retirement (0) closes the current identity,
+  // reporting its loss of matched status if it started matched, and later
+  // events belong to a fresh identity under the recycled id.
+  radix_sort_by(batch_journal_, scratch_.journal_buf,
+                [](const std::pair<EdgeId, int8_t>& ev) { return ev.first; });
+  for (size_t i = 0; i < batch_journal_.size();) {
+    const EdgeId e = batch_journal_[i].first;
+    bool seen = false, initial = false, cur = false;
+    for (; i < batch_journal_.size() && batch_journal_[i].first == e; ++i) {
+      const int8_t ev = batch_journal_[i].second;
       if (ev == 0) {
         // Retirement: matched edges are always unmatched before deletion.
-        PDMM_DASSERT(!t.seen || !t.cur);
-        if (t.seen && t.initial) res.newly_unmatched.push_back(e);
-        t = DiffTrack{e};  // fresh identity for a possibly recycled id
-      } else {
-        const bool now = ev > 0;
-        if (!t.seen) {
-          t.seen = true;
-          t.initial = !now;
-          t.cur = !now;
-        }
-        PDMM_DASSERT(t.cur != now);
-        t.cur = now;
+        PDMM_DASSERT(!seen || !cur);
+        if (seen && initial) res.newly_unmatched.push_back(e);
+        seen = false;
+        continue;
       }
+      const bool now = ev > 0;
+      PDMM_DASSERT(!seen || cur != now);
+      if (!seen) {
+        seen = true;
+        initial = !now;
+      }
+      cur = now;
     }
-    for (const DiffTrack& t : tracks) {
-      slot[t.e] = kNoSlot;
-      if (!t.seen) continue;
-      if (!t.initial && t.cur) res.newly_matched.push_back(t.e);
-      if (t.initial && !t.cur) res.newly_unmatched.push_back(t.e);
-    }
-    // The journal order follows container member order, which is not
-    // state; the diff is reported ascending.
-    std::sort(res.newly_matched.begin(), res.newly_matched.end());
-    std::sort(res.newly_unmatched.begin(), res.newly_unmatched.end());
+    if (seen && !initial && cur) res.newly_matched.push_back(e);
+    if (seen && initial && !cur) res.newly_unmatched.push_back(e);
   }
 
   res.rebuilt = stats_.rebuilds > rebuilds_before;

@@ -349,14 +349,6 @@ class DynamicMatcher {
     uint8_t j = 0;
   };
 
-  // One edge id's identity in update()'s batch-diff replay.
-  struct DiffTrack {
-    EdgeId e = kNoEdge;
-    bool seen = false;
-    bool initial = false;  // matched at identity start
-    bool cur = false;
-  };
-
   // Batch-scoped scratch arena: every buffer a hot phase needs, reused
   // across calls. Buffers are grouped by the (non-reentrant) routine that
   // owns them; routines that call each other use disjoint groups. The
@@ -371,11 +363,11 @@ class DynamicMatcher {
   // 4) — and the BatchResult vectors (about 14). The undecided sets are
   // per-level vectors that keep their capacity from batch to batch.
   struct Scratch {
-    // update(): classified deletions, inserted ids, batch-diff replay
+    // update(): classified deletions, inserted ids, and the radix sort
+    // buffer of the batch-diff replay
     std::vector<EdgeId> dels, del_unmatched, del_temp, del_matched, new_ids;
     std::vector<EdgeId> eager_queue;  // drain_eager's reinsertion batch
-    std::vector<DiffTrack> diff_tracks;
-    std::vector<uint32_t> diff_slot;  // per edge id: track index, or ~0
+    std::vector<std::pair<EdgeId, int8_t>> journal_buf;
     // Per-vertex flag, |V|-indexed, 0 between uses: marks the vertices a
     // structural apply touched (apply_struct_muts, apply_level_moves) and
     // B membership in refresh_settle_sets. See vertex_flags().
@@ -507,7 +499,13 @@ class DynamicMatcher {
   void temp_delete_bookkeep(EdgeId e, EdgeId responsible);
 
   // ---- misc ----
-  // o~(v, l) profile of v folded into the S_l membership bitmask.
+  // Whether v can belong to any S_l: l(v) < L and deg(v) >= alpha^(l(v)+1).
+  // Every S_l that could hold v has l > l(v), so threshold alpha^l >=
+  // alpha^(l(v)+1), and o~(v, l) never exceeds deg(v); a vertex failing
+  // this test has mask 0, exactly.
+  bool may_rise(Vertex v) const;
+  // o~(v, l) profile of v folded into the S_l membership bitmask; 0 without
+  // reading v's containers when !may_rise(v).
   uint64_t compute_s_mask(Vertex v) const;
   void refresh_s_membership(Vertex v);
   // Refresh over a duplicate-free vertex set in any order: one parallel
@@ -559,7 +557,9 @@ class DynamicMatcher {
   std::vector<uint32_t> dslot_;
 
   // S_l, index 0..L. A vertex can sit in several S_l, so these keep
-  // IndexedSet's search-based erase.
+  // IndexedSet's search-based erase. Each vertex's memberships are cached
+  // as a bitmask in vhot_, and a refresh reads a vertex's containers only
+  // when may_rise() (the level and degree lanes) leaves a bit possible.
   std::vector<IndexedSet> s_;
   // Undecided nodes by level, 0..L, and each vertex's position in its
   // level's list (kNoSlot: not undecided).
@@ -569,9 +569,10 @@ class DynamicMatcher {
   // Batch-scoped scratch.
   std::vector<EdgeId> reinsert_queue_;  // kicked edges + dissolved D members
   // Journal of matching transitions this batch: +1 matched, -1 unmatched,
-  // 0 id retired (edge deleted, id recyclable). Replayed at batch end to
-  // produce the newly_matched / newly_unmatched diff with correct handling
-  // of ids recycled within the batch.
+  // 0 id retired (edge deleted, id recyclable). At batch end it is sorted
+  // stably by edge id and replayed to produce the newly_matched /
+  // newly_unmatched diff with correct handling of ids recycled within the
+  // batch.
   std::vector<std::pair<EdgeId, int8_t>> batch_journal_;
 
   // The base of the next delta capture: the view the last make_view_into()

@@ -133,12 +133,12 @@ void DynamicMatcher::grand_random_settle(Level l) {
     PDMM_DASSERT(vhot_.level(v) < l);
     append_o_tilde(v, l, e_prime);
   }
-  const uint64_t h_stream = hash_mix(settle_rng_stream(), 0xc401ceULL);
+  const auto h_draws = rng_.stream(hash_mix(settle_rng_stream(), 0xc401ceULL));
   size_t kept = 0;
   for (const EdgeId e : e_prime) {
     if (h[e] != kNoVertex) continue;
     const auto eps = reg_.endpoints(e);
-    h[e] = eps[rng_.below(h_stream, e, eps.size())];
+    h[e] = eps[h_draws.below(e, eps.size())];
     e_prime[kept++] = e;
   }
   e_prime.resize(kept);
@@ -179,12 +179,11 @@ size_t DynamicMatcher::subsubsettle(Level l, uint32_t phase_i,
   const double p = std::min(
       1.0, static_cast<double>(uint64_t{1} << std::min(phase_i, 62u)) /
                static_cast<double>(scheme_.alpha_pow(l + 2)));
-  const uint64_t mark_stream =
-      hash_mix(settle_rng_stream(), iter_salt, 0x3a4bULL);
+  const auto marks =
+      rng_.stream(hash_mix(settle_rng_stream(), iter_salt, 0x3a4bULL));
   auto& marked = scratch_.settle_marked;
   pack_values_into(
-      pool_, e_prime,
-      [&](size_t i) { return rng_.uniform(mark_stream, e_prime[i]) < p; },
+      pool_, e_prime, [&](size_t i) { return marks.uniform(e_prime[i]) < p; },
       marked, scratch_.pack_flags);
   cost_.round(e_prime.size());
   if (marked.empty()) return 0;

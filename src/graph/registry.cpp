@@ -8,16 +8,12 @@
 namespace pdmm {
 namespace {
 
-// Copies eps into out in ascending order. Insertion sort: ranks are tiny,
-// and a rank-2 edge costs one compare.
-std::span<const Vertex> canonical(std::span<const Vertex> eps, Vertex* out) {
-  for (size_t i = 0; i < eps.size(); ++i) {
-    const Vertex v = eps[i];
-    size_t j = i;
-    for (; j > 0 && out[j - 1] > v; --j) out[j] = out[j - 1];
-    out[j] = v;
+// A canonical key names each endpoint once.
+void assert_distinct(std::span<const Vertex> sorted) {
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    PDMM_ASSERT_MSG(sorted[i] != sorted[i - 1],
+                    "hyperedge endpoints must be distinct");
   }
-  return {out, eps.size()};
 }
 
 }  // namespace
@@ -25,6 +21,19 @@ std::span<const Vertex> canonical(std::span<const Vertex> eps, Vertex* out) {
 HyperedgeRegistry::HyperedgeRegistry(uint32_t max_rank)
     : max_rank_(max_rank), slots_(kMinSlots), mask_(kMinSlots - 1) {
   PDMM_ASSERT(max_rank >= 1 && max_rank <= kMaxRankLimit);
+}
+
+// Insertion sort: ranks are tiny, and a rank-2 edge costs one compare.
+std::span<const Vertex> HyperedgeRegistry::canonical(
+    std::span<const Vertex> eps, Vertex* out) const {
+  PDMM_ASSERT(!eps.empty() && eps.size() <= static_cast<size_t>(max_rank_));
+  for (size_t i = 0; i < eps.size(); ++i) {
+    const Vertex v = eps[i];
+    size_t j = i;
+    for (; j > 0 && out[j - 1] > v; --j) out[j] = out[j - 1];
+    out[j] = v;
+  }
+  return {out, eps.size()};
 }
 
 uint32_t HyperedgeRegistry::tag_of(std::span<const Vertex> sorted) {
@@ -49,13 +58,14 @@ size_t HyperedgeRegistry::probe(uint32_t tag,
   return i;
 }
 
-void HyperedgeRegistry::reserve_one() {
-  if (2 * (num_alive_ + 1) <= slots_.size()) return;
+void HyperedgeRegistry::reserve(size_t extra) {
+  size_t want = slots_.size();
+  while (2 * (num_alive_ + extra) > want) want *= 2;
+  if (want == slots_.size()) return;
   // A tag names its home slot, so it can address no more than 2^32 slots.
-  PDMM_ASSERT_MSG(slots_.size() * 2 <= (size_t{1} << 32),
+  PDMM_ASSERT_MSG(want <= (size_t{1} << 32),
                   "registry index past the 2^32 slots its tags address");
-  const std::vector<Slot> old =
-      std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+  const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(want));
   mask_ = slots_.size() - 1;
   for (const Slot& s : old) {
     if (s.id == kNoEdge) continue;
@@ -75,17 +85,8 @@ void HyperedgeRegistry::place(EdgeId id, std::span<const Vertex> sorted,
   vertex_bound_ = std::max(vertex_bound_, sorted.back() + 1);
 }
 
-EdgeId HyperedgeRegistry::insert(std::span<const Vertex> eps) {
-  PDMM_ASSERT(!eps.empty() && eps.size() <= static_cast<size_t>(max_rank_));
-  Vertex tmp[kMaxRankLimit];
-  const auto sorted = canonical(eps, tmp);
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    PDMM_ASSERT_MSG(sorted[i] != sorted[i - 1],
-                    "hyperedge endpoints must be distinct");
-  }
-
-  reserve_one();
-  const uint32_t tag = tag_of(sorted);
+EdgeId HyperedgeRegistry::insert_tagged(std::span<const Vertex> sorted,
+                                        uint32_t tag) {
   const size_t slot = probe(tag, sorted);
   if (slots_[slot].id != kNoEdge) return kNoEdge;  // duplicate
 
@@ -102,16 +103,55 @@ EdgeId HyperedgeRegistry::insert(std::span<const Vertex> eps) {
   return id;
 }
 
+EdgeId HyperedgeRegistry::insert(std::span<const Vertex> eps) {
+  Vertex tmp[kMaxRankLimit];
+  const auto sorted = canonical(eps, tmp);
+  assert_distinct(sorted);
+  reserve(1);
+  return insert_tagged(sorted, tag_of(sorted));
+}
+
+void HyperedgeRegistry::insert_batch(std::span<const std::vector<Vertex>> keys,
+                                     std::span<EdgeId> ids) {
+  PDMM_ASSERT(ids.size() == keys.size());
+  reserve(keys.size());
+  // ids[i] holds keys[i]'s tag until pass 2 writes the id over it.
+  static_assert(sizeof(EdgeId) == sizeof(uint32_t));
+  Vertex tmp[kMaxRankLimit];
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto sorted = canonical(keys[i], tmp);
+    assert_distinct(sorted);
+    ids[i] = tag_of(sorted);
+    prefetch_home(ids[i]);
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ids[i] = insert_tagged(canonical(keys[i], tmp), ids[i]);
+  }
+}
+
 EdgeId HyperedgeRegistry::find(std::span<const Vertex> eps) const {
-  PDMM_ASSERT(!eps.empty() && eps.size() <= static_cast<size_t>(max_rank_));
   Vertex tmp[kMaxRankLimit];
   const auto sorted = canonical(eps, tmp);
   return slots_[probe(tag_of(sorted), sorted)].id;
 }
 
-void HyperedgeRegistry::erase(EdgeId e) {
+void HyperedgeRegistry::find_batch(std::span<const std::vector<Vertex>> keys,
+                                   std::span<EdgeId> ids) const {
+  PDMM_ASSERT(ids.size() == keys.size());
+  // As in insert_batch, ids[i] holds the tag until pass 2.
+  Vertex tmp[kMaxRankLimit];
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ids[i] = tag_of(canonical(keys[i], tmp));
+    prefetch_home(ids[i]);
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ids[i] = slots_[probe(ids[i], canonical(keys[i], tmp))].id;
+  }
+}
+
+void HyperedgeRegistry::erase_tagged(EdgeId e, uint32_t tag) {
   PDMM_ASSERT(alive(e));
-  size_t hole = tag_of(endpoints(e)) & mask_;
+  size_t hole = tag & mask_;
   while (slots_[hole].id != e) {
     PDMM_ASSERT(slots_[hole].id != kNoEdge);
     hole = (hole + 1) & mask_;
@@ -133,6 +173,22 @@ void HyperedgeRegistry::erase(EdgeId e) {
   --num_alive_;
 }
 
+void HyperedgeRegistry::erase(EdgeId e) {
+  PDMM_ASSERT(alive(e));
+  erase_tagged(e, tag_of(endpoints(e)));
+}
+
+void HyperedgeRegistry::erase_batch(std::span<const EdgeId> ids) {
+  erase_tags_.resize(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    PDMM_ASSERT(alive(ids[i]));
+    erase_tags_[i] = tag_of(endpoints(ids[i]));
+    prefetch_home(erase_tags_[i]);
+  }
+  // A repeated id is dead by its second erase, which asserts.
+  for (size_t i = 0; i < ids.size(); ++i) erase_tagged(ids[i], erase_tags_[i]);
+}
+
 void HyperedgeRegistry::restore_begin(size_t id_bound) {
   endpoints_.assign(id_bound * max_rank_, kNoVertex);
   deg_.assign(id_bound, 0);
@@ -149,7 +205,7 @@ bool HyperedgeRegistry::restore_slot(EdgeId id,
   PDMM_ASSERT(!sorted.empty() &&
               sorted.size() <= static_cast<size_t>(max_rank_));
   PDMM_ASSERT(std::is_sorted(sorted.begin(), sorted.end()));
-  reserve_one();
+  reserve(1);
   const uint32_t tag = tag_of(sorted);
   const size_t slot = probe(tag, sorted);
   if (slots_[slot].id != kNoEdge) return false;  // duplicate endpoint set

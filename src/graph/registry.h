@@ -19,6 +19,16 @@
 // probe run once. The table's layout never reaches ids or state: ids come
 // off the free list alone.
 //
+// The batch forms (insert_batch, find_batch, erase_batch) are the batch
+// dictionary the paper's §2 assumes, run in two passes over the batch.
+// Pass 1 canonicalizes and tags every key and prefetches its home slot, so
+// the batch's cache misses overlap instead of each key waiting out its
+// own. Pass 2 probes, then places or erases, key by key in input order
+// through the same per-key core as the one-key calls. So a batch returns
+// the ids, rejects the duplicates (the first occurrence wins) and leaves
+// the free list exactly as the one-key calls in input order would.
+// insert_batch grows the table once, for the whole batch, before pass 1.
+//
 // The registry is intentionally policy-free: all matching/leveling state
 // lives in the matcher. Everything the adversary can see — which edges are
 // present — is the registry's content; the matcher's "temporarily deleted"
@@ -54,6 +64,15 @@ class HyperedgeRegistry {
 
   // Removes an edge by id (must be alive). Its id returns to the free list.
   void erase(EdgeId e);
+
+  // Batch forms: the same results as the one-key calls made in input
+  // order. ids[i] receives insert(keys[i]) / find(keys[i]); `ids` must be
+  // as long as `keys`. erase_batch takes alive ids, each once.
+  void insert_batch(std::span<const std::vector<Vertex>> keys,
+                    std::span<EdgeId> ids);
+  void find_batch(std::span<const std::vector<Vertex>> keys,
+                  std::span<EdgeId> ids) const;
+  void erase_batch(std::span<const EdgeId> ids);
 
   bool alive(EdgeId e) const { return e < deg_.size() && deg_[e] != 0; }
 
@@ -91,12 +110,23 @@ class HyperedgeRegistry {
     EdgeId id = kNoEdge;  // kNoEdge: empty
   };
 
+  // Copies eps into out in ascending order (the canonical form).
+  std::span<const Vertex> canonical(std::span<const Vertex> eps,
+                                    Vertex* out) const;
   static uint32_t tag_of(std::span<const Vertex> sorted);
   bool endpoints_equal(EdgeId e, std::span<const Vertex> sorted) const;
+  // Pass 1 of a batch operation: pull the key's home slot toward the cache.
+  void prefetch_home(uint32_t tag) const {
+    __builtin_prefetch(&slots_[tag & mask_]);
+  }
   // The slot holding `sorted`, else the empty slot that ends its probe run.
   size_t probe(uint32_t tag, std::span<const Vertex> sorted) const;
-  // Makes room for one more edge, doubling the table past load 1/2.
-  void reserve_one();
+  // Makes room for `extra` more edges, doubling the table past load 1/2.
+  void reserve(size_t extra);
+  // The per-key cores: insert a canonical key under its tag (kNoEdge when
+  // present), and erase a live id whose endpoints hash to `tag`.
+  EdgeId insert_tagged(std::span<const Vertex> sorted, uint32_t tag);
+  void erase_tagged(EdgeId e, uint32_t tag);
   // Stores a new edge's endpoints and its index slot.
   void place(EdgeId id, std::span<const Vertex> sorted, uint32_t tag,
              size_t slot);
@@ -109,6 +139,7 @@ class HyperedgeRegistry {
   size_t mask_;                     // slots_.size() - 1
   size_t num_alive_ = 0;
   Vertex vertex_bound_ = 0;  // max endpoint seen + 1
+  std::vector<uint32_t> erase_tags_;  // erase_batch's pass-1 tags
 };
 
 }  // namespace pdmm

@@ -32,24 +32,26 @@ inline constexpr size_t kSortSerialCutoff = size_t{1} << 13;
 // Below this many keys std::sort beats the radix sort's histogram setup.
 inline constexpr size_t kRadixSortMin = 64;
 
-// Sorts v ascending with one 8-bit counting pass per byte that the
-// largest key needs, ping-ponging through `buf`.
-inline void radix_sort_u32(std::vector<uint32_t>& v,
-                           std::vector<uint32_t>& buf) {
+// Sorts v stably by key(x), a uint32_t, with one 8-bit counting pass per
+// byte that the largest key needs, ping-ponging through `buf`. Elements
+// with equal keys keep their input order.
+template <typename T, typename Key>
+void radix_sort_by(std::vector<T>& v, std::vector<T>& buf, Key key) {
   const size_t n = v.size();
   uint32_t all = 0;
-  for (uint32_t x : v) all |= x;
+  for (const T& x : v) all |= key(x);
   unsigned passes = 0;
   while (passes < 4 && (all >> (8 * passes)) != 0) ++passes;
   if (passes == 0) return;  // every key is 0
   size_t count[4][256];
   for (unsigned p = 0; p < passes; ++p) std::fill_n(count[p], 256, 0);
-  for (uint32_t x : v) {
-    for (unsigned p = 0; p < passes; ++p) ++count[p][(x >> (8 * p)) & 0xFF];
+  for (const T& x : v) {
+    const uint32_t k = key(x);
+    for (unsigned p = 0; p < passes; ++p) ++count[p][(k >> (8 * p)) & 0xFF];
   }
   buf.resize(n);
-  uint32_t* src = v.data();
-  uint32_t* dst = buf.data();
+  T* src = v.data();
+  T* dst = buf.data();
   for (unsigned p = 0; p < passes; ++p) {
     size_t at = 0;  // bucket counts become bucket starts
     for (size_t& c : count[p]) {
@@ -59,12 +61,17 @@ inline void radix_sort_u32(std::vector<uint32_t>& v,
     }
     const unsigned shift = 8 * p;
     for (size_t i = 0; i < n; ++i) {
-      const uint32_t x = src[i];
-      dst[count[p][(x >> shift) & 0xFF]++] = x;
+      dst[count[p][(key(src[i]) >> shift) & 0xFF]++] = src[i];
     }
     std::swap(src, dst);
   }
   if (src != v.data()) std::copy(src, src + n, v.data());
+}
+
+// Sorts v ascending (radix_sort_by on the value itself).
+inline void radix_sort_u32(std::vector<uint32_t>& v,
+                           std::vector<uint32_t>& buf) {
+  radix_sort_by(v, buf, [](uint32_t x) { return x; });
 }
 
 // Sorts v; `buf` is the merge scratch (resized as needed, contents

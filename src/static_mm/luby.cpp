@@ -18,8 +18,8 @@ namespace {
 // half. Distinct per edge by construction, so per-vertex maxima are unique
 // winners (ties between equal random halves fall back to edge id, which is
 // deterministic and costs only a negligible bias).
-uint64_t priority_of(uint64_t seed, uint32_t round, EdgeId e) {
-  return (hash_mix(seed, round, e) & 0xFFFFFFFF00000000ull) | e;
+uint64_t priority_of(const IndexedRng::Stream& draws, EdgeId e) {
+  return (draws.raw(e) & 0xFFFFFFFF00000000ull) | e;
 }
 
 }  // namespace
@@ -57,10 +57,12 @@ void static_maximal_matching(ThreadPool& pool, const HyperedgeRegistry& reg,
     const uint32_t round = ++out.rounds;
     const size_t m = live.size();
 
-    // Draw priorities and publish per-vertex maxima.
+    // Draw priorities and publish per-vertex maxima. The round's draws are
+    // hash_mix(seed, round, e).
+    const IndexedRng::Stream draws = IndexedRng(seed).stream(round);
     parallel_for(pool, m, [&](size_t i) {
       const uint32_t c = live[i];
-      const uint64_t p = priority_of(seed, round, candidates[c]);
+      const uint64_t p = priority_of(draws, candidates[c]);
       s.prio[c] = p;
       for (Vertex v : reg.endpoints(candidates[c])) {
         const std::atomic_ref slot(s.vmax[v]);

@@ -92,7 +92,28 @@ class Xoshiro256 {
 // under any parallel schedule.
 class IndexedRng {
  public:
+  // The draws of one stream. Its key is the chain's first two finalizers,
+  // splitmix64(splitmix64(seed) ^ stream), so each draw costs one finalizer
+  // where IndexedRng's own calls cost three, and draws the same value:
+  // Stream::raw(index) == IndexedRng::raw(stream, index) by construction.
+  class Stream {
+   public:
+    explicit Stream(uint64_t key) : key_(key) {}
+    uint64_t raw(uint64_t index) const { return splitmix64(key_ ^ index); }
+    uint64_t below(uint64_t index, uint64_t bound) const {
+      return below_of(raw(index), bound);
+    }
+    double uniform(uint64_t index) const { return uniform_of(raw(index)); }
+
+   private:
+    uint64_t key_;
+  };
+
   explicit IndexedRng(uint64_t seed) : seed_(seed) {}
+
+  Stream stream(uint64_t stream) const {
+    return Stream(splitmix64(splitmix64(seed_) ^ stream));
+  }
 
   uint64_t raw(uint64_t stream, uint64_t index) const {
     return hash_mix(seed_, stream, index);
@@ -100,14 +121,12 @@ class IndexedRng {
 
   // Uniform integer in [0, bound). Multiply-shift; bias is O(bound/2^64).
   uint64_t below(uint64_t stream, uint64_t index, uint64_t bound) const {
-    PDMM_DASSERT(bound > 0);
-    return static_cast<uint64_t>(
-        (static_cast<unsigned __int128>(raw(stream, index)) * bound) >> 64);
+    return below_of(raw(stream, index), bound);
   }
 
   // Uniform double in [0, 1).
   double uniform(uint64_t stream, uint64_t index) const {
-    return static_cast<double>(raw(stream, index) >> 11) * 0x1.0p-53;
+    return uniform_of(raw(stream, index));
   }
 
   // Bernoulli with probability p.
@@ -118,6 +137,15 @@ class IndexedRng {
   uint64_t seed() const { return seed_; }
 
  private:
+  static uint64_t below_of(uint64_t r, uint64_t bound) {
+    PDMM_DASSERT(bound > 0);
+    return static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(r) * bound) >> 64);
+  }
+  static double uniform_of(uint64_t r) {
+    return static_cast<double>(r >> 11) * 0x1.0p-53;
+  }
+
   uint64_t seed_;
 };
 

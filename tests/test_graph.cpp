@@ -152,18 +152,22 @@ std::vector<std::vector<Vertex>> all_endpoint_sets(Vertex n, uint32_t max_rank,
 }
 
 // A registry driven beside a reference map and a LIFO model of its free
-// list: every insertion must return the id the model predicts.
+// list: every insertion must return the id the model predicts. Keys are
+// handed over in reverse order, so the registry must canonicalize them.
 struct ModelledRegistry {
   explicit ModelledRegistry(uint32_t max_rank) : reg(max_rank) {}
 
-  // Inserts `sorted`, handed over in reverse order; returns the new id.
-  EdgeId insert(const std::vector<Vertex>& sorted) {
-    const EdgeId got =
-        reg.insert(std::vector<Vertex>(sorted.rbegin(), sorted.rend()));
-    if (ids.count(sorted)) {
-      EXPECT_EQ(got, kNoEdge) << "duplicate insertion accepted";
-      return kNoEdge;
-    }
+  // Fills a batch's output before the call: no id the tests reach.
+  static constexpr EdgeId kUnwritten = kNoEdge - 1;
+
+  static std::vector<Vertex> reversed(const std::vector<Vertex>& sorted) {
+    return {sorted.rbegin(), sorted.rend()};
+  }
+
+  // The id the model gives `sorted`, recording it; kNoEdge for a set that
+  // is already present.
+  EdgeId model_insert(const std::vector<Vertex>& sorted) {
+    if (ids.count(sorted)) return kNoEdge;
     EdgeId want = next_id;
     if (free_ids.empty()) {
       ++next_id;
@@ -171,9 +175,30 @@ struct ModelledRegistry {
       want = free_ids.back();
       free_ids.pop_back();
     }
-    EXPECT_EQ(got, want);
     ids.emplace(sorted, want);
+    return want;
+  }
+
+  // Inserts `sorted`; returns the new id.
+  EdgeId insert(const std::vector<Vertex>& sorted) {
+    const EdgeId got = reg.insert(reversed(sorted));
+    const EdgeId want = model_insert(sorted);
+    EXPECT_EQ(got, want) << (want == kNoEdge ? "duplicate insertion accepted"
+                                             : "wrong id");
     return got;
+  }
+
+  // Inserts `sorted` as one batch: each key gets the id the one-key calls
+  // in input order would give it, so a repeat within the batch loses to
+  // its first occurrence.
+  void insert_batch(const std::vector<std::vector<Vertex>>& sorted) {
+    std::vector<std::vector<Vertex>> keys;
+    for (const auto& eps : sorted) keys.push_back(reversed(eps));
+    std::vector<EdgeId> got(keys.size(), kUnwritten);
+    reg.insert_batch(keys, got);
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      EXPECT_EQ(got[i], model_insert(sorted[i])) << "batch key " << i;
+    }
   }
 
   // Erases a live edge picked uniformly; returns its id.
@@ -184,6 +209,30 @@ struct ModelledRegistry {
     free_ids.push_back(id);
     ids.erase(it);
     return id;
+  }
+
+  // Erases up to `count` live edges, picked uniformly, as one batch in the
+  // order picked; their ids join the free list in that order.
+  void erase_random_batch(Xoshiro256& rng, size_t count) {
+    std::vector<EdgeId> batch;
+    while (batch.size() < count && !ids.empty()) {
+      const auto it = std::next(ids.begin(), rng.below(ids.size()));
+      batch.push_back(it->second);
+      free_ids.push_back(it->second);
+      ids.erase(it);
+    }
+    reg.erase_batch(batch);
+  }
+
+  // Looks `sorted` up as one batch.
+  void find_batch(const std::vector<std::vector<Vertex>>& sorted) const {
+    std::vector<std::vector<Vertex>> keys;
+    for (const auto& eps : sorted) keys.push_back(reversed(eps));
+    std::vector<EdgeId> got(keys.size(), kUnwritten);
+    reg.find_batch(keys, got);
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      EXPECT_EQ(got[i], expected(sorted[i])) << "batch key " << i;
+    }
   }
 
   EdgeId expected(const std::vector<Vertex>& sorted) const {
@@ -214,6 +263,10 @@ TEST(RegistryIndex, SmallUniversesMatchTheReferenceAfterEveryOperation) {
   // 24 to 63 endpoint sets share tables of 16 to 128 slots, so home slots
   // collide. Six vertex ranges per rank give six sets of home slots, so
   // probe runs, erase walks and backward shifts wrap past the table's end.
+  // About half the turns are batches: an insert batch of up to 16 sets,
+  // some repeated within the batch and some already present, or an erase
+  // batch in random order, each followed by a find batch of present and
+  // absent sets.
   const Vertex kVertices[] = {0, 24, 9, 7, 6};
   for (uint32_t max_rank = 1; max_rank <= 4; ++max_rank) {
     for (Vertex base = 0; base < 6000; base += 1000) {
@@ -221,13 +274,45 @@ TEST(RegistryIndex, SmallUniversesMatchTheReferenceAfterEveryOperation) {
                    << "max_rank " << max_rank << ", base " << base);
       const auto universe =
           all_endpoint_sets(kVertices[max_rank], max_rank, base);
-      ModelledRegistry m(max_rank);
+      const auto pick = [&](Xoshiro256& rng) {
+        return universe[rng.below(universe.size())];
+      };
       Xoshiro256 rng(100 * max_rank + base);
+      // The whole universe, shuffled, in one batch into an empty registry:
+      // more than 8 keys into its 16-slot table, so the batch grows the
+      // table (by two doublings or more) before it places a key.
+      {
+        ModelledRegistry grown(max_rank);
+        auto all = universe;
+        for (size_t i = all.size(); i > 1; --i) {
+          std::swap(all[i - 1], all[rng.below(i)]);
+        }
+        grown.insert_batch(all);
+        ASSERT_NO_FATAL_FAILURE(grown.check(universe));
+      }
+      ModelledRegistry m(max_rank);
       for (int op = 0; op < 2000; ++op) {
-        if (insert_turn(op, rng, m)) {
-          m.insert(universe[rng.below(universe.size())]);
+        const bool batch = rng.below(2) == 0;
+        if (!batch) {
+          if (insert_turn(op, rng, m)) {
+            m.insert(pick(rng));
+          } else {
+            m.erase_random(rng);
+          }
         } else {
-          m.erase_random(rng);
+          if (insert_turn(op, rng, m)) {
+            std::vector<std::vector<Vertex>> keys(1 + rng.below(16));
+            for (size_t i = 0; i < keys.size(); ++i) {
+              keys[i] = i > 0 && rng.below(4) == 0 ? keys[rng.below(i)]
+                                                    : pick(rng);
+            }
+            m.insert_batch(keys);
+          } else {
+            m.erase_random_batch(rng, 1 + rng.below(16));
+          }
+          std::vector<std::vector<Vertex>> finds(1 + rng.below(16));
+          for (auto& eps : finds) eps = pick(rng);
+          m.find_batch(finds);
         }
         ASSERT_NO_FATAL_FAILURE(m.check(universe)) << "after operation " << op;
       }

@@ -142,6 +142,24 @@ TEST(Rng, IndexedRngDeterministic) {
   EXPECT_NE(a.raw(1, 2), a.raw(2, 2));
 }
 
+TEST(Rng, StreamDrawsEqualTheIndexedDraws) {
+  // The matcher's settle marks, h draws and Luby priorities draw through
+  // stream keys; the pinned state bytes depend on each draw equalling
+  // IndexedRng's. Random triples reach every bit of seed, stream and index.
+  Xoshiro256 gen(31);
+  for (int t = 0; t < 20000; ++t) {
+    const IndexedRng rng(gen());
+    const uint64_t stream = gen();
+    const uint64_t index = t % 2 == 0 ? gen() : gen() >> 40;
+    const uint64_t bound = 1 + gen() % (t % 3 == 0 ? 5 : uint64_t{1} << 40);
+    const IndexedRng::Stream draws = rng.stream(stream);
+    ASSERT_EQ(draws.raw(index), rng.raw(stream, index));
+    ASSERT_EQ(draws.raw(index), hash_mix(rng.seed(), stream, index));
+    ASSERT_EQ(draws.below(index, bound), rng.below(stream, index, bound));
+    ASSERT_EQ(draws.uniform(index), rng.uniform(stream, index));
+  }
+}
+
 TEST(Rng, IndexedBernoulliRate) {
   IndexedRng rng(11);
   int hits = 0;

@@ -43,9 +43,10 @@ void MatchingChecker::check_maximal_matching(const HyperedgeRegistry& reg,
 // The state may be untrusted (a freshly parsed snapshot), so no id indexes
 // anything before it is validated: edge ids by reg.alive(), owners by
 // endpoint membership, vertex ids against verts_.size(), container
-// positions against the container's size. The per-edge lanes are taken to
-// cover the registry's id range, as the loader and grow_edges() size them;
-// the member position lanes are checked against the bounds first.
+// positions against the container's size, levels against [-1, L]. The
+// per-edge lanes are taken to cover the registry's id range, as the loader
+// and grow_edges() size them; the member position lanes and the count lane
+// are checked against the bounds first.
 std::string MatchingChecker::violation(const DynamicMatcher& m) {
   using DM = DynamicMatcher;
   const HyperedgeRegistry& reg = m.reg_;
@@ -54,13 +55,18 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
   const size_t r = reg.max_rank();
 
   // A container holds e at the position its lane entry names.
-  const auto at = [](const DM::EdgeList* c, uint32_t pos, EdgeId e) {
+  const auto at = [](const auto* c, uint32_t pos, EdgeId e) {
     return c != nullptr && pos < c->size() && (*c)[pos] == e;
   };
   if (m.eslot_.size() < reg.id_bound() * r ||
       m.dslot_.size() < reg.id_bound() ||
       m.undecided_pos_.size() != nv) {
     return "member position lanes do not cover the id and vertex bounds";
+  }
+  const size_t stride = m.count_stride();
+  if (m.vcnt_.size() != nv * stride) {
+    return describe("count lane holds ", m.vcnt_.size(), " entries, not ",
+                    nv, " vertices x ", stride);
   }
 
   // --- SoA layout integrity: the hot lanes (core/vertex_soa.h) must cover
@@ -70,7 +76,7 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
   // against the cold containers throughout.
   if (m.vhot_.size() != nv || m.vhot_.level_lane_size() != nv ||
       m.vhot_.matched_lane_size() != nv ||
-      m.vhot_.s_mask_lane_size() != nv || m.vhot_.deg_lane_size() != nv ||
+      m.vhot_.s_mask_lane_size() != nv ||
       m.vhot_.changed_lane_size() != nv) {
     return "SoA hot arrays out of lockstep with cold vertex structs";
   }
@@ -82,8 +88,9 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
   // --- per-vertex invariants; also totals the O(v) / A(v,l) memberships,
   // which the per-edge walk must account for one by one ---
   size_t have_owned = 0, have_a = 0;
+  std::vector<uint32_t> recount(stride);
   for (Vertex v = 0; v < nv; ++v) {
-    const auto& vs = m.verts_[v];
+    const auto& adj = m.verts_[v].adj;
     const Level vl = m.vhot_.level(v);
     const EdgeId vm = m.vhot_.matched(v);
     if (vl < kUnmatchedLevel || vl > top) {
@@ -104,40 +111,38 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
                         ", which does not contain it");
       }
     }
-    // deg(v), which gates the S_l refresh, counts v's structured edges.
-    size_t deg = vs.owned.size();
-    for (const auto& ls : vs.a_sets) deg += ls.set.size();
-    if (m.vhot_.deg(v) != deg) {
-      return describe("vertex ", v, " degree lane reads ", m.vhot_.deg(v),
-                      " but O(v) and A(v, l) hold ", deg, " edges");
-    }
-    // O(v): structured edges claiming v as owner, at v's level.
-    have_owned += vs.owned.size();
-    for (EdgeId e : vs.owned) {
-      if (!reg.alive(e) || (m.eflags_[e] & DM::kTempDeleted) ||
-          m.eowner_[e] != v || m.elevel_[e] != vl) {
-        return describe("O(", v, ") contains edge ", e,
-                        ", which it does not own at its level");
+    // adj(v) holds structured edges only: those v owns make O(v) and sit
+    // at v's level; the others make A(v, l(e)), for l(v) <= l(e) <= L.
+    // Their per-set counts must read as v's count lane.
+    std::fill(recount.begin(), recount.end(), 0u);
+    for (EdgeId e : adj) {
+      if (!reg.alive(e) || (m.eflags_[e] & DM::kTempDeleted)) {
+        return describe("adj(", v, ") contains edge ", e,
+                        ", which is not a structured edge");
       }
-    }
-    // A(v, l): non-empty, only for l(v) <= l <= L, structured edges of
-    // level l that v does not own.
-    for (const auto& ls : vs.a_sets) {
-      if (ls.set.empty()) {
-        return describe("A(", v, ", ", ls.level,
-                        ") is empty; empty sets must be pruned");
-      }
-      if (ls.level < std::max(vl, Level{0}) || ls.level > top) {
-        return describe("A(", v, ", ", ls.level,
-                        ") exists outside [max(l(v), 0), L]");
-      }
-      have_a += ls.set.size();
-      for (EdgeId e : ls.set) {
-        if (!reg.alive(e) || (m.eflags_[e] & DM::kTempDeleted) ||
-            m.elevel_[e] != ls.level || m.eowner_[e] == v) {
-          return describe("A(", v, ", ", ls.level, ") contains edge ", e,
-                          ", which does not belong there");
+      const Level el = m.elevel_[e];
+      if (m.eowner_[e] == v) {
+        if (el != vl) {
+          return describe("O(", v, ") contains edge ", e,
+                          ", which it does not own at its level");
         }
+        ++have_owned;
+        ++recount[DM::bucket(true, el)];
+      } else {
+        if (el < std::max(vl, Level{0}) || el > top) {
+          return describe("A(", v, ", ", el, ") contains edge ", e,
+                          ", outside [max(l(v), 0), L]");
+        }
+        ++have_a;
+        ++recount[DM::bucket(false, el)];
+      }
+    }
+    const uint32_t* cnt = m.counts(v);
+    for (size_t b = 0; b < stride; ++b) {
+      if (cnt[b] != recount[b]) {
+        return describe("vertex ", v, " count lane bucket ", b, " reads ",
+                        cnt[b], " but adj(v) holds ", recount[b],
+                        " such edges");
       }
     }
   }
@@ -196,23 +201,15 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
       return describe("edge ", e, " level ", lvl,
                       " differs from its max endpoint level ", maxl);
     }
-    // Each endpoint's container holds e where e's lane entry says.
+    // Each endpoint's adj holds e where e's lane entry says.
     for (size_t j = 0; j < eps.size(); ++j) {
       const Vertex u = eps[j];
       const uint32_t pos = m.eslot_[e * r + j];
-      if (u == owner) {
-        if (!at(&m.verts_[u].owned, pos, e)) {
-          return describe("edge ", e, " missing from O(", u,
-                          ") at its recorded position ", pos);
-        }
-        ++want_owned;
-      } else {
-        if (!at(m.verts_[u].find_a(lvl), pos, e)) {
-          return describe("edge ", e, " missing from A(", u, ", ", lvl,
-                          ") at its recorded position ", pos);
-        }
-        ++want_a;
+      if (!at(&m.verts_[u].adj, pos, e)) {
+        return describe("edge ", e, " missing from adj(", u,
+                        ") at its recorded position ", pos);
       }
+      ++(u == owner ? want_owned : want_a);
     }
 
     if (flags & DM::kMatched) {
@@ -277,8 +274,7 @@ std::string MatchingChecker::violation(const DynamicMatcher& m) {
     }
   }
   for (Vertex v = 0; v < nv; ++v) {
-    const auto& vs = m.verts_[v];
-    if (vs.owned.empty() && vs.a_sets.empty()) {
+    if (m.verts_[v].adj.empty()) {
       if (m.vhot_.s_mask(v) != 0) {
         return describe("stale S_l bitmask on structure-free vertex ", v);
       }

@@ -13,14 +13,17 @@
 //    settle sorts its candidates and walks its residue in vertex-id
 //    order), so nothing sorts ids or records to fix an order. Duplicates
 //    are dropped through flag lanes that are zero between uses.
+//  * O(v) and A(v, l) are one incidence array adj(v) plus a count per set;
+//    which set an edge is in is read from its owner and level lanes, so a
+//    level move updates two counts and moves no member.
 //  * S_l membership is cached per vertex as a bitmask; refreshes touch the
 //    shared S_l sets only when a membership bit actually flips, and read a
-//    vertex's containers only when its degree can reach a threshold.
-//  * O(v), A(v, l), D(e) and the undecided sets record each member's
-//    index in a lane, so an erase is one indexed move, never a search.
+//    vertex's counts only when its degree can reach a threshold.
+//  * adj(v), D(e) and the undecided sets record each member's index in a
+//    lane, so an erase is one indexed move, never a search.
 //  * All phase-scoped buffers, per-call maps and Luby's lanes come from the
 //    Scratch arena (grown once, reused every batch). A steady-state batch
-//    still makes ~30 heap allocations at n = 2^13, k = 256 — the
+//    still makes ~9 heap allocations at n = 2^13, k = 256 — the
 //    BatchResult vectors and container growth; see matcher.h.
 #include "core/matcher.h"
 
@@ -84,20 +87,20 @@ std::vector<Vertex> DynamicMatcher::vertex_cover() const {
 
 uint64_t DynamicMatcher::o_tilde(Vertex v, Level l) const {
   if (v >= verts_.size()) return 0;
-  const VertexState& vs = verts_[v];
-  uint64_t total = vs.owned.size();
-  for (const auto& ls : vs.a_sets) {
-    if (ls.level < l) total += ls.set.size();
-  }
+  const uint32_t* cnt = counts(v);
+  const Level end = std::min(l, scheme_.top_level() + 1);
+  uint64_t total = cnt[0];
+  for (Level k = 0; k < end; ++k) total += cnt[bucket(false, k)];
   return total;
 }
 
 void DynamicMatcher::append_o_tilde(Vertex v, Level l,
                                     std::vector<EdgeId>& out) const {
-  const VertexState& vs = verts_[v];
-  out.insert(out.end(), vs.owned.begin(), vs.owned.end());
-  for (const auto& ls : vs.a_sets) {
-    if (ls.level < l) out.insert(out.end(), ls.set.begin(), ls.set.end());
+  // v's owned edges sit at l(v) < l, so the level alone selects
+  // O(v) ∪ A(v, l') over l' < l.
+  PDMM_DASSERT(vhot_.level(v) < l);
+  for (EdgeId e : verts_[v].adj) {
+    if (elevel_[e] < l) out.push_back(e);
   }
 }
 
@@ -132,6 +135,7 @@ void DynamicMatcher::grow_vertices(Vertex bound) {
   if (bound > verts_.size()) {
     verts_.resize(bound);
     vhot_.resize(bound);
+    vcnt_.resize(bound * count_stride(), 0);
     undecided_pos_.resize(bound, kNoSlot);
   }
 }
@@ -155,30 +159,23 @@ void DynamicMatcher::grow_edges(size_t bound) {
 bool DynamicMatcher::may_rise(Vertex v) const {
   const Level lv = vhot_.level(v);
   return lv < scheme_.top_level() &&
-         vhot_.deg(v) >= scheme_.rise_threshold(lv + 1);
+         verts_[v].adj.size() >= scheme_.rise_threshold(lv + 1);
 }
 
 uint64_t DynamicMatcher::compute_s_mask(Vertex v) const {
   if (!may_rise(v)) return 0;
-  const VertexState& vs = verts_[v];
+  const uint32_t* cnt = counts(v);
   const Level top = scheme_.top_level();
-  // Only counts[0..top] are read below, so only those are zeroed.
-  uint64_t counts[kMaxLevels];
-  std::fill_n(counts, static_cast<size_t>(top) + 1, uint64_t{0});
-  for (const auto& ls : vs.a_sets) {
-    PDMM_DASSERT(ls.level >= 0 && ls.level <= top);
-    counts[static_cast<size_t>(ls.level)] = ls.set.size();
-  }
-  const uint64_t total = vhot_.deg(v);
+  const uint64_t total = verts_[v].adj.size();
   uint64_t mask = 0;
-  uint64_t o_til = vs.owned.size();  // running value of o~(v, l)
+  uint64_t o_til = cnt[0];  // running value of o~(v, l)
   for (Level l = 0; l <= top; ++l) {
     const uint64_t thr = scheme_.rise_threshold(l);
     // o~(v, l) never exceeds `total` and thresholds grow geometrically, so
     // once one is out of reach every later one is too.
     if (thr > total) break;
     mask |= static_cast<uint64_t>(o_til >= thr) << l;
-    o_til += counts[static_cast<size_t>(l)];
+    o_til += cnt[bucket(false, l)];
   }
   // S_l requires l(v) < l: clear bits 0..l(v) arithmetically. l(v) is in
   // [-1, top], so the shift count lands in [0, top+1] — never UB.
@@ -207,8 +204,8 @@ void DynamicMatcher::refresh_s_membership_all(
   // Pass 1 (parallel; `touched` is duplicate-free, so the per-vertex mask
   // writes are disjoint): recompute each mask, remember which bits flip.
   // Most touched vertices fail may_rise(), and compute_s_mask answers
-  // those from the level and degree lanes alone, without reading the
-  // vertex's containers.
+  // those from the level lane and |adj(v)| alone, without reading the
+  // vertex's count lane.
   auto& deltas = scratch_.s_deltas;
   deltas.resize(touched.size());
   parallel_for(pool_, touched.size(), [&](size_t i) {
@@ -252,38 +249,26 @@ void DynamicMatcher::refresh_s_membership_all(
 
 void DynamicMatcher::attach(EdgeId e, uint32_t j, Vertex u, bool owner,
                             Level l) {
-  VertexState& vs = verts_[u];
-  EdgeList& c = owner ? vs.owned : vs.ensure_a(l);
-  eslot(e, j) = static_cast<uint32_t>(c.size());
-  c.push_back(e);
-  vhot_.inc_deg(u);
+  auto& adj = verts_[u].adj;
+  eslot(e, j) = static_cast<uint32_t>(adj.size());
+  adj.push_back(e);
+  ++counts(u)[bucket(owner, l)];
 }
 
 void DynamicMatcher::detach(EdgeId e, uint32_t j, Vertex u, bool owner,
                             Level l) {
-  VertexState& vs = verts_[u];
+  auto& adj = verts_[u].adj;
   const uint32_t i = eslot(e, j);
-  vhot_.dec_deg(u);
-  if (owner) {
-    PDMM_DASSERT(i < vs.owned.size() && vs.owned[i] == e);
-    erase_member(vs.owned, u, i);
-    return;
-  }
-  const size_t k = vs.a_index(l);
-  PDMM_DASSERT(i < vs.a_sets[k].set.size() && vs.a_sets[k].set[i] == e);
-  erase_member(vs.a_sets[k].set, u, i);
-  vs.prune_a(k);
-}
-
-void DynamicMatcher::erase_member(EdgeList& c, Vertex u, uint32_t i) {
-  const EdgeId last = c.back();
-  c[i] = last;
-  c.pop_back();
-  if (i == c.size()) return;  // the erased member was the last one
+  PDMM_DASSERT(i < adj.size() && adj[i] == e);
+  --counts(u)[bucket(owner, l)];
+  const EdgeId last = adj.back();
+  adj[i] = last;
+  adj.pop_back();
+  if (i == adj.size()) return;  // the erased member was the last one
   const auto eps = reg_.endpoints(last);
-  uint32_t j = 0;
-  while (eps[j] != u) ++j;
-  eslot(last, j) = i;
+  uint32_t k = 0;
+  while (eps[k] != u) ++k;
+  eslot(last, k) = i;
 }
 
 void DynamicMatcher::undecided_insert(Vertex v) {
@@ -403,8 +388,8 @@ void DynamicMatcher::remove_edges_from_structures(
 void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
   if (moves.empty()) return;
   // The S_l refresh below needs every vertex whose mask can have changed,
-  // once: the movers, then the vertices with a live container move that
-  // are not movers. Bit 1 of the vertex flag marks a mover, bit 2 a vertex
+  // once: the movers, then the vertices with a live count move that are
+  // not movers. Bit 1 of the vertex flag marks a mover, bit 2 a vertex
   // with a live move; the touched list names every flagged vertex.
   auto& flag = vertex_flags();
   auto& touched = scratch_.touched;
@@ -417,25 +402,34 @@ void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
 
   // Collect affected edges before levels change: every owned edge of a
   // mover, plus (for risers) every edge in A(v, l') with l' < target —
-  // those get captured by the riser (batch set-level, Claim 3.4). An edge
-  // of two movers is gathered once, through the edge flag lane; the round
-  // still charges every gathered member.
+  // those get captured by the riser (batch set-level, Claim 3.4). A riser
+  // to t takes exactly the adj(v) edges below t: its owned edges sit at
+  // l(v) < t, every other edge at a level >= l(v). A mover whose counts
+  // leave nothing to take is not scanned. An edge of two movers is
+  // gathered once, through the edge flag lane; the round still charges
+  // every gathered member.
   auto& affected = scratch_.affected;
   auto& seen = edge_flags();
   affected.clear();
   size_t need = 0;
-  const auto gather = [&](const EdgeList& set) {
-    need += set.size();
-    for (EdgeId e : set) {
-      if (!std::exchange(seen[e], uint8_t{1})) affected.push_back(e);
-    }
+  const auto take = [&](EdgeId e) {
+    if (!std::exchange(seen[e], uint8_t{1})) affected.push_back(e);
   };
   for (const LevelMove& mv : moves) {
-    const VertexState& vs = verts_[mv.v];
-    gather(vs.owned);
+    const auto& adj = verts_[mv.v].adj;
     if (mv.to > vhot_.level(mv.v)) {
-      for (const auto& ls : vs.a_sets) {
-        if (ls.level < mv.to) gather(ls.set);
+      const uint64_t n = o_tilde(mv.v, mv.to);
+      if (n == 0) continue;
+      need += n;
+      for (EdgeId e : adj) {
+        if (elevel_[e] < mv.to) take(e);
+      }
+    } else {
+      const uint32_t n = counts(mv.v)[0];
+      if (n == 0) continue;
+      need += n;
+      for (EdgeId e : adj) {
+        if (eowner_[e] == mv.v) take(e);
       }
     }
   }
@@ -477,30 +471,22 @@ void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
     elevel_[e] = maxl;
     eowner_[e] = new_owner;
     for (size_t j = 0; j < eps.size(); ++j) {
-      MoveMut& m = muts[i * r + j];
-      m.u = eps[j];
-      m.e = e;
-      m.old_lvl = old_lvl;
-      m.new_lvl = maxl;
-      m.was_owner = (eps[j] == old_owner);
-      m.now_owner = (eps[j] == new_owner);
-      m.j = static_cast<uint8_t>(j);
+      const uint32_t from = bucket(eps[j] == old_owner, old_lvl);
+      const uint32_t to = bucket(eps[j] == new_owner, maxl);
+      if (from != to) muts[i * r + j] = MoveMut{eps[j], from, to};
     }
   });
   cost_.round(affected.size() * r);
 
-  // Apply the container moves in one pass in record order. A record whose
-  // edge stays in the same container is skipped.
+  // Apply the count moves in one pass in record order. adj(u) keeps its
+  // members: only the set an edge is counted in changes.
   uint64_t applied = 0, live_vertices = 0;
   for (const MoveMut& m : muts) {
-    if (m.u == kNoVertex) continue;  // empty slot of an edge of rank < r
-    const bool same_container =
-        (m.was_owner && m.now_owner) ||
-        (!m.was_owner && !m.now_owner && m.old_lvl == m.new_lvl);
-    if (same_container) continue;
+    if (m.u == kNoVertex) continue;  // empty slot, or the edge kept its set
     ++applied;
-    detach(m.e, m.j, m.u, m.was_owner, m.old_lvl);
-    attach(m.e, m.j, m.u, m.now_owner, m.new_lvl);
+    uint32_t* cnt = counts(m.u);
+    --cnt[m.from];
+    ++cnt[m.to];
     if (!(flag[m.u] & 2)) {
       flag[m.u] |= 2;
       ++live_vertices;
@@ -514,9 +500,9 @@ void DynamicMatcher::apply_level_moves(const std::vector<LevelMove>& moves) {
 
   // Refresh S_l membership of every vertex whose mask can have changed:
   // the movers (their level term changed) and the vertices with a live
-  // container move (their per-level counts changed). An affected-edge
-  // endpoint with only same-container records kept every count and its
-  // level, so its mask is arithmetically unchanged.
+  // count move (their per-level counts changed). An affected-edge endpoint
+  // whose edges all kept their sets kept every count and its level, so
+  // its mask is arithmetically unchanged.
   for (Vertex v : touched) flag[v] = 0;
   refresh_s_membership_all(touched);
 }
@@ -656,13 +642,12 @@ void DynamicMatcher::process_level_step1(Level l) {
   // are all unmatched. Ownership makes the union duplicate-free.
   auto& candidates = scratch_.candidates;
   candidates.clear();
-  size_t need = 0;
-  for (Vertex v : u_nodes) need += verts_[v].owned.size();
-  candidates.reserve(need);
   for (Vertex v : u_nodes) {
     PDMM_DASSERT(vhot_.matched(v) == kNoEdge && vhot_.level(v) == l);
-    const EdgeList& owned = verts_[v].owned;
-    candidates.insert(candidates.end(), owned.begin(), owned.end());
+    if (counts(v)[0] == 0) continue;
+    for (EdgeId e : verts_[v].adj) {
+      if (eowner_[e] == v) candidates.push_back(e);
+    }
   }
   cost_.round(candidates.size() + u_nodes.size());
 
@@ -790,6 +775,7 @@ void DynamicMatcher::reset_state() {
   }
   verts_.clear();
   vhot_.clear();
+  vcnt_.clear();
   elevel_.clear();
   eowner_.clear();
   eflags_.clear();
@@ -840,7 +826,8 @@ void DynamicMatcher::maybe_rebuild(size_t incoming_updates) {
 DynamicMatcher::BatchResult DynamicMatcher::update_by_endpoints(
     std::span<const std::vector<Vertex>> deletions,
     std::span<const std::vector<Vertex>> insertions) {
-  std::vector<EdgeId> dels(deletions.size());
+  auto& dels = scratch_.endpoint_dels;
+  dels.resize(deletions.size());
   reg_.find_batch(deletions, dels);
   for (const EdgeId e : dels) {
     PDMM_ASSERT_MSG(e != kNoEdge, "deletion of an absent edge (by endpoints)");
@@ -932,6 +919,11 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
   // events belong to a fresh identity under the recycled id.
   radix_sort_by(batch_journal_, scratch_.journal_buf,
                 [](const std::pair<EdgeId, int8_t>& ev) { return ev.first; });
+  // Each newly matched id needs a +1 event, each newly unmatched one a -1.
+  size_t gains = 0;
+  for (const auto& ev : batch_journal_) gains += ev.second > 0;
+  res.newly_matched.reserve(gains);
+  res.newly_unmatched.reserve(batch_journal_.size() - gains);
   for (size_t i = 0; i < batch_journal_.size();) {
     const EdgeId e = batch_journal_[i].first;
     bool seen = false, initial = false, cur = false;

@@ -24,6 +24,9 @@
 //     *inside* a batch; never between batches)
 //   - temp-deleted edges appear in exactly one D(e), e matched and sharing
 //     a vertex with them, and in no other structure
+//   - O(v) and A(v, l) are kept as one incidence array adj(v), holding
+//     every structured edge at v once, plus v's count lane: |O(v)| and
+//     each |A(v, l)|, the set of an edge read from its owner and level
 //   - S_l = {v : l(v) < l and o~(v,l) >= alpha^l}
 //
 // Randomness: all random choices derive from (Config::seed, batch counter,
@@ -273,52 +276,23 @@ class DynamicMatcher {
   static constexpr uint8_t kMatched = 1;
   static constexpr uint8_t kTempDeleted = 2;
 
-  // The member array of O(v), A(v, l) and D(e). A member is appended on
-  // insert and erased by its stored index (the eslot_ / dslot_ lanes), the
-  // last member moving into the hole — no search, no hash index.
+  // The member array of D(e). A member is appended on insert and erased by
+  // its stored index (the dslot_ lane), the last member moving into the
+  // hole — no search, no hash index.
   using EdgeList = SmallVector<EdgeId, 4>;
 
-  struct LevelSet {
-    Level level;
-    EdgeList set;
-  };
-
-  // Cold per-vertex containers. The hot scalars (level, matched edge,
+  // Cold per-vertex container. The hot scalars (level, matched edge,
   // S_l membership mask) live in the vhot_ SoA arrays (core/vertex_soa.h)
-  // so the settle/refresh loops stream dense lanes; verts_ holds only what
-  // those loops never touch. MatchingChecker cross-validates the two
-  // layouts stay mirror-consistent.
+  // so the settle/refresh loops stream dense lanes, and the set sizes in
+  // the vcnt_ count lane; verts_ holds only what those loops never touch.
+  // MatchingChecker cross-validates the layouts stay mirror-consistent.
   struct VertexState {
-    EdgeList owned;  // O(v)
-    // Sparse A(v, l), non-empty levels only. The first two level sets live
-    // inline in the VertexState (low-degree vertices almost never have
-    // more), so the common structural update chases no heap pointer.
-    SmallVector<LevelSet, 2> a_sets;
-
-    const EdgeList* find_a(Level l) const {
-      for (const auto& ls : a_sets)
-        if (ls.level == l) return &ls.set;
-      return nullptr;
-    }
-    EdgeList& ensure_a(Level l) {
-      for (auto& ls : a_sets)
-        if (ls.level == l) return ls.set;
-      a_sets.push_back(LevelSet{l, {}});
-      return a_sets.back().set;
-    }
-    // Position of A(v, l) in a_sets; the set must exist.
-    size_t a_index(Level l) const {
-      for (size_t i = 0; i < a_sets.size(); ++i)
-        if (a_sets[i].level == l) return i;
-      PDMM_ASSERT_MSG(false, "A(v, l) level set not found");
-      return 0;
-    }
-    // Drops a_sets[i] once it has no members left.
-    void prune_a(size_t i) {
-      if (!a_sets[i].set.empty()) return;
-      if (i + 1 != a_sets.size()) a_sets[i] = std::move(a_sets.back());
-      a_sets.pop_back();
-    }
+    // adj(v): every structured edge at v, slot-addressed like D(e). Which
+    // of the paper's sets an edge is in is read from its lanes: O(v) when
+    // eowner_[e] == v, else A(v, elevel_[e]). Eight members live inline
+    // (low-degree vertices almost never have more), so the common
+    // structural update chases no heap pointer.
+    SmallVector<EdgeId, 8> adj;
   };
 
   struct LevelMove {
@@ -327,10 +301,10 @@ class DynamicMatcher {
   };
 
   // One per-vertex container mutation of a batch structural phase: add
-  // (insert phase) or drop (delete phases) edge e in u's owned set or
-  // A(u, lvl). u is e's j-th endpoint, so the record names its eslot_
-  // entry. u == kNoVertex marks the empty slot of an edge of rank below
-  // max_rank.
+  // (insert phase) or drop (delete phases) edge e in adj(u), counted in
+  // O(u) or A(u, lvl). u is e's j-th endpoint, so the record names its
+  // eslot_ entry. u == kNoVertex marks the empty slot of an edge of rank
+  // below max_rank.
   struct StructMut {
     Vertex u = kNoVertex;
     EdgeId e = kNoEdge;
@@ -339,14 +313,13 @@ class DynamicMatcher {
     uint8_t j = 0;
   };
 
-  // Mutation record of apply_level_moves: edge e moves between containers
-  // of vertex u, its j-th endpoint, as levels change.
+  // Mutation record of apply_level_moves: an edge at vertex u moves from
+  // u's count bucket `from` to bucket `to` as levels change (see
+  // bucket()). u == kNoVertex marks an empty slot, or an edge that stays
+  // in its set.
   struct MoveMut {
     Vertex u = kNoVertex;
-    EdgeId e = kNoEdge;
-    Level old_lvl = 0, new_lvl = 0;
-    uint8_t was_owner = 0, now_owner = 0;
-    uint8_t j = 0;
+    uint32_t from = 0, to = 0;
   };
 
   // Batch-scoped scratch arena: every buffer a hot phase needs, reused
@@ -356,16 +329,19 @@ class DynamicMatcher {
   // resets exactly the entries it set by re-walking them.
   //
   // Measured at n = 2^13, k = 256 (churn, 1 thread), a steady-state
-  // update() makes about 30 heap allocations (tests/test_alloc_budget.cpp
-  // holds it at 40 or fewer); none comes from here once the buffers have
-  // grown. What still allocates is container growth — owned and A(v, l)
-  // sets spilling past their inline storage (about 12), new D sets (about
-  // 4) — and the BatchResult vectors (about 14). The undecided sets are
-  // per-level vectors that keep their capacity from batch to batch.
+  // update() makes about 9 heap allocations (tests/test_alloc_budget.cpp
+  // holds it at 12 or fewer); none comes from here once the buffers have
+  // grown. What still allocates is adj(v) spilling past its inline
+  // storage, new D sets and the three BatchResult vectors, each reserved
+  // once. The undecided sets are per-level vectors that keep their
+  // capacity from batch to batch.
   struct Scratch {
     // update(): classified deletions, inserted ids, and the radix sort
     // buffer of the batch-diff replay
     std::vector<EdgeId> dels, del_unmatched, del_temp, del_matched, new_ids;
+    // update_by_endpoints: the resolved deletions, which update() then
+    // copies into `dels`
+    std::vector<EdgeId> endpoint_dels;
     std::vector<EdgeId> eager_queue;  // drain_eager's reinsertion batch
     std::vector<std::pair<EdgeId, int8_t>> journal_buf;
     // Per-vertex flag, |V|-indexed, 0 between uses: marks the vertices a
@@ -470,17 +446,31 @@ class DynamicMatcher {
   // over the touched vertices.
   void apply_struct_muts(bool insert);
   void remove_edge_from_structures(EdgeId e);
-  // Slot-addressed membership. eslot(e, j) is e's index in the container
-  // that holds e at its j-th endpoint u: O(u) when u owns e, else
-  // A(u, l(e)). attach appends e there and records the index; detach
-  // reads it, moves the container's last member into the hole and points
-  // that member's own entry at u (found among its <= r endpoints) there.
+  // Slot-addressed membership. eslot(e, j) is e's index in adj(u), u its
+  // j-th endpoint. attach appends e to adj(u), records the index and
+  // counts e in u's bucket for (owner, l); detach reads the index, moves
+  // adj(u)'s last member into the hole, points that member's own entry at
+  // u (found among its <= r endpoints) there, and uncounts e. A level move
+  // leaves adj(u) alone and only moves the count (apply_level_moves).
   uint32_t& eslot(EdgeId e, uint32_t j) {
     return eslot_[size_t{e} * reg_.max_rank() + j];
   }
   void attach(EdgeId e, uint32_t j, Vertex u, bool owner, Level l);
   void detach(EdgeId e, uint32_t j, Vertex u, bool owner, Level l);
-  void erase_member(EdgeList& c, Vertex u, uint32_t i);
+  // The count lane: L + 2 entries per vertex, bucket 0 = |O(v)|, bucket
+  // 1 + l = |A(v, l)|. Its stride follows L, which changes only where
+  // verts_ is emptied, so grow_vertices sizes it and every clear of verts_
+  // clears it.
+  static uint32_t bucket(bool owner, Level l) {
+    return owner ? 0 : 1 + static_cast<uint32_t>(l);
+  }
+  size_t count_stride() const {
+    return static_cast<size_t>(scheme_.top_level()) + 2;
+  }
+  uint32_t* counts(Vertex v) { return vcnt_.data() + v * count_stride(); }
+  const uint32_t* counts(Vertex v) const {
+    return vcnt_.data() + v * count_stride();
+  }
   // Undecided sets: a vertex is only ever in the set of its own level, at
   // undecided_pos_[v]. Inserting a present member and erasing an absent
   // one are no-ops.
@@ -499,13 +489,13 @@ class DynamicMatcher {
   void temp_delete_bookkeep(EdgeId e, EdgeId responsible);
 
   // ---- misc ----
-  // Whether v can belong to any S_l: l(v) < L and deg(v) >= alpha^(l(v)+1).
-  // Every S_l that could hold v has l > l(v), so threshold alpha^l >=
-  // alpha^(l(v)+1), and o~(v, l) never exceeds deg(v); a vertex failing
-  // this test has mask 0, exactly.
+  // Whether v can belong to any S_l: l(v) < L and deg(v) = |adj(v)| >=
+  // alpha^(l(v)+1). Every S_l that could hold v has l > l(v), so threshold
+  // alpha^l >= alpha^(l(v)+1), and o~(v, l) never exceeds deg(v); a vertex
+  // failing this test has mask 0, exactly.
   bool may_rise(Vertex v) const;
-  // o~(v, l) profile of v folded into the S_l membership bitmask; 0 without
-  // reading v's containers when !may_rise(v).
+  // o~(v, l) profile of v, summed from its count lane, folded into the S_l
+  // membership bitmask; 0 without reading the lane when !may_rise(v).
   uint64_t compute_s_mask(Vertex v) const;
   void refresh_s_membership(Vertex v);
   // Refresh over a duplicate-free vertex set in any order: one parallel
@@ -543,6 +533,7 @@ class DynamicMatcher {
 
   std::vector<VertexState> verts_;
   VertexHotSoA vhot_;  // hot scalars, resized in lockstep with verts_
+  std::vector<uint32_t> vcnt_;  // count lane, count_stride() per vertex
   std::vector<Level> elevel_;
   std::vector<Vertex> eowner_;
   std::vector<uint8_t> eflags_;
@@ -550,16 +541,16 @@ class DynamicMatcher {
   std::vector<std::unique_ptr<EdgeList>> edge_d_;  // D(e) for matched e
   std::vector<uint32_t> epoch_d_deleted_;  // budget consumed this epoch
   // Member positions, kNoSlot where never set: eslot_ holds max_rank
-  // entries per edge id (see eslot()), dslot_ a temp-deleted edge's index
-  // in D(eresp_[f]).
+  // entries per edge id, each an index in adj(u) (see eslot()), dslot_ a
+  // temp-deleted edge's index in D(eresp_[f]).
   static constexpr uint32_t kNoSlot = ~uint32_t{0};
   std::vector<uint32_t> eslot_;
   std::vector<uint32_t> dslot_;
 
   // S_l, index 0..L. A vertex can sit in several S_l, so these keep
   // IndexedSet's search-based erase. Each vertex's memberships are cached
-  // as a bitmask in vhot_, and a refresh reads a vertex's containers only
-  // when may_rise() (the level and degree lanes) leaves a bit possible.
+  // as a bitmask in vhot_, and a refresh reads a vertex's count lane only
+  // when may_rise() (its level and |adj(v)|) leaves a bit possible.
   std::vector<IndexedSet> s_;
   // Undecided nodes by level, 0..L, and each vertex's position in its
   // level's list (kNoSlot: not undecided).

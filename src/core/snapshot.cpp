@@ -6,9 +6,9 @@
 // The leveling structures are sets, and load() derives them from the
 // edges, walking the alive ids in ascending order: a matched edge gives
 // each endpoint its level and matched edge (every other vertex is
-// unmatched at level -1), a structured edge joins O(owner) and A(u, l(e))
-// of its other endpoints u, a temp-deleted edge joins D(resp), and S_l
-// follows from the counts. Member order is not state (no decision reads
+// unmatched at level -1), a structured edge joins adj(u) of each endpoint
+// u and is counted in O(owner) and A(u, l(e)) of the others, a
+// temp-deleted edge joins D(resp), and S_l follows from the counts. Member order is not state (no decision reads
 // it), so a restored matcher continues bit-identically under the same
 // seed and update stream: the same save() bytes and BatchResults.
 // Cumulative statistics are deliberately excluded (they reset on load).
@@ -236,6 +236,7 @@ void DynamicMatcher::reset_to_empty() {
   reg_.restore_begin(0);
   verts_.clear();
   vhot_.clear();
+  vcnt_.clear();
   elevel_.clear();
   eowner_.clear();
   eflags_.clear();
@@ -607,8 +608,7 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
   // The S_l sets follow from the counts. This reads only levels in
   // [-1, L], so it is safe before the state is validated.
   for (Vertex v = 0; v < verts_.size(); ++v) {
-    const VertexState& vs = verts_[v];
-    if (!vs.owned.empty() || !vs.a_sets.empty()) refresh_s_membership(v);
+    if (!verts_[v].adj.empty()) refresh_s_membership(v);
   }
   // Everything else a between-batch state must satisfy is the oracle's.
   if (std::string why = MatchingChecker::violation(*this); !why.empty()) {

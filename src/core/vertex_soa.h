@@ -1,12 +1,12 @@
 // VertexHotSoA: the matcher's hot per-vertex scalars — level, matched edge,
-// S_l membership mask, structured degree — in structure-of-arrays layout.
+// S_l membership mask — in structure-of-arrays layout.
 //
 // The settle sweeps and the S_l mask refresh touch these scalars for
 // thousands of vertices per batch while never looking at the cold per-vertex
-// containers (the owned set and the sparse A(v,l) sets). Keeping the scalars
+// incidence arrays adj(v). Keeping the scalars
 // in their own dense arrays means those loops stream 4- and 8-byte lanes at
-// cache-line density instead of striding over ~100-byte VertexState records
-// that are mostly pointers they never dereference.
+// cache-line density instead of striding over 48-byte VertexState records
+// that are mostly members they never read.
 //
 // Accessor contract: ALL access goes through the methods below. Direct
 // indexing of the arrays outside this file is rejected by the
@@ -21,8 +21,7 @@
 // whose level or matched edge they write, once per vertex. The delta view
 // capture (DynamicMatcher::make_view_into) patches exactly these vertices
 // into a copy of the previous view's lanes. Because the setters are the
-// only write path, no write can bypass the log. The degree lane is not a
-// view field and is not logged.
+// only write path, no write can bypass the log.
 #pragma once
 
 #include <cstdint>
@@ -50,23 +49,16 @@ class VertexHotSoA {
   uint64_t s_mask(Vertex v) const { return vsmask_[v]; }
   void set_s_mask(Vertex v, uint64_t m) { vsmask_[v] = m; }
 
-  // deg(v) = |O(v)| + sum over l of |A(v, l)|: the number of structured
-  // edges at v, kept by the matcher's attach / detach.
-  uint32_t deg(Vertex v) const { return vdeg_[v]; }
-  void inc_deg(Vertex v) { ++vdeg_[v]; }
-  void dec_deg(Vertex v) { --vdeg_[v]; }
-
   size_t size() const { return vlevel_.size(); }
 
   // Grows (or shrinks) all lanes together; new vertices get the
-  // freshly-constructed defaults (unmatched, no edge, empty mask, degree
-  // 0). A shrink stops the change log, which could name dropped vertices.
+  // freshly-constructed defaults (unmatched, no edge, empty mask). A
+  // shrink stops the change log, which could name dropped vertices.
   void resize(size_t n) {
     if (n < vchanged_.size()) stop_change_log();
     vlevel_.resize(n, kUnmatchedLevel);
     vmatched_.resize(n, kNoEdge);
     vsmask_.resize(n, 0);
-    vdeg_.resize(n, 0);
     vchanged_.resize(n, 0);
   }
 
@@ -76,7 +68,6 @@ class VertexHotSoA {
     vlevel_.clear();
     vmatched_.clear();
     vsmask_.clear();
-    vdeg_.clear();
     vchanged_.clear();
     changed_.clear();
     logging_ = false;
@@ -108,7 +99,6 @@ class VertexHotSoA {
   size_t level_lane_size() const { return vlevel_.size(); }
   size_t matched_lane_size() const { return vmatched_.size(); }
   size_t s_mask_lane_size() const { return vsmask_.size(); }
-  size_t deg_lane_size() const { return vdeg_.size(); }
   size_t changed_lane_size() const { return vchanged_.size(); }
 
  private:
@@ -126,7 +116,6 @@ class VertexHotSoA {
   std::vector<Level> vlevel_;
   std::vector<EdgeId> vmatched_;
   std::vector<uint64_t> vsmask_;
-  std::vector<uint32_t> vdeg_;
   std::vector<uint8_t> vchanged_;  // 1 iff the vertex is in changed_
   std::vector<Vertex> changed_;
   bool logging_ = false;

@@ -1,12 +1,12 @@
 // SmallVector<T, N>: a vector with N elements of inline storage, spilling to
 // the heap only when it grows past N. It is the dynamic matcher's member
-// array for O(v), each A(v,l) and D(e), and its list of a vertex's A(v,l)
-// level sets. These are almost always tiny — low-degree vertices dominate
-// every realistic graph — so keeping the first few elements inside the
-// owning struct removes a pointer chase and a heap allocation from the
-// hottest structural operations. The matcher erases a member by its
-// recorded index (the last member moves into the hole), so no search runs
-// here.
+// array for each vertex's incidence array adj(v) (which holds O(v) and
+// the A(v,l)) and each D(e). These are almost always tiny — low-degree
+// vertices dominate every realistic graph — so keeping the first few
+// elements inside the owning struct removes a pointer chase and a heap
+// allocation from the hottest structural operations. The matcher erases a
+// member by its recorded index (the last member moves into the hole), so
+// no search runs here.
 //
 // Supports exactly the operations those containers need: push_back /
 // emplace_back, pop_back, back, operator[], clear, iteration, and value

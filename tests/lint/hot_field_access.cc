@@ -8,14 +8,12 @@ struct FakeHot {
   std::vector<int32_t> vlevel_;
   std::vector<uint32_t> vmatched_;
   std::vector<uint64_t> vsmask_;
-  std::vector<uint32_t> vdeg_;
   std::vector<uint8_t> vchanged_;
 };
 
 int32_t bad_reads(const FakeHot& h, uint32_t v) {
   int32_t l = h.vlevel_[v];  // expect-lint: hot-field-access
   l += static_cast<int32_t>(h.vmatched_[v]);  // expect-lint: hot-field-access
-  l += static_cast<int32_t>(h.vdeg_[v]);  // expect-lint: hot-field-access
   return l;
 }
 
@@ -23,7 +21,6 @@ void bad_writes(FakeHot& h, uint32_t v) {
   h.vsmask_[v] = 0;  // expect-lint: hot-field-access
   h.vlevel_.resize(8);  // expect-lint: hot-field-access
   h.vchanged_[v] = 1;  // expect-lint: hot-field-access
-  --h.vdeg_[v];  // expect-lint: hot-field-access
 }
 
 void waived_ok(FakeHot& h) {

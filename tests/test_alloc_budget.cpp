@@ -92,9 +92,9 @@ TEST(AllocBudget, SteadyStateBatchesStayUnderBudget) {
   const double per_batch = static_cast<double>(allocs) / kBatches;
   std::printf("steady-state allocations per update() at k = 256: %.1f\n",
               per_batch);
-  // Measured 29.6 at this shape; the bound leaves room for allocator
+  // Measured 8.8 at this shape; the bound leaves room for allocator
   // noise, not for a new per-batch allocation source.
-  EXPECT_LE(per_batch, 40.0);
+  EXPECT_LE(per_batch, 12.0);
 }
 
 }  // namespace

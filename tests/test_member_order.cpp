@@ -27,8 +27,8 @@
 namespace pdmm {
 
 // The test-only friend of DynamicMatcher (core/matcher.h): permutes the
-// member order of every O(v), of every vertex's A(v, l) level sets and of
-// each one, of every D(e) and of every S_l, and re-points the position
+// member order of every incidence array adj(v) (which holds O(v) and the
+// A(v, l)), of every D(e) and of every S_l, and re-points the position
 // lanes so the state stays valid.
 struct MemberOrderShuffle {
   static void run(DynamicMatcher& m, uint64_t seed) {
@@ -38,21 +38,13 @@ struct MemberOrderShuffle {
         std::swap(items[i - 1], items[rng.below(i)]);
       }
     };
-    const auto repoint = [&m](const DynamicMatcher::EdgeList& c, Vertex v) {
-      for (uint32_t i = 0; i < c.size(); ++i) {
-        const auto eps = m.reg_.endpoints(c[i]);
-        const auto j = std::find(eps.begin(), eps.end(), v) - eps.begin();
-        m.eslot(c[i], static_cast<uint32_t>(j)) = i;
-      }
-    };
     for (Vertex v = 0; v < m.verts_.size(); ++v) {
-      auto& vs = m.verts_[v];
-      shuffle(vs.owned);
-      repoint(vs.owned, v);
-      shuffle(vs.a_sets);
-      for (auto& ls : vs.a_sets) {
-        shuffle(ls.set);
-        repoint(ls.set, v);
+      auto& adj = m.verts_[v].adj;
+      shuffle(adj);
+      for (uint32_t i = 0; i < adj.size(); ++i) {
+        const auto eps = m.reg_.endpoints(adj[i]);
+        const auto j = std::find(eps.begin(), eps.end(), v) - eps.begin();
+        m.eslot(adj[i], static_cast<uint32_t>(j)) = i;
       }
     }
     for (auto& d : m.edge_d_) {

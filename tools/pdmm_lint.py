@@ -120,7 +120,7 @@ TSA_MACRO_RE = re.compile(r"\bPDMM_NO_THREAD_SAFETY_ANALYSIS\b")
 # cover every blind-wait primitive the tree could reach for.
 RAW_SLEEP_RE = re.compile(r"\b(sleep_for|sleep_until|usleep|nanosleep)\s*\(")
 HOT_FIELD_RE = re.compile(
-    r"\b(vlevel_|vmatched_|vsmask_|vdeg_|vchanged_)\s*[\[.]")
+    r"\b(vlevel_|vmatched_|vsmask_|vchanged_)\s*[\[.]")
 TSA_COMMENT_RE = re.compile(r"//.*\btsa:")
 WAIVER_RE = re.compile(r"//\s*lint:allow\(([^)]*)\)\s*(.*)")
 EXPECT_RE = re.compile(r"expect-lint:\s*([\w,\- ]+)")
